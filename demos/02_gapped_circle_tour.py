@@ -18,7 +18,8 @@ print(f"construction: alpha = {c.alpha:.9f}, N = {c.N}")
 print(f"  retained gaps: {len(c.gap_lengths)}")
 print(f"  total gap length: {np.sum(c.gap_lengths):.6f}")
 print(f"  smallest retained gap: {c.smallest_gap:.3e}")
-print(f"  interpolation knots: {len(c.map_x):,}")
+print(f"  affine-piece knots: {len(c.map_x):,} "
+      f"(gap endpoints, four bracket pins, one wrap knot)")
 
 print()
 print("rotation number recovered from the orbit of 0:")

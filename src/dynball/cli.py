@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ from .errors import CapabilityError, DynballError
 from .expansiveness import decay_series, expansiveness_verdict, generator_check
 from .measures import make_measure, measure_names
 from .rng import derive_seed
-from .systems import get_system, make_denjoy, zoo_names
+from .systems import get_system, make_denjoy, system_params, zoo_names
 
 _HARD_DEFAULTS = {
     "decay": {"system": "rotation", "measure": "lebesgue", "delta": 0.05,
@@ -100,32 +101,41 @@ def _env_seed() -> int:
 
 def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return _env_seed()
+        seed = int(args.seed)
+    elif "seed" in cfg:
+        seed = int(cfg["seed"])
+    else:
+        seed = _env_seed()
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return seed
 
 
 def _grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(","))
 
 
+def _check_lengths(settings: dict, *keys: str) -> None:
+    """Radii and cover steps must be finite and positive."""
+    for key in keys:
+        for value in _grid(settings[key]):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key.replace('_', '-')} must be finite and "
+                                 f"positive, got {value!r}")
+
+
 def _build_pair(settings: dict, params: dict):
     """System + measure sharing one gapped-circle construction if needed."""
     sys_name = settings["system"]
     meas_name = settings["measure"]
+    kwargs = system_params(sys_name, params)
     construction = None
     if sys_name == "denjoy" or meas_name == "denjoy-minimal":
-        kwargs = {}
-        if "alpha" in params:
-            kwargs["alpha"] = float(params["alpha"])
-        if "N" in params:
-            kwargs["N"] = int(params["N"])
-        construction = build_denjoy(**kwargs)
+        construction = build_denjoy(**system_params("denjoy", kwargs))
     if sys_name == "denjoy":
         f = make_denjoy(construction)
     else:
-        f = get_system(sys_name, params)
+        f = get_system(sys_name, kwargs)
     mu = make_measure(meas_name, f.space, denjoy_construction=construction)
     return f, mu
 
@@ -157,6 +167,7 @@ def _write_outputs(out_dir: str, command: str, config_echo: dict, seed: int,
 
 def _cmd_decay(args, cfg) -> int:
     settings = _effective(args, cfg, "decay")
+    _check_lengths(settings, "delta")
     seed = _resolve_seed(args, cfg)
     params = _parse_params(args.param)
     f, mu = _build_pair(settings, params)
@@ -184,6 +195,7 @@ def _cmd_decay(args, cfg) -> int:
 
 def _cmd_verdict(args, cfg) -> int:
     settings = _effective(args, cfg, "verdict")
+    _check_lengths(settings, "delta")
     seed = _resolve_seed(args, cfg)
     params = _parse_params(args.param)
     f, mu = _build_pair(settings, params)
@@ -213,6 +225,7 @@ def _cmd_verdict(args, cfg) -> int:
 
 def _cmd_entropy(args, cfg) -> int:
     settings = _effective(args, cfg, "entropy")
+    _check_lengths(settings, "delta_grid")
     seed = _resolve_seed(args, cfg)
     params = _parse_params(args.param)
     f, mu = _build_pair(settings, params)
@@ -240,6 +253,7 @@ def _cmd_entropy(args, cfg) -> int:
 
 def _cmd_generator(args, cfg) -> int:
     settings = _effective(args, cfg, "generator")
+    _check_lengths(settings, "radius", "step")
     seed = _resolve_seed(args, cfg)
     params = _parse_params(args.param)
     f, mu = _build_pair(settings, params)

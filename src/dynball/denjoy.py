@@ -18,9 +18,13 @@ Truncation details that keep the map an honest homeomorphism:
 * gap ``I_N`` has no inserted successor, so it is squeezed affinely onto a
   ``2 * squeeze`` interval centered at ``psi(theta_{N+1})``; the staircase
   conjugacy defect at breakpoints is then at most ``2 * squeeze``;
-* between gaps the map is pinned to ``psi(t) -> psi(t + alpha)`` on a dense
-  uniform auxiliary grid, which bounds the rotation-number drift of the
-  interpolation by one grid cell.
+* between gaps the map is the exact translation ``psi(t) -> psi(t + alpha)``,
+  which breaks at only two points: ``theta_N`` (the squeezed gap) and
+  ``theta_{-N-1}``, whose image is where the orbit enters ``I_{-N}`` (the
+  stretched piece).  Each is bracketed by two pins at the centers of the
+  width ``2**-21`` cells on either side, so the map is stored as
+  ``2 * (2N + 1) + 4`` knots plus a wrap knot (263 for ``N = 64``) and the
+  rotation-number drift of the interpolation is bounded by one such cell.
 """
 from __future__ import annotations
 
@@ -32,6 +36,9 @@ import numpy as np
 from .errors import ConstructionError
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
+
+# bracket pins sit at cell centers (j + 0.5) / _CELLS
+_CELLS = 1 << 21
 
 
 @dataclass(eq=False)
@@ -50,7 +57,6 @@ class DenjoyConstruction:
     orbit_sorted: np.ndarray       # theta_k sorted by position
     gap_cumsum: np.ndarray         # prefix sums of lengths in sorted order
     squeeze: float
-    aux_pins: int
 
     @property
     def smallest_gap(self) -> float:
@@ -83,23 +89,16 @@ class DenjoyConstruction:
 
 
 def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
-                 gap_profile: float = 1.0, aux_pins: int = 1 << 21,
                  squeeze: float = 2.5e-10) -> DenjoyConstruction:
-    """Build the truncated construction for gaps at orbit indices |k| <= N.
-
-    ``gap_profile`` scales the raw lengths before normalization (inert
-    after the total is renormalized to 1/2; kept as an explicit knob).
-    """
+    """Build the truncated construction for gaps at orbit indices |k| <= N."""
     if N < 8:
         raise ConstructionError(f"N={N} too small; need N >= 8")
     if not 0.0 < alpha < 1.0:
         raise ConstructionError("alpha must lie in (0, 1)")
-    if gap_profile <= 0:
-        raise ConstructionError("gap_profile must be positive")
 
     ks = np.arange(-N, N + 1)
     theta = (ks * alpha) % 1.0
-    lengths = gap_profile / ((np.abs(ks) + 2.0) * (np.abs(ks) + 3.0))
+    lengths = 1.0 / ((np.abs(ks) + 2.0) * (np.abs(ks) + 3.0))
     lengths *= 0.5 / lengths.sum()
 
     theta_next = ((N + 1) * alpha) % 1.0
@@ -123,17 +122,25 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     b = a + lengths
     p_next = float(psi(theta_next))
 
-    # auxiliary grid, offset to dodge orbit points; drop the handful of
-    # cells whose theta or theta+alpha collides with an orbit point
-    bad = np.zeros(aux_pins, dtype=bool)
-    for t in np.concatenate([all_orbit, (all_orbit - alpha) % 1.0]):
-        j = int(np.floor(t * aux_pins - 0.5))
-        for jj in (j - 1, j, j + 1, j + 2):
-            tt = (jj % aux_pins + 0.5) / aux_pins
-            d = abs(tt - t)
-            if min(d, 1.0 - d) < 1e-9:
-                bad[jj % aux_pins] = True
-    grid = ((np.arange(aux_pins) + 0.5) / aux_pins)[~bad]
+    # bracket the two breaks of the translation, theta_N and theta_{-N-1},
+    # with the nearest cell centers on either side, stepping past any
+    # center within 1e-9 of an orbit point or of an orbit point's preimage
+    avoid = np.concatenate([all_orbit, (all_orbit - alpha) % 1.0])
+
+    def clear(j):
+        d = np.abs(avoid - (j % _CELLS + 0.5) / _CELLS)
+        return np.minimum(d, 1.0 - d).min() >= 1e-9
+
+    cells = set()
+    for t in (theta[-1], (theta[0] - alpha) % 1.0):
+        lo = int(np.floor(t * _CELLS - 0.5))
+        hi = lo + 1
+        while not clear(lo):
+            lo -= 1
+        while not clear(hi):
+            hi += 1
+        cells.update((lo % _CELLS, hi % _CELLS))
+    grid = (np.array(sorted(cells)) + 0.5) / _CELLS
 
     px = np.concatenate([a[:-1], b[:-1], [a[-1], b[-1]], psi(grid)])
     py = np.concatenate([a[1:], b[1:], [p_next - squeeze, p_next + squeeze],
@@ -141,7 +148,7 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     s = np.argsort(px)
     px, py = px[s], py[s]
     if not np.all(np.diff(px) > 0):
-        raise ConstructionError("pin abscissae collide; reduce aux_pins or N")
+        raise ConstructionError("pin abscissae collide; reduce N")
     wraps = np.where(np.diff(py) < 0)[0]
     if len(wraps) != 1:
         raise ConstructionError(f"expected exactly one ordinate wrap, found {len(wraps)}")
@@ -172,7 +179,7 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
         map_x=map_x, map_y=map_y,
         staircase_x=hx, staircase_y=hy,
         orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum,
-        squeeze=float(squeeze), aux_pins=int(aux_pins))
+        squeeze=float(squeeze))
 
 
 def rotation_number_estimate(c: DenjoyConstruction, n_iter: int = 1_000_000,
@@ -182,7 +189,7 @@ def rotation_number_estimate(c: DenjoyConstruction, n_iter: int = 1_000_000,
     For a circle homeomorphism the partial displacements satisfy
     |F^n(x) - x - n*rho| <= 1, so the estimate is within 1/n_iter of the
     map's true rotation number; the construction itself holds that number
-    within one auxiliary grid cell (~1/aux_pins) of alpha.
+    within one bracket cell (2**-21) of alpha.
     """
     xs = c.map_x.tolist()
     ys = c.map_y.tolist()

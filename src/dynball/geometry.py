@@ -128,19 +128,12 @@ class Point:
         return np.array(self.coords)
 
 
-def point_distance(a: Point, b: Point) -> float:
-    if a.space != b.space:
-        raise SpaceMismatchError("points live on different spaces")
-    return float(distance(a.space, a.array, b.array))
-
-
 @dataclass(frozen=True)
 class Ball:
-    """Metric ball, closed by default."""
+    """Closed metric ball."""
 
     center: Point
     radius: float
-    open: bool = False
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -154,7 +147,7 @@ class Ball:
 def ball_contains(ball: Ball, coords: np.ndarray) -> np.ndarray:
     """Membership test, vectorized over rows of ``coords``."""
     d = distance(ball.space, ball.center.array, np.asarray(coords, dtype=float))
-    return d < ball.radius if ball.open else d <= ball.radius
+    return d <= ball.radius
 
 
 def random_points(space: SpaceDescriptor, seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -27,8 +27,3 @@ def wilson_interval(successes, trials, z: float = Z95):
     if np.isscalar(successes):
         return float(lo), float(hi)
     return lo, hi
-
-
-def wilson_halfwidth(successes, trials, z: float = Z95):
-    lo, hi = wilson_interval(successes, trials, z)
-    return (np.asarray(hi) - np.asarray(lo)) / 2.0

@@ -219,25 +219,39 @@ _FACTORIES = {
 }
 
 
+# the parameters each factory takes, with their casts; systems not listed
+# take none
+_PARAMS = {
+    "rotation": {"alpha": float},
+    "denjoy": {"alpha": float, "N": int},
+}
+
+
 def zoo_names() -> list[str]:
     return list(_FACTORIES)
 
 
-def get_system(name: str, params: dict | None = None) -> SystemSpec:
-    """Look up a zoo system by name; params feed the matching factory."""
-    params = dict(params or {})
+def system_params(name: str, params: dict | None = None) -> dict:
+    """Check ``params`` against the keys system ``name`` takes and cast them.
+
+    Raises KeyError, listing the known keys, on an unknown system or key.
+    """
     if name not in _FACTORIES:
         raise KeyError(f"unknown system {name!r}; known: {', '.join(_FACTORIES)}")
-    if name == "rotation":
-        return make_rotation(float(params.pop("alpha", GOLDEN_CONJUGATE)))
+    casts = _PARAMS.get(name, {})
+    for key in params or {}:
+        if key not in casts:
+            raise KeyError(f"unknown parameter {key!r} for system {name!r}; "
+                           f"known: {', '.join(casts) or 'none'}")
+    return {key: casts[key](value) for key, value in (params or {}).items()}
+
+
+def get_system(name: str, params: dict | None = None) -> SystemSpec:
+    """Look up a zoo system by name; params feed the matching factory."""
+    kwargs = system_params(name, params)
     if name == "denjoy":
-        kwargs = {}
-        if "alpha" in params:
-            kwargs["alpha"] = float(params.pop("alpha"))
-        if "N" in params:
-            kwargs["N"] = int(params.pop("N"))
-        return make_denjoy(build_denjoy(**kwargs)) if kwargs else make_denjoy()
-    return _FACTORIES[name]()
+        return make_denjoy(build_denjoy(**kwargs))
+    return _FACTORIES[name](**kwargs)
 
 
 # ---------------------------------------------------------------------------

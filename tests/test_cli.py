@@ -155,3 +155,39 @@ def test_battery_json_stable_across_runs(tmp_path):
                     "--out", str(out)]) == 0
     assert (a / "battery.json").read_bytes() == (b / "battery.json").read_bytes()
     assert (a / "battery.md").read_bytes() == (b / "battery.md").read_bytes()
+
+
+@pytest.mark.parametrize("argv, known", [
+    (["decay", "--system", "doubling", "--param", "foo=1"], "known: none"),
+    (["decay", "--system", "identity", "--param", "alpha=0.1"], "known: none"),
+    (["decay", "--system", "rotation", "--param", "N=16"], "known: alpha"),
+    (["decay", "--system", "denjoy", "--measure", "denjoy-minimal",
+      "--param", "foo=1"], "known: alpha, N"),
+])
+def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
+    assert run(argv + ["--samples", "1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter" in err and known in err
+    assert not (tmp_path / "decay.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decay", "--delta", "nan"], "delta must be finite and positive"),
+    (["decay", "--delta", "inf"], "delta must be finite and positive"),
+    (["verdict", "--delta", "0"], "delta must be finite and positive"),
+    (["entropy", "--delta-grid", "0.1,nan"], "delta-grid must be finite and positive"),
+    (["generator", "--step", "0"], "step must be finite and positive"),
+    (["generator", "--step", "-0.05"], "step must be finite and positive"),
+    (["generator", "--step", "inf"], "step must be finite and positive"),
+    (["generator", "--radius", "0"], "radius must be finite and positive"),
+    (["generator", "--radius", "-0.1"], "radius must be finite and positive"),
+    (["generator", "--radius", "nan"], "radius must be finite and positive"),
+    (["decay", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+    (["decay", "--seed", str(2 ** 64)], "seed must be an integer in [0, 2**64)"),
+])
+def test_invalid_input_exit_code(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

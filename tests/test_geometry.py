@@ -82,18 +82,14 @@ def test_probe_grid_periodic_drops_right_endpoint():
     assert gi.min() == 0.0 and gi.max() == 1.0
 
 
-def test_ball_contains_closed_and_open():
+def test_ball_contains_closed():
     sp = circle()
     ball = Ball(Point(sp, (0.0,)), 0.25)
     inside = geo.ball_contains(ball, np.array([[0.25], [0.75], [0.5]]))
     assert list(inside) == [True, True, False]
-    strict = Ball(Point(sp, (0.0,)), 0.25, open=True)
-    assert not geo.ball_contains(strict, np.array([[0.25]]))[0]
-    # same boundary pair on the interval (dyadic values, exact in binary)
+    # same boundary point on the interval (dyadic values, exact in binary)
     b_i = Ball(Point(interval(), (0.5,)), 0.125)
     assert geo.ball_contains(b_i, np.array([[0.625]]))[0]
-    assert not geo.ball_contains(Ball(Point(interval(), (0.5,)), 0.125, open=True),
-                                 np.array([[0.625]]))[0]
     # wrap-around membership
     b_w = Ball(Point(sp, (0.95,)), 0.1)
     assert geo.ball_contains(b_w, np.array([[0.02]]))[0]
