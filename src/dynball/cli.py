@@ -7,6 +7,18 @@ config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime.
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
+The four data commands are rows of one table, ``_COMMANDS``.  A row holds
+the command's flags with their defaults (flag ``--a-b`` sets ``a_b``; its
+type is the default's type, a ``None`` default meaning a string), the
+settings that must be finite positive lengths, the CSV header, and a
+function ``(f, mu, settings, seed)`` returning the result, the command's
+own config-echo fields, the CSV rows and a one-line summary.  The parser
+is generated from the table and ``_run`` does the shared steps once.
+``runtime_seconds`` times that function: the estimator plus decay's
+center draw and generator's cover build, not the system and measure
+construction or the file writes.  ``battery`` takes its flags from the
+same table but runs its own function.
+
 Exit codes: 0 success, 1 battery case failure, 2 usage error, 3 the
 requested computation is outside the system's capabilities.
 """
@@ -19,6 +31,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from . import geometry as geo
@@ -30,21 +43,6 @@ from .expansiveness import decay_series, expansiveness_verdict, generator_check
 from .measures import make_measure, measure_names
 from .rng import derive_seed
 from .systems import get_system, make_denjoy, system_params, zoo_names
-
-_HARD_DEFAULTS = {
-    "decay": {"system": "rotation", "measure": "lebesgue", "delta": 0.05,
-              "nmax": 20, "samples": 100_000, "sided": None, "x": None},
-    "verdict": {"system": "rotation", "measure": "lebesgue", "delta": 0.05,
-                "nmax": 30, "samples": 100_000, "x_probes": 20,
-                "threshold": 0.01, "sided": None},
-    "entropy": {"system": "doubling", "measure": "lebesgue",
-                "delta_grid": "0.1,0.05,0.02", "n_lo": 1, "n_hi": 14,
-                "x_probes": 30, "samples": 100_000},
-    "generator": {"system": "doubling", "measure": "lebesgue", "radius": 0.1,
-                  "step": 0.05, "nmax": 10, "sequences": 32,
-                  "mc_samples": 100_000, "threshold": 0.01, "sided": None},
-    "battery": {"cases": None, "workers": 1},
-}
 
 
 def _parse_value(text: str):
@@ -81,17 +79,19 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _effective(args: argparse.Namespace, cfg: dict, command: str) -> dict:
-    """Flag > config file > hard default, per option."""
+def _effective(args: argparse.Namespace, cfg: dict, flags: dict) -> dict:
+    """Flag > config file > default, per option.  A config-file value is
+    cast once to its default's type; ``None`` defaults are strings."""
     out = {}
-    for key, hard in _HARD_DEFAULTS[command].items():
+    for key, default in flags.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in cfg:
-            out[key] = _parse_value(cfg[key]) if not isinstance(hard, str) else cfg[key]
+            cast = str if default is None else type(default)
+            out[key] = cast(_parse_value(cfg[key]))
         else:
-            out[key] = hard
+            out[key] = default
     return out
 
 
@@ -140,165 +140,152 @@ def _build_pair(settings: dict, params: dict):
     return f, mu
 
 
-def _write_outputs(out_dir: str, command: str, config_echo: dict, seed: int,
-                   result: dict, csv_header: str, csv_rows: list[tuple],
-                   runtime: float) -> None:
-    out = Path(out_dir)
+def _decay(f, mu, s: dict, seed: int):
+    if s["x"] is not None:
+        coords = _grid(s["x"])
+    else:
+        coords = tuple(mu.sample_coords(derive_seed(seed, "x"), 1)[0])
+    series = decay_series(f, mu, geo.Point(f.space, coords), s["delta"],
+                          sided=s["sided"], n_max=s["nmax"],
+                          samples=s["samples"], seed=seed)
+    echo = {"delta": s["delta"], "nmax": s["nmax"], "samples": s["samples"],
+            "sided": series.sided, "x": list(series.x)}
+    rows = list(zip(series.n_values, series.estimates, series.ci_low, series.ci_high))
+    return (series.to_dict(), echo, rows,
+            f"{len(rows)} rows (terminal estimate {series.terminal!r})")
+
+
+def _verdict(f, mu, s: dict, seed: int):
+    v = expansiveness_verdict(f, mu, s["delta"], n_max=s["nmax"],
+                              samples=s["samples"], x_probes=s["x_probes"],
+                              threshold=s["threshold"], seed=seed, sided=s["sided"])
+    echo = {k: s[k] for k in ("delta", "nmax", "samples", "x_probes", "threshold")}
+    rows = [(i + 1, est, lo, hi) for i, (est, lo, hi) in
+            enumerate(zip(v.per_probe_terminal, v.per_probe_lower, v.per_probe_upper))]
+    return (v.to_dict(), {**echo, "sided": v.sided}, rows,
+            f"{v.verdict} (delta={v.delta}, worst upper {v.worst_upper_bound!r})")
+
+
+def _entropy(f, mu, s: dict, seed: int):
+    grid = _grid(s["delta_grid"])
+    n_range = (s["n_lo"], s["n_hi"])
+    est = bk_entropy(f, mu, grid, n_range=n_range, x_probes=s["x_probes"],
+                     samples=s["samples"], seed=seed)
+    echo = {"delta_grid": list(grid), "n_range": list(n_range),
+            "x_probes": s["x_probes"], "samples": s["samples"]}
+    rows = [(d, e, e - 2 * se, e + 2 * se) for d, e, se in
+            zip(est.delta_grid, est.e_of_delta, est.se_of_delta)]
+    return (est.to_dict(), echo, rows,
+            f"extrapolated {est.extrapolated_e!r} +- {est.extrapolated_se!r} "
+            f"(converged={est.converged})")
+
+
+def _generator(f, mu, s: dict, seed: int):
+    cover = geo.make_ball_cover(f.space, radius=s["radius"], step=s["step"])
+    rep = generator_check(f, mu, cover, n_max=s["nmax"],
+                          sequence_samples=s["sequences"],
+                          mc_samples=s["mc_samples"], threshold=s["threshold"],
+                          seed=seed, sided=s["sided"])
+    echo = {k: s[k] for k in ("radius", "step", "nmax", "sequences",
+                              "mc_samples", "threshold")}
+    rows = [(i + 1, v, v, v) for i, v in enumerate(rep.per_sequence)]
+    return (rep.to_dict(), {**echo, "sided": rep.sided}, rows,
+            f"evidence={rep.is_generator_evidence} "
+            f"(max estimate {rep.max_intersection_estimate!r})")
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: dict                # setting -> default; flag --<setting with dashes>
+    run: Callable | None = None  # (f, mu, settings, seed) -> result, echo, rows, summary
+    lengths: tuple = ()        # settings that must be finite positive lengths
+    header: str = "n,estimate,ci_low,ci_high"
+
+
+_COMMANDS = {
+    "decay": _Command(
+        "window-mass decay curve at one center",
+        {"system": "rotation", "measure": "lebesgue", "delta": 0.05, "nmax": 20,
+         "samples": 100_000, "sided": None, "x": None},
+        _decay, ("delta",)),
+    "verdict": _Command(
+        "three-valued expansiveness verdict",
+        {"system": "rotation", "measure": "lebesgue", "delta": 0.05, "nmax": 30,
+         "samples": 100_000, "x_probes": 20, "threshold": 0.01, "sided": None},
+        _verdict, ("delta",)),
+    "entropy": _Command(
+        "local entropy rate over a radius grid",
+        {"system": "doubling", "measure": "lebesgue", "delta_grid": "0.1,0.05,0.02",
+         "n_lo": 1, "n_hi": 14, "x_probes": 30, "samples": 100_000},
+        _entropy, ("delta_grid",), "delta,estimate,ci_low,ci_high"),
+    "generator": _Command(
+        "cover-sequence intersection check",
+        {"system": "doubling", "measure": "lebesgue", "radius": 0.1, "step": 0.05,
+         "nmax": 10, "sequences": 32, "mc_samples": 100_000, "threshold": 0.01,
+         "sided": None},
+        _generator, ("radius", "step")),
+    "battery": _Command("run the theorem battery", {"cases": None, "workers": 1}),
+}
+_SIDED = ["one", "two", "one_sided", "two_sided"]
+_HELP = {"x": "comma-separated center coordinates",
+         "cases": "comma-separated case ids (default: all)"}
+
+
+def _run(command: str, args: argparse.Namespace, cfg: dict) -> int:
+    """Shared steps of the data commands; only the table's function is timed."""
+    spec = _COMMANDS[command]
+    settings = _effective(args, cfg, spec.flags)
+    _check_lengths(settings, *spec.lengths)
+    seed = _resolve_seed(args, cfg)
+    params = _parse_params(args.param)
+    f, mu = _build_pair(settings, params)
+    t0 = time.perf_counter()
+    result, fields, rows, summary = spec.run(f, mu, settings, seed)
+    runtime = time.perf_counter() - t0
+    echo = {"system": {"name": f.name, "params": params},
+            "measure": {"name": mu.name}, **fields, "seed": seed}
+
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    echo = json.dumps(config_echo, sort_keys=True, separators=(",", ":"))
     lines = [f"# dynball {__version__}",
              f"# command: {command}",
-             f"# config: {echo}",
+             f"# config: {json.dumps(echo, sort_keys=True, separators=(',', ':'))}",
              f"# seed: {seed}",
-             csv_header]
-    for row in csv_rows:
+             spec.header]
+    for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
     (out / f"{command}.csv").write_text("\n".join(lines) + "\n")
     payload = {"version": __version__, "command": command,
-               "config": config_echo, "seed": seed, "result": result}
+               "config": echo, "seed": seed, "result": result}
     (out / f"{command}.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
     meta = {"version": __version__, "command": command, "seed": seed,
             "runtime_seconds": runtime}
     (out / f"{command}.meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def _cmd_decay(args, cfg) -> int:
-    settings = _effective(args, cfg, "decay")
-    _check_lengths(settings, "delta")
-    seed = _resolve_seed(args, cfg)
-    params = _parse_params(args.param)
-    f, mu = _build_pair(settings, params)
-    if settings["x"] is not None:
-        x = geo.Point(f.space, tuple(float(v) for v in str(settings["x"]).split(",")))
-    else:
-        x = geo.Point(f.space, tuple(mu.sample_coords(derive_seed(seed, "x"), 1)[0]))
-    t0 = time.perf_counter()
-    series = decay_series(f, mu, x, float(settings["delta"]),
-                          sided=settings["sided"], n_max=int(settings["nmax"]),
-                          samples=int(settings["samples"]), seed=seed)
-    runtime = time.perf_counter() - t0
-    echo = {"system": {"name": f.name, "params": params},
-            "measure": {"name": mu.name},
-            "delta": float(settings["delta"]), "nmax": int(settings["nmax"]),
-            "samples": int(settings["samples"]), "sided": series.sided,
-            "x": list(series.x), "seed": seed}
-    rows = list(zip(series.n_values, series.estimates, series.ci_low, series.ci_high))
-    _write_outputs(args.out, "decay", echo, seed, series.to_dict(),
-                   "n,estimate,ci_low,ci_high", rows, runtime)
-    print(f"decay: {len(rows)} rows -> {args.out}/decay.csv "
-          f"(terminal estimate {series.terminal!r})")
+    print(f"{command}: {summary} -> {args.out}/{command}.json")
     return 0
 
 
-def _cmd_verdict(args, cfg) -> int:
-    settings = _effective(args, cfg, "verdict")
-    _check_lengths(settings, "delta")
+def _battery(args: argparse.Namespace, cfg: dict) -> int:
+    settings = _effective(args, cfg, _COMMANDS["battery"].flags)
     seed = _resolve_seed(args, cfg)
-    params = _parse_params(args.param)
-    f, mu = _build_pair(settings, params)
-    t0 = time.perf_counter()
-    v = expansiveness_verdict(f, mu, float(settings["delta"]),
-                              n_max=int(settings["nmax"]),
-                              samples=int(settings["samples"]),
-                              x_probes=int(settings["x_probes"]),
-                              threshold=float(settings["threshold"]),
-                              seed=seed, sided=settings["sided"])
-    runtime = time.perf_counter() - t0
-    echo = {"system": {"name": f.name, "params": params},
-            "measure": {"name": mu.name},
-            "delta": float(settings["delta"]), "nmax": int(settings["nmax"]),
-            "samples": int(settings["samples"]),
-            "x_probes": int(settings["x_probes"]),
-            "threshold": float(settings["threshold"]),
-            "sided": v.sided, "seed": seed}
-    rows = [(i + 1, est, lo, hi) for i, (est, lo, hi) in
-            enumerate(zip(v.per_probe_terminal, v.per_probe_lower, v.per_probe_upper))]
-    _write_outputs(args.out, "verdict", echo, seed, v.to_dict(),
-                   "n,estimate,ci_low,ci_high", rows, runtime)
-    print(f"verdict: {v.verdict} (delta={v.delta}, worst upper "
-          f"{v.worst_upper_bound!r}) -> {args.out}/verdict.json")
-    return 0
-
-
-def _cmd_entropy(args, cfg) -> int:
-    settings = _effective(args, cfg, "entropy")
-    _check_lengths(settings, "delta_grid")
-    seed = _resolve_seed(args, cfg)
-    params = _parse_params(args.param)
-    f, mu = _build_pair(settings, params)
-    grid = _grid(settings["delta_grid"])
-    t0 = time.perf_counter()
-    est = bk_entropy(f, mu, grid, n_range=(int(settings["n_lo"]), int(settings["n_hi"])),
-                     x_probes=int(settings["x_probes"]),
-                     samples=int(settings["samples"]), seed=seed)
-    runtime = time.perf_counter() - t0
-    echo = {"system": {"name": f.name, "params": params},
-            "measure": {"name": mu.name},
-            "delta_grid": list(grid),
-            "n_range": [int(settings["n_lo"]), int(settings["n_hi"])],
-            "x_probes": int(settings["x_probes"]),
-            "samples": int(settings["samples"]), "seed": seed}
-    rows = [(d, e, e - 2 * s, e + 2 * s) for d, e, s in
-            zip(est.delta_grid, est.e_of_delta, est.se_of_delta)]
-    _write_outputs(args.out, "entropy", echo, seed, est.to_dict(),
-                   "delta,estimate,ci_low,ci_high", rows, runtime)
-    print(f"entropy: extrapolated {est.extrapolated_e!r} +- "
-          f"{est.extrapolated_se!r} (converged={est.converged}) -> "
-          f"{args.out}/entropy.json")
-    return 0
-
-
-def _cmd_generator(args, cfg) -> int:
-    settings = _effective(args, cfg, "generator")
-    _check_lengths(settings, "radius", "step")
-    seed = _resolve_seed(args, cfg)
-    params = _parse_params(args.param)
-    f, mu = _build_pair(settings, params)
-    cover = geo.make_ball_cover(f.space, radius=float(settings["radius"]),
-                                step=float(settings["step"]))
-    t0 = time.perf_counter()
-    rep = generator_check(f, mu, cover, n_max=int(settings["nmax"]),
-                          sequence_samples=int(settings["sequences"]),
-                          mc_samples=int(settings["mc_samples"]),
-                          threshold=float(settings["threshold"]),
-                          seed=seed, sided=settings["sided"])
-    runtime = time.perf_counter() - t0
-    echo = {"system": {"name": f.name, "params": params},
-            "measure": {"name": mu.name},
-            "radius": float(settings["radius"]), "step": float(settings["step"]),
-            "nmax": int(settings["nmax"]),
-            "sequences": int(settings["sequences"]),
-            "mc_samples": int(settings["mc_samples"]),
-            "threshold": float(settings["threshold"]),
-            "sided": rep.sided, "seed": seed}
-    rows = [(i + 1, v, v, v) for i, v in enumerate(rep.per_sequence)]
-    _write_outputs(args.out, "generator", echo, seed, rep.to_dict(),
-                   "n,estimate,ci_low,ci_high", rows, runtime)
-    print(f"generator: evidence={rep.is_generator_evidence} (max estimate "
-          f"{rep.max_intersection_estimate!r}) -> {args.out}/generator.json")
-    return 0
-
-
-def _cmd_battery(args, cfg) -> int:
-    settings = _effective(args, cfg, "battery")
-    seed = _resolve_seed(args, cfg)
+    workers = settings["workers"]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     case_filter = None
     if settings["cases"]:
-        case_filter = [c.strip() for c in str(settings["cases"]).split(",")]
+        case_filter = [c.strip() for c in settings["cases"].split(",")]
     t0 = time.perf_counter()
-    report = run_battery(case_filter=case_filter, seed=seed,
-                         workers=int(settings["workers"]))
+    report = run_battery(case_filter=case_filter, seed=seed, workers=workers)
     runtime = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "battery.json").write_text(report.to_json())
     (out / "battery.md").write_text(report.to_markdown())
     meta = {"version": __version__, "command": "battery", "seed": seed,
-            "runtime_seconds": runtime,
-            "workers": int(settings["workers"])}
+            "runtime_seconds": runtime, "workers": workers}
     (out / "battery.meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n")
     print(f"battery: {report.passed} pass, {report.failed} fail, "
@@ -310,7 +297,7 @@ def _cmd_battery(args, cfg) -> int:
     return 0
 
 
-def _cmd_explain(args, cfg) -> int:
+def _explain(args: argparse.Namespace) -> int:
     try:
         info = case_info(args.case_id)
     except KeyError as exc:
@@ -342,67 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true",
                         help="list systems, measures, and battery case ids")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, with_measure=True):
-        p.add_argument("--system")
-        if with_measure:
-            p.add_argument("--measure")
-        p.add_argument("--param", action="append", metavar="KEY=VALUE")
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for key, default in spec.flags.items():
+            p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key),
+                           type=str if default is None else type(default),
+                           choices=_SIDED if key == "sided" else None)
+        if "system" in spec.flags:
+            p.add_argument("--param", action="append", metavar="KEY=VALUE")
         p.add_argument("--seed", type=int)
         p.add_argument("--config")
         p.add_argument("--out", default=".")
-
-    p = sub.add_parser("decay", help="window-mass decay curve at one center")
-    common(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--sided", choices=["one", "two", "one_sided", "two_sided"])
-    p.add_argument("--x", help="comma-separated center coordinates")
-
-    p = sub.add_parser("verdict", help="three-valued expansiveness verdict")
-    common(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--x-probes", dest="x_probes", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sided", choices=["one", "two", "one_sided", "two_sided"])
-
-    p = sub.add_parser("entropy", help="local entropy rate over a radius grid")
-    common(p)
-    p.add_argument("--delta-grid", dest="delta_grid")
-    p.add_argument("--n-lo", dest="n_lo", type=int)
-    p.add_argument("--n-hi", dest="n_hi", type=int)
-    p.add_argument("--x-probes", dest="x_probes", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("generator", help="cover-sequence intersection check")
-    common(p)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--sequences", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sided", choices=["one", "two", "one_sided", "two_sided"])
-
-    p = sub.add_parser("battery", help="run the theorem battery")
-    p.add_argument("--cases", help="comma-separated case ids (default: all)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int)
-
     p = sub.add_parser("explain", help="describe one battery case")
     p.add_argument("case_id")
-
     return parser
-
-
-_DISPATCH = {"decay": _cmd_decay, "verdict": _cmd_verdict,
-             "entropy": _cmd_entropy, "generator": _cmd_generator,
-             "battery": _cmd_battery, "explain": _cmd_explain}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -414,9 +354,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    if args.command == "explain":
+        return _explain(args)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        return _DISPATCH[args.command](args, cfg)
+        cfg = _load_config(args.config)
+        if args.command == "battery":
+            return _battery(args, cfg)
+        return _run(args.command, args, cfg)
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3

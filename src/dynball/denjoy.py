@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry as geo
 from .errors import ConstructionError
 
 GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
@@ -128,8 +129,8 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     avoid = np.concatenate([all_orbit, (all_orbit - alpha) % 1.0])
 
     def clear(j):
-        d = np.abs(avoid - (j % _CELLS + 0.5) / _CELLS)
-        return np.minimum(d, 1.0 - d).min() >= 1e-9
+        center = (j % _CELLS + 0.5) / _CELLS
+        return geo.distance(geo.circle(), avoid[:, None], [center]).min() >= 1e-9
 
     cells = set()
     for t in (theta[-1], (theta[0] - alpha) % 1.0):

@@ -44,19 +44,6 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     return sided
 
 
-def _pair_distance(space: geo.SpaceDescriptor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Distance matrix (len(xs), len(ys)) under the sum metric, axis by axis
-    to avoid a (P, S, dim) temporary."""
-    total = None
-    for ax in range(space.dim):
-        diff = np.abs(xs[:, ax, None] - ys[None, :, ax])
-        if space.periodic:
-            w = space.widths[ax]
-            diff = np.minimum(diff, w - diff)
-        total = diff if total is None else total + diff
-    return total
-
-
 def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
                     deltas: Sequence[float], sided: str, n_max: int) -> np.ndarray:
     """counts[d, p, n-1] = samples within deltas[d] of center p's orbit
@@ -76,12 +63,12 @@ def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
     yf, xf = batch, centers
     yb, xb = batch, centers
     for n in range(1, n_max + 1):
-        dist = _pair_distance(f.space, xf, yf)
+        dist = geo.distance(f.space, xf[:, None], yf[None])
         alive &= dist[None] <= deltas_arr[:, None, None]
         if two:
             yb = f.inverse(yb)
             xb = f.inverse(xb)
-            dist = _pair_distance(f.space, xb, yb)
+            dist = geo.distance(f.space, xb[:, None], yb[None])
             alive &= dist[None] <= deltas_arr[:, None, None]
         counts[:, :, n - 1] = alive.sum(axis=2)
         if n < n_max:
@@ -352,20 +339,14 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     xs = mu.sample_coords(derive_seed(seed, "pair-left"), pair_samples)
     ys = mu.sample_coords(derive_seed(seed, "pair-right"), pair_samples)
 
-    def rowwise(a, b):
-        diff = np.abs(a - b)
-        if f.space.periodic:
-            diff = np.minimum(diff, f.space.widths - diff)
-        return diff.sum(axis=1)
-
     alive = np.ones(pair_samples, dtype=bool)
     counts = np.empty(n_max, dtype=np.int64)
     xf, yf, xb, yb = xs, ys, xs, ys
     for n in range(1, n_max + 1):
-        alive &= rowwise(xf, yf) <= delta
+        alive &= geo.distance(f.space, xf, yf) <= delta
         if two:
             xb, yb = f.inverse(xb), f.inverse(yb)
-            alive &= rowwise(xb, yb) <= delta
+            alive &= geo.distance(f.space, xb, yb) <= delta
         counts[n - 1] = alive.sum()
         if n < n_max:
             xf, yf = f.forward(xf), f.forward(yf)
@@ -440,12 +421,12 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     for n in sorted(n for n in window if n >= 0):
         if n > 0:
             cur = f.forward(cur)
-        slack = radii[None, :] - _pair_distance(f.space, cur, centers)
+        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
         seq_idx[:n_adv, pos[n]] = np.argmax(slack[:n_adv], axis=1)
     cur = pilots.copy()
     for n in sorted((n for n in window if n < 0), reverse=True):
         cur = f.inverse(cur)
-        slack = radii[None, :] - _pair_distance(f.space, cur, centers)
+        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
         seq_idx[:n_adv, pos[n]] = np.argmax(slack[:n_adv], axis=1)
 
     from numpy.random import Generator, Philox
@@ -459,7 +440,7 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
         if n > 0:
             cur = f.forward(cur)
         used = np.unique(seq_idx[:, pos[n]])
-        dist = _pair_distance(f.space, centers[used], cur)
+        dist = geo.distance(f.space, centers[used][:, None], cur[None])
         member = dist <= radii[used, None]
         remap = np.searchsorted(used, seq_idx[:, pos[n]])
         alive &= member[remap]
@@ -467,7 +448,7 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     for n in sorted((n for n in window if n < 0), reverse=True):
         cur = f.inverse(cur)
         used = np.unique(seq_idx[:, pos[n]])
-        dist = _pair_distance(f.space, centers[used], cur)
+        dist = geo.distance(f.space, centers[used][:, None], cur[None])
         member = dist <= radii[used, None]
         remap = np.searchsorted(used, seq_idx[:, pos[n]])
         alive &= member[remap]
@@ -506,10 +487,7 @@ def _tail_spread(space: geo.SpaceDescriptor, tail: list[np.ndarray]) -> np.ndarr
     spread = np.zeros(len(tail[0]))
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
-            diff = np.abs(tail[i] - tail[j])
-            if space.periodic:
-                diff = np.minimum(diff, space.widths - diff)
-            spread = np.maximum(spread, diff.sum(axis=1))
+            spread = np.maximum(spread, geo.distance(space, tail[i], tail[j]))
     return spread
 
 
@@ -556,10 +534,7 @@ def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
     cur = batch
     for _ in range(max_period):
         cur = f.forward(cur)
-        diff = np.abs(cur - batch)
-        if f.space.periodic:
-            diff = np.minimum(diff, f.space.widths - diff)
-        near |= diff.sum(axis=1) <= eps
+        near |= geo.distance(f.space, cur, batch) <= eps
     hits = int(near.sum())
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,

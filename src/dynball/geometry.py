@@ -23,6 +23,10 @@ BOX = "box"
 
 _PERIODIC_KINDS = {CIRCLE: True, INTERVAL: False, TORUS2: True, BOX: False}
 
+# Largest ball cover make_ball_cover builds; building and probing one
+# takes seconds at this size and grows as step ** -dim.
+_MAX_COVER_SIZE = 10 ** 5
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -96,14 +100,21 @@ def contains(space: SpaceDescriptor, coords: np.ndarray) -> np.ndarray:
 
 
 def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over axes of per-axis distance; broadcasts over leading axes."""
+    """Sum over axes of per-axis distance; broadcasts over leading axes.
+
+    Works axis by axis, so ``distance(space, xs[:, None], ys[None])`` gives
+    the (len(xs), len(ys)) matrix without a (P, S, dim) temporary.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = np.abs(a - b)
-    if space.periodic:
-        w = space.widths
-        diff = np.minimum(diff, w - diff)
-    return np.sum(diff, axis=-1)
+    w = space.widths
+    total = None
+    for ax in range(space.dim):
+        diff = np.abs(a[..., ax] - b[..., ax])
+        if space.periodic:
+            diff = np.minimum(diff, w[ax] - diff)
+        total = diff if total is None else total + diff
+    return total
 
 
 @dataclass(frozen=True)
@@ -180,9 +191,17 @@ def make_ball_cover(space: SpaceDescriptor, radius: float, step: float) -> list[
     """Balls of the given radius centered on a step-spaced grid.
 
     With step <= radius the result covers the space (sum metric: a point
-    is within dim * step/2 of some center).
+    is within dim * step/2 of some center).  Raises ValueError, before
+    building anything, when the cover would have more than
+    ``_MAX_COVER_SIZE`` elements.
     """
-    per_axis = max(int(np.ceil(space.widths.max() / step)), 1)
+    with np.errstate(over="ignore"):  # a subnormal step gives inf, refused below
+        per_axis = max(np.ceil(space.widths.max() / step), 1.0)
+        size = per_axis ** space.dim
+    if size > _MAX_COVER_SIZE:
+        raise ValueError(f"a ball cover at step {step!r} has {size:.0f} elements, "
+                         f"above the limit of {_MAX_COVER_SIZE}")
+    per_axis = int(per_axis)
     cover = []
     for row in probe_grid(space, per_axis ** space.dim):
         cover.append(Ball(Point(space, tuple(row)), radius))

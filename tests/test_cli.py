@@ -184,6 +184,11 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--radius", "nan"], "radius must be finite and positive"),
     (["decay", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
     (["decay", "--seed", str(2 ** 64)], "seed must be an integer in [0, 2**64)"),
+    (["battery", "--workers", "0"], "workers must be >= 1"),
+    (["battery", "--workers", "-3"], "workers must be >= 1"),
+    (["generator", "--step", "1e-9"], "above the limit of 100000"),
+    (["generator", "--system", "cat", "--step", "0.001"], "above the limit of 100000"),
+    (["generator", "--step", "5e-324"], "above the limit of 100000"),
 ])
 def test_invalid_input_exit_code(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -191,3 +196,72 @@ def test_invalid_input_exit_code(tmp_path, capsys, argv, message):
     assert err.startswith("usage error: ") and message in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_battery_workers_from_config(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("workers = 0\n")
+    out = tmp_path / "out"
+    assert run(["battery", "--cases", "isometry", "--config", str(tmp_path / "run.cfg"),
+                "--out", str(out)]) == 2
+    assert "usage error: workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cfg, echo", [
+    (["decay", "--nmax", "3", "--samples", "2000", "--x", "0.3", "--seed", "1"], None,
+     ('{"delta": 0.05, "measure": {"name": "lebesgue"}, "nmax": 3, "samples": 2000, '
+      '"seed": 1, "sided": "two_sided", "system": {"name": "rotation", "params": {}}, '
+      '"x": [0.3]}')),
+    (["verdict", "--system", "doubling", "--nmax", "3", "--samples", "2000",
+      "--x-probes", "20", "--seed", "1"], None,
+     ('{"delta": 0.05, "measure": {"name": "lebesgue"}, "nmax": 3, "samples": 2000, '
+      '"seed": 1, "sided": "one_sided", "system": {"name": "doubling", "params": {}}, '
+      '"threshold": 0.01, "x_probes": 20}')),
+    (["entropy", "--delta-grid", "0.1,0.05", "--n-hi", "4", "--x-probes", "20",
+      "--samples", "2000", "--seed", "1"], None,
+     ('{"delta_grid": [0.1, 0.05], "measure": {"name": "lebesgue"}, "n_range": [1, 4], '
+      '"samples": 2000, "seed": 1, "system": {"name": "doubling", "params": {}}, '
+      '"x_probes": 20}')),
+    (["generator", "--nmax", "3", "--sequences", "2", "--mc-samples", "2000",
+      "--seed", "1"], None,
+     ('{"mc_samples": 2000, "measure": {"name": "lebesgue"}, "nmax": 3, "radius": 0.1, '
+      '"seed": 1, "sequences": 2, "sided": "one_sided", "step": 0.05, '
+      '"system": {"name": "doubling", "params": {}}, "threshold": 0.01}')),
+    (["decay", "--param", "alpha=0.25", "--seed", "1"],
+     "samples = 2e4\nnmax = 3\ndelta = 1e-1\nx = 0.5\n",
+     ('{"delta": 0.1, "measure": {"name": "lebesgue"}, "nmax": 3, "samples": 20000, '
+      '"seed": 1, "sided": "two_sided", "system": {"name": "rotation", '
+      '"params": {"alpha": 0.25}}, "x": [0.5]}')),
+])
+def test_config_echo_keys_and_types(tmp_path, argv, cfg, echo):
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert json.dumps(payload["config"], sort_keys=True) == echo
+
+
+def _subcommand_options():
+    from dynball.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if a.__class__.__name__ == "_SubParsersAction")
+    return {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_subcommand_flag_sets():
+    common = {"-h", "--help", "--system", "--measure", "--param", "--seed",
+              "--config", "--out"}
+    assert _subcommand_options() == {
+        "decay": common | {"--delta", "--nmax", "--samples", "--sided", "--x"},
+        "verdict": common | {"--delta", "--nmax", "--samples", "--x-probes",
+                             "--threshold", "--sided"},
+        "entropy": common | {"--delta-grid", "--n-lo", "--n-hi", "--x-probes",
+                             "--samples"},
+        "generator": common | {"--radius", "--step", "--nmax", "--sequences",
+                               "--mc-samples", "--threshold", "--sided"},
+        "battery": {"-h", "--help", "--cases", "--seed", "--config", "--out",
+                    "--workers"},
+        "explain": {"-h", "--help"},
+    }
