@@ -89,7 +89,11 @@ def _effective(args: argparse.Namespace, cfg: dict, flags: dict) -> dict:
             out[key] = flag
         elif key in cfg:
             cast = str if default is None else type(default)
-            out[key] = cast(_parse_value(cfg[key]))
+            try:
+                out[key] = cast(_parse_value(cfg[key]))
+            except (ValueError, OverflowError):  # e.g. int('abc'), int(1e400)
+                raise ValueError(f"config value {key} = {cfg[key]!r} is not a "
+                                 f"valid {cast.__name__}") from None
         else:
             out[key] = default
     return out

@@ -7,6 +7,18 @@ nested, so survival counts from a single sample batch are exactly
 nonincreasing in n, and the terminal count estimates the measure of the
 infinite-window set (the liminf of the window measures).
 
+``survival_counts`` and ``product_diagonal_test`` share one pair
+kernel, ``_advance_pairs``.  It keeps only the (center, sample) pairs
+still alive, each with its running maximum distance, so all radii are
+read from one array and a pair is dropped once it exceeds the largest
+radius; only the points some alive pair references are advanced.  For a
+measure-expansive map the alive set shrinks geometrically, and even for
+an isometry it is about 2*delta of the pairs from window 1 on.
+``survival_counts`` streams the sample batch through the kernel in fixed
+blocks of indices and sums their counts, so its working memory does not
+grow with the batch; the counts equal those of a dense (radius, center,
+sample) mask exactly.
+
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
 confidence bound is at or below the threshold, ``evidence_not_expansive``
@@ -30,6 +42,10 @@ from .systems import SystemSpec, compose_power
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
 
+# Sample indices per block of survival_counts: bounds the window-1 distance
+# matrix at len(centers) * _BLOCK entries whatever the batch size.
+_BLOCK = 1 << 16
+
 
 def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     """Default: bi-infinite windows for invertible systems, forward otherwise."""
@@ -47,7 +63,15 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
 def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
                     deltas: Sequence[float], sided: str, n_max: int) -> np.ndarray:
     """counts[d, p, n-1] = samples within deltas[d] of center p's orbit
-    through window n.  One shared batch serves every (delta, center) cell."""
+    through window n.  One shared batch serves every (delta, center) cell.
+
+    The batch is streamed in blocks of ``_BLOCK`` sample indices whose
+    counts are summed, so working memory does not grow with the batch.
+    Within a block, window 1 is one dense (center, sample) distance matrix;
+    after that only the alive (center, sample) pairs are kept, each with
+    its running maximum distance, and only the points they reference are
+    advanced (see ``_advance_pairs``).
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     deltas_arr = np.asarray(list(deltas), dtype=float)
@@ -57,24 +81,66 @@ def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
     if two and not f.invertible:
         raise CapabilityError(f"{f.name} has no inverse; two_sided windows unavailable")
 
-    D, P = len(deltas_arr), len(centers)
-    alive = np.ones((D, P, len(batch)), dtype=bool)
-    counts = np.empty((D, P, n_max), dtype=np.int64)
-    yf, xf = batch, centers
-    yb, xb = batch, centers
-    for n in range(1, n_max + 1):
-        dist = geo.distance(f.space, xf[:, None], yf[None])
-        alive &= dist[None] <= deltas_arr[:, None, None]
+    counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
+    dmax = deltas_arr.max(initial=0.0)
+    xb = f.inverse(centers) if two else None
+    for lo in range(0, len(batch), _BLOCK):
+        yf = batch[lo:lo + _BLOCK]
+        dist = geo.distance(f.space, centers[:, None], yf[None])
+        yb = None
         if two:
-            yb = f.inverse(yb)
-            xb = f.inverse(xb)
-            dist = geo.distance(f.space, xb[:, None], yb[None])
-            alive &= dist[None] <= deltas_arr[:, None, None]
-        counts[:, :, n - 1] = alive.sum(axis=2)
-        if n < n_max:
-            yf = f.forward(yf)
-            xf = f.forward(xf)
+            yb = f.inverse(yf)
+            dist = np.maximum(dist, geo.distance(f.space, xb[:, None], yb[None]))
+        xi, yi = np.nonzero(dist <= dmax)
+        _advance_pairs(f, deltas_arr, counts, centers, xb, yf, yb,
+                       xi, yi, xi, dist[xi, yi])
     return counts
+
+
+def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray,
+                   xf, xb, yf, yb, xi, yi, label, m) -> None:
+    """Add the survivors of the alive pairs (xf[xi], yf[yi]) to counts.
+
+    On entry the pairs are the survivors of window 1 at the largest
+    radius: xf, yf hold the window-1 forward points, xb, yb their inverse
+    images (None when one-sided), and m each pair's largest distance so
+    far.  Window n adds the comparisons at f^(n-1) and, two-sided, f^-n;
+    m keeps the maximum, so counts[d, label, n-1] counts the pairs with
+    m <= deltas[d], and a pair is dropped once m exceeds every radius.
+    Each window first compacts both sides to the rows a pair still
+    references, then advances only those rows.
+    """
+    dmax = deltas.max(initial=0.0)
+    dropped = True  # window 1 left rows no pair references
+    for n in range(1, counts.shape[2] + 1):
+        if n > 1:
+            if not len(m):
+                break
+            if dropped:
+                xi, (xf, xb) = _compact(xi, xf, xb)
+                yi, (yf, yb) = _compact(yi, yf, yb)
+            xf, yf = f.forward(xf), f.forward(yf)
+            m = np.maximum(m, geo.distance(f.space, xf[xi], yf[yi]))
+            if xb is not None:
+                xb, yb = f.inverse(xb), f.inverse(yb)
+                m = np.maximum(m, geo.distance(f.space, xb[xi], yb[yi]))
+            keep = m <= dmax
+            dropped = not keep.all()
+            if dropped:
+                xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
+        for d, delta in enumerate(deltas):
+            counts[d, :, n - 1] += np.bincount(label[m <= delta], minlength=counts.shape[1])
+
+
+def _compact(idx: np.ndarray, *rows):
+    """Keep only the rows idx references; return idx renumbered to them."""
+    mark = np.zeros(len(rows[0]), dtype=bool)
+    mark[idx] = True
+    live = np.flatnonzero(mark)  # np.unique(idx) sorts and is far slower
+    if len(live) == len(mark):
+        return idx, rows
+    return (np.cumsum(mark)[idx] - 1,
+            tuple(None if r is None else r[live] for r in rows))
 
 
 @dataclass(frozen=True)
@@ -339,18 +405,15 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     xs = mu.sample_coords(derive_seed(seed, "pair-left"), pair_samples)
     ys = mu.sample_coords(derive_seed(seed, "pair-right"), pair_samples)
 
-    alive = np.ones(pair_samples, dtype=bool)
-    counts = np.empty(n_max, dtype=np.int64)
-    xf, yf, xb, yb = xs, ys, xs, ys
-    for n in range(1, n_max + 1):
-        alive &= geo.distance(f.space, xf, yf) <= delta
-        if two:
-            xb, yb = f.inverse(xb), f.inverse(yb)
-            alive &= geo.distance(f.space, xb, yb) <= delta
-        counts[n - 1] = alive.sum()
-        if n < n_max:
-            xf, yf = f.forward(xf), f.forward(yf)
-    series = _series_from_counts(None, delta, sided, counts, pair_samples, seed)
+    xb, yb = (f.inverse(xs), f.inverse(ys)) if two else (None, None)
+    dist = geo.distance(f.space, xs, ys)
+    if two:
+        dist = np.maximum(dist, geo.distance(f.space, xb, yb))
+    i = np.flatnonzero(dist <= delta)
+    counts = np.zeros((1, 1, n_max), dtype=np.int64)
+    _advance_pairs(f, np.array([delta], dtype=float), counts, xs, xb, ys, yb,
+                   i, i, np.zeros_like(i), dist[i])
+    series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)
     batch = mu.sample_coords(derive_seed(seed, "fubini-batch"), pair_samples)

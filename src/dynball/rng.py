@@ -19,6 +19,10 @@ from numpy.random import Generator, Philox
 # Generator.random consumes one word per float64.
 BLOCK_DOUBLES = 4
 
+# Sample rows drawn per Generator call in uniform_block; bounds its
+# temporary at _ROWS * BLOCK_DOUBLES doubles whatever the count.
+_ROWS = 1 << 16
+
 
 def derive_seed(root: int, *tags) -> int:
     """Derive a child seed from a root seed and a tag path.
@@ -44,7 +48,15 @@ def uniform_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
         raise ValueError(f"dims must be in 1..{BLOCK_DOUBLES}, got {dims}")
     if count < 0 or start < 0:
         raise ValueError("start and count must be non-negative")
+    out = np.empty((count, dims))
     bg = Philox(key=seed)
     bg.advance(start)
-    raw = Generator(bg).random(count * BLOCK_DOUBLES)
-    return raw.reshape(count, BLOCK_DOUBLES)[:, :dims]
+    gen = Generator(bg)
+    buf = np.empty((min(count, _ROWS), BLOCK_DOUBLES))
+    # each call consumes whole counter blocks, so consecutive calls continue
+    # the single-call stream exactly
+    for lo in range(0, count, _ROWS):
+        rows = buf[:count - lo]
+        gen.random(out=rows)
+        out[lo:lo + len(rows)] = rows[:, :dims]
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,29 @@ def test_decay_golden_bytes(tmp_path):
     assert run(args + ["--out", str(b)]) == 0
     assert (a / "decay.csv").read_bytes() == (b / "decay.csv").read_bytes()
     assert (a / "decay.json").read_bytes() == (b / "decay.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, csv_sha, json_sha", [
+    (["decay"],
+     "612d318bf119a0b940e2c03eeca556c28f0ab2fe4e3d833b19ef2da9231da5e6",
+     "98f7f82bb34508454bbc81e59e3ada01a69842a9c29d35eeb363127dfc890277"),
+    (["decay", "--system", "cat"],
+     "2377fe0d0cff2369bdf98cee2aaee71ecb8be5d36b6d4596e0d3a7883cc56131",
+     "3557e5efa0505dfda2ca566fd1ae9d54e224285779ed336559b21f2f745f8bb7"),
+    (["verdict"],
+     "47c8bca1c83cc89c9f419625d6970eabe0e98550a74b7e90103da177a544fe27",
+     "fa036c7831e2706646fd80ef29082fb0614a1672bf292afbafd0b8ca0dfac100"),
+    (["entropy"],
+     "970801aa95d16efe78939400e5cf999464837eb8dd8fc0f8eb18f6ec4c467b75",
+     "040662dd242af3e05f508bdebffe158c3996936141df45904a44c606358eebfd"),
+])
+def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
+    # digests recorded from the dense survival kernel: speed work on the
+    # estimators must leave every csv/json byte as it was
+    assert run(argv + ["--samples", "20000", "--seed", "7", "--out", str(tmp_path)]) == 0
+    cmd = argv[0]
+    assert hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / f"{cmd}.json").read_bytes()).hexdigest() == json_sha
 
 
 def test_capability_exit_code(tmp_path, capsys):
@@ -189,8 +213,15 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--step", "1e-9"], "above the limit of 100000"),
     (["generator", "--system", "cat", "--step", "0.001"], "above the limit of 100000"),
     (["generator", "--step", "5e-324"], "above the limit of 100000"),
+    (["decay", "--config", "samples = 1e400\n"],
+     "config value samples = '1e400' is not a valid int"),
 ])
-def test_invalid_input_exit_code(tmp_path, capsys, argv, message):
+def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
+    if "--config" in argv:  # the item after it is the config file's text
+        cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        i = argv.index("--config") + 1
+        cfg.write_text(argv[i])
+        argv = [*argv[:i], str(cfg), *argv[i + 1:]]
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err

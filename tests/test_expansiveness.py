@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from dynball import (CapabilityError, Point, circle, converging_semiorbit_fracti
                      generator_check, interval, make_ball_cover, make_cat,
                      make_denjoy, make_denjoy_minimal, make_dirac, make_doubling,
                      make_identity, make_interval_square, make_lebesgue,
-                     make_rotation, periodic_fraction, power_consistency_check,
+                     make_rotation, make_tent, periodic_fraction, power_consistency_check,
                      product_diagonal_test, torus2)
+from dynball import expansiveness
 from dynball.expansiveness import DynBallQuery, resolve_sided, survival_counts
 
 
@@ -34,6 +37,78 @@ def test_counts_nonincreasing_in_n():
         assert np.all(np.diff(counts, axis=2) <= 0)
         # smaller radius means fewer survivors at every n
         assert np.all(counts[1] <= counts[0])
+
+
+def _dense_counts(f, batch, centers, deltas, sided, n_max):
+    """Reference kernel: a full (D, P, S) alive mask, every pair at every step."""
+    deltas = np.asarray(deltas, dtype=float)[:, None, None]
+    alive = np.ones((len(deltas), len(centers), len(batch)), dtype=bool)
+    counts = np.empty(alive.shape[:2] + (n_max,), dtype=np.int64)
+    xf = xb = centers
+    yf = yb = batch
+    for n in range(n_max):
+        alive &= distance(f.space, xf[:, None], yf[None]) <= deltas
+        if sided == "two_sided":
+            xb, yb = f.inverse(xb), f.inverse(yb)
+            alive &= distance(f.space, xb[:, None], yb[None]) <= deltas
+        counts[:, :, n] = alive.sum(axis=2)
+        xf, yf = f.forward(xf), f.forward(yf)
+    return counts
+
+
+_KERNEL_CASES = [
+    (make_rotation, None, "one_sided"), (make_rotation, None, "two_sided"),
+    (make_doubling, None, "one_sided"),
+    (make_cat, None, "one_sided"), (make_cat, None, "two_sided"),
+    (make_tent, None, "one_sided"),
+    (make_denjoy, make_denjoy_minimal, "one_sided"),
+    (make_denjoy, make_denjoy_minimal, "two_sided"),
+]
+
+
+@pytest.mark.parametrize("make_f, make_mu, sided", _KERNEL_CASES)
+def test_kernel_matches_dense_reference(denjoy_c, make_f, make_mu, sided):
+    f = make_f(denjoy_c) if make_mu else make_f()
+    mu = make_mu(denjoy_c) if make_mu else make_lebesgue(f.space)
+    batch = mu.sample_coords(seed=41, count=3000)
+    centers = mu.sample_coords(seed=42, count=6)
+    deltas = [0.1, 0.02, 0.3, 0.05]  # unsorted on purpose
+    want = _dense_counts(f, batch, centers, deltas, sided, 15)
+    assert want[:, :, 0].any()
+    assert np.array_equal(survival_counts(f, batch, centers, deltas, sided, 15), want)
+    for b, c in ((batch[:1], centers), (batch, centers[:1]), (batch[:0], centers)):
+        got = survival_counts(f, b, c, deltas, sided, 15)
+        assert np.array_equal(got, _dense_counts(f, b, c, deltas, sided, 15))
+
+
+def test_kernel_counts_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(43)
+    for f, sided in ((make_rotation(), "two_sided"), (make_doubling(), "one_sided"),
+                     (make_cat(), "two_sided")):
+        mu = make_lebesgue(f.space)
+        batch = mu.sample_coords(seed=44, count=2000)
+        centers = mu.sample_coords(seed=45, count=4)
+        want = survival_counts(f, batch, centers, [0.05, 0.2], sided, 12)
+        for block in (1, 7, 1999, 2000, 2001, *rng.integers(2, 1000, size=3)):
+            monkeypatch.setattr(expansiveness, "_BLOCK", int(block))
+            got = survival_counts(f, batch, centers, [0.05, 0.2], sided, 12)
+            assert np.array_equal(got, want), (f.name, block)
+
+
+def test_kernel_memory_bounded_in_batch_size():
+    # one center, 2M samples (a 16 MB batch, allocated before tracing):
+    # a dense step's distance row and inverse image alone would be 32 MB
+    f = make_rotation()
+    batch = make_lebesgue(circle()).sample_coords(seed=46, count=2_000_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        counts = survival_counts(f, batch, np.array([[0.3]]), [0.05], "two_sided", 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.09 <= counts[0, 0, -1] / len(batch) <= 0.11
+    assert peak < 32 * 2 ** 20
 
 
 def test_isometry_series_is_flat():

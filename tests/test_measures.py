@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from dynball import (Ball, Point, ball_mass, circle, interval, make_denjoy,
                      make_denjoy_minimal, make_dirac, make_lebesgue,
                      make_measure, measure_names, pushforward, sample, torus2)
+from dynball import rng
 from dynball.stats import wilson_interval
 
 
@@ -18,6 +20,21 @@ def test_sampling_deterministic_and_splittable():
     batch = sample(mu, seed=9, count=2000)
     assert np.array_equal(batch.points, a)
     assert batch.seed == 9 and batch.count == 2000
+
+
+def test_uniform_block_fill_matches_one_draw(monkeypatch):
+    # reference: the whole range drawn in one Generator call and sliced
+    def one_draw(seed, start, count, dims):
+        bg = Philox(key=seed)
+        bg.advance(start)
+        return Generator(bg).random(count * 4).reshape(count, 4)[:, :dims]
+
+    for seed, start, count, dims in ((3, 0, 70_000, 1), (4, 11, 65_536, 2), (5, 2, 0, 3)):
+        assert np.array_equal(rng.uniform_block(seed, start, count, dims),
+                              one_draw(seed, start, count, dims))
+    for rows in (1, 3, 64):
+        monkeypatch.setattr(rng, "_ROWS", rows)
+        assert np.array_equal(rng.uniform_block(6, 5, 200, 4), one_draw(6, 5, 200, 4))
 
 
 def test_lebesgue_ball_oracles_exact():
