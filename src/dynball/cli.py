@@ -90,7 +90,10 @@ def _effective(args: argparse.Namespace, cfg: dict, flags: dict) -> dict:
         elif key in cfg:
             cast = str if default is None else type(default)
             try:
-                out[key] = cast(_parse_value(cfg[key]))
+                value = _parse_value(cfg[key])
+                out[key] = cast(value)
+                if cast is int and out[key] != value:  # nmax = 2.5; 2e4 is 20000
+                    raise ValueError
             except (ValueError, OverflowError):  # e.g. int('abc'), int(1e400)
                 raise ValueError(f"config value {key} = {cfg[key]!r} is not a "
                                  f"valid {cast.__name__}") from None

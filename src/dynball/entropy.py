@@ -293,23 +293,21 @@ def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,
     if horizon < 1 or probes < 1:
         raise ValueError("need horizon >= 1 and probes >= 1")
     pts = geo.random_points(f.space, derive_seed(seed, "volume-probes"), probes)
+    det_prods = []  # |det Df^n| at each probe, n = 1..horizon
     det_prod = np.ones(probes)
     lam = np.inf
     cur = pts
     for n in range(1, horizon + 1):
         det_prod = det_prod * np.abs(np.linalg.det(f.jacobian(cur)))
         lam = min(lam, float(np.min(det_prod ** (1.0 / n))))
+        det_prods.append(det_prod)
         cur = f.forward(cur)
     detected = lam >= detect_at
     # smallest multiplicative constant consistent with the detected rate
     k_est = 1.0
     if detected:
-        det_prod = np.ones(probes)
-        cur = pts
-        for n in range(1, horizon + 1):
-            det_prod = det_prod * np.abs(np.linalg.det(f.jacobian(cur)))
-            k_est = min(k_est, float(np.min(det_prod / lam ** n)))
-            cur = f.forward(cur)
+        k_est = min(k_est, *(float(np.min(p / lam ** n))
+                             for n, p in enumerate(det_prods, 1)))
     return VolumeExpandingReport(detected=bool(detected), lambda_est=float(lam),
                                  k_est=float(k_est), horizon=int(horizon),
                                  probes=int(probes))

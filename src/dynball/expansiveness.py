@@ -17,7 +17,9 @@ an isometry it is about 2*delta of the pairs from window 1 on.
 ``survival_counts`` streams the sample batch through the kernel in fixed
 blocks of indices and sums their counts, so its working memory does not
 grow with the batch; the counts equal those of a dense (radius, center,
-sample) mask exactly.
+sample) mask exactly.  ``generator_check`` streams its batch in the same
+blocks; each block walks the orbit window once (``_window``), ANDing a
+(sequence, sample) ball-membership mask.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
@@ -42,8 +45,9 @@ from .systems import SystemSpec, compose_power
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
 
-# Sample indices per block of survival_counts: bounds the window-1 distance
-# matrix at len(centers) * _BLOCK entries whatever the batch size.
+# Sample indices per block of survival_counts and generator_check: bounds the
+# window-1 distance matrix at len(centers) * _BLOCK entries, and the
+# generator's membership mask at sequences * _BLOCK, whatever the batch size.
 _BLOCK = 1 << 16
 
 
@@ -141,6 +145,19 @@ def _compact(idx: np.ndarray, *rows):
         return idx, rows
     return (np.cumsum(mark)[idx] - 1,
             tuple(None if r is None else r[live] for r in rows))
+
+
+def _window(f: SystemSpec, coords: np.ndarray, n_max: int, two: bool):
+    """Yield (n, f^n(coords)) for n = 0, 1, -1, 2, -2, ... up to |n| = n_max;
+    negative n only when the window is two-sided."""
+    fwd = bwd = coords
+    yield 0, coords
+    for n in range(1, n_max + 1):
+        fwd = f.forward(fwd)
+        yield n, fwd
+        if two:
+            bwd = f.inverse(bwd)
+            yield -n, bwd
 
 
 @dataclass(frozen=True)
@@ -466,57 +483,41 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     pilot orbit, always picking the element holding that iterate deepest.
     Evidence for a generator means even the worst sequence's upper CI
     stays at or below the threshold.
+
+    The batch is drawn and walked in blocks of ``_BLOCK`` sample indices,
+    so working memory does not grow with ``mc_samples``.
     """
+    if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or threshold <= 0:
+        raise ValueError("need n_max >= 0, sequence_samples >= 1, mc_samples >= 1 "
+                         "and threshold > 0")
     sided = resolve_sided(f, sided)
+    two = sided == TWO_SIDED
     leb_delta = geo.lebesgue_number(cover)  # raises NotACoverError if not a cover
     centers = np.stack([b.center.array for b in cover])
     radii = np.array([b.radius for b in cover])
-    window = list(range(-n_max, n_max + 1)) if sided == TWO_SIDED else list(range(n_max + 1))
+    col = n_max if two else 0  # seq[:, col + n] is the element for iterate n
 
     n_adv = sequence_samples // 2
     n_rand = sequence_samples - n_adv
-    pilots = mu.sample_coords(derive_seed(seed, "pilots"), max(n_adv, 1))
-
-    # adversarial: deepest-containment element along each pilot orbit
-    seq_idx = np.empty((sequence_samples, len(window)), dtype=np.int64)
-    pos = {n: i for i, n in enumerate(window)}
-    cur = pilots.copy()
-    for n in sorted(n for n in window if n >= 0):
-        if n > 0:
-            cur = f.forward(cur)
-        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
-        seq_idx[:n_adv, pos[n]] = np.argmax(slack[:n_adv], axis=1)
-    cur = pilots.copy()
-    for n in sorted((n for n in window if n < 0), reverse=True):
-        cur = f.inverse(cur)
-        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
-        seq_idx[:n_adv, pos[n]] = np.argmax(slack[:n_adv], axis=1)
-
-    from numpy.random import Generator, Philox
     rng = Generator(Philox(key=derive_seed(seed, "random-sequences")))
-    seq_idx[n_adv:] = rng.integers(0, len(cover), size=(n_rand, len(window)))
+    seq = np.empty((sequence_samples, col + n_max + 1), dtype=np.int64)
+    seq[n_adv:] = rng.integers(0, len(cover), size=(n_rand, seq.shape[1]))
+    # adversarial: deepest-containment element along each pilot orbit
+    pilots = mu.sample_coords(derive_seed(seed, "pilots"), max(n_adv, 1))
+    for n, cur in _window(f, pilots, n_max, two):
+        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
+        seq[:n_adv, col + n] = np.argmax(slack[:n_adv], axis=1)
 
-    batch = mu.sample_coords(derive_seed(seed, "batch"), mc_samples)
-    alive = np.ones((sequence_samples, mc_samples), dtype=bool)
-    cur = batch
-    for n in sorted(n for n in window if n >= 0):
-        if n > 0:
-            cur = f.forward(cur)
-        used = np.unique(seq_idx[:, pos[n]])
-        dist = geo.distance(f.space, centers[used][:, None], cur[None])
-        member = dist <= radii[used, None]
-        remap = np.searchsorted(used, seq_idx[:, pos[n]])
-        alive &= member[remap]
-    cur = batch
-    for n in sorted((n for n in window if n < 0), reverse=True):
-        cur = f.inverse(cur)
-        used = np.unique(seq_idx[:, pos[n]])
-        dist = geo.distance(f.space, centers[used][:, None], cur[None])
-        member = dist <= radii[used, None]
-        remap = np.searchsorted(used, seq_idx[:, pos[n]])
-        alive &= member[remap]
-
-    per_seq = alive.sum(axis=1)
+    key = derive_seed(seed, "batch")
+    per_seq = np.zeros(sequence_samples, dtype=np.int64)
+    for lo in range(0, mc_samples, _BLOCK):
+        block = mu.sample_coords(key, min(_BLOCK, mc_samples - lo), start=lo)
+        alive = np.ones((sequence_samples, len(block)), dtype=bool)
+        for n, cur in _window(f, block, n_max, two):
+            used, remap = np.unique(seq[:, col + n], return_inverse=True)
+            dist = geo.distance(f.space, centers[used][:, None], cur[None])
+            alive &= (dist <= radii[used, None])[remap]
+        per_seq += alive.sum(axis=1)
     est = per_seq / mc_samples
     _, hi = wilson_interval(per_seq, mc_samples)
     max_upper = float(np.max(hi))
@@ -571,15 +572,13 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
     if tol <= 0:
         raise ValueError("tol must be positive")
     batch = mu.sample_coords(seed, samples)
-    converged = np.ones(samples, dtype=bool)
-    for direction in (1, -1):
-        cur = batch
-        tail: list[np.ndarray] = []
-        for n in range(1, n_max + 1):
-            cur = f.step(cur, direction)
-            if n > n_max - w:
-                tail.append(cur)
-        converged &= _tail_spread(f.space, tail) <= tol
+    fwd: list[np.ndarray] = []
+    bwd: list[np.ndarray] = []
+    for n, cur in _window(f, batch, n_max, True):
+        if abs(n) > n_max - w:
+            (fwd if n > 0 else bwd).append(cur)
+    converged = ((_tail_spread(f.space, fwd) <= tol)
+                 & (_tail_spread(f.space, bwd) <= tol))
     hits = int(converged.sum())
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,

@@ -26,7 +26,8 @@ class MeasureSpec:
     name: str
     space: geo.SpaceDescriptor
     # maps uniform draws (count, dim) on [0,1)^dim to sample coordinates;
-    # must act per-row so parallel generation stays order-independent
+    # must act per-row so parallel generation stays order-independent, and
+    # may overwrite u (sample_coords hands it a fresh draw)
     transform: Callable[[np.ndarray], np.ndarray]
     ball_oracle: Optional[Callable[[geo.Ball], float]] = None
     nonatomic: bool = True
@@ -90,7 +91,9 @@ def make_lebesgue(space: geo.SpaceDescriptor) -> MeasureSpec:
     widths = space.widths
 
     def transform(u):
-        return lo + u * widths
+        u *= widths  # in place: a 5M-sample draw is held once, not three times
+        u += lo
+        return u
 
     return MeasureSpec(name="lebesgue", space=space, transform=transform,
                        ball_oracle=_lebesgue_ball_oracle(space), nonatomic=True)

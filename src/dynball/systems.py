@@ -75,17 +75,13 @@ def compose_power(f: SystemSpec, k: int) -> SystemSpec:
     if k == 1:
         return f
 
-    def fwd(c, _f=f.forward, _k=k):
-        for _ in range(_k):
-            c = _f(c)
-        return c
+    def fwd(c):
+        return iterate(f, c, k)
 
     inv = None
     if f.inverse is not None:
-        def inv(c, _g=f.inverse, _k=k):
-            for _ in range(_k):
-                c = _g(c)
-            return c
+        def inv(c):
+            return iterate(f, c, -k)
 
     jac = None
     if f.jacobian is not None:

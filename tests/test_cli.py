@@ -52,23 +52,29 @@ def test_decay_golden_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, csv_sha, json_sha", [
-    (["decay"],
+    (["decay", "--samples", "20000"],
      "612d318bf119a0b940e2c03eeca556c28f0ab2fe4e3d833b19ef2da9231da5e6",
      "98f7f82bb34508454bbc81e59e3ada01a69842a9c29d35eeb363127dfc890277"),
-    (["decay", "--system", "cat"],
+    (["decay", "--system", "cat", "--samples", "20000"],
      "2377fe0d0cff2369bdf98cee2aaee71ecb8be5d36b6d4596e0d3a7883cc56131",
      "3557e5efa0505dfda2ca566fd1ae9d54e224285779ed336559b21f2f745f8bb7"),
-    (["verdict"],
+    (["verdict", "--samples", "20000"],
      "47c8bca1c83cc89c9f419625d6970eabe0e98550a74b7e90103da177a544fe27",
      "fa036c7831e2706646fd80ef29082fb0614a1672bf292afbafd0b8ca0dfac100"),
-    (["entropy"],
+    (["entropy", "--samples", "20000"],
      "970801aa95d16efe78939400e5cf999464837eb8dd8fc0f8eb18f6ec4c467b75",
      "040662dd242af3e05f508bdebffe158c3996936141df45904a44c606358eebfd"),
+    (["generator", "--mc-samples", "20000"],
+     "d465598a92d4c86a7fda911ae6bb4d9acdb4fe615d6ecc1e8087ec1584617e1b",
+     "9d58cd988cf7be33b68cf6f6ffb3b7255607b880f87fb84f03ce0f1fa18983f7"),
+    (["generator", "--system", "rotation", "--mc-samples", "20000"],
+     "099a11327d83e8887cae9c1eec9187a19483f6138287f9936a7dfddc8cf08af2",
+     "4af742b4b01bd47c18ebc9869826d8cd88f207ee5b7964cb25c733c90f061b17"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
-    # digests recorded from the dense survival kernel: speed work on the
-    # estimators must leave every csv/json byte as it was
-    assert run(argv + ["--samples", "20000", "--seed", "7", "--out", str(tmp_path)]) == 0
+    # digests recorded from the dense survival kernel and the dense generator
+    # mask: speed work on the estimators must leave every csv/json byte as it was
+    assert run(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     cmd = argv[0]
     assert hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((tmp_path / f"{cmd}.json").read_bytes()).hexdigest() == json_sha
@@ -215,6 +221,12 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--step", "5e-324"], "above the limit of 100000"),
     (["decay", "--config", "samples = 1e400\n"],
      "config value samples = '1e400' is not a valid int"),
+    (["decay", "--config", "nmax = 2.5\n"],
+     "config value nmax = '2.5' is not a valid int"),
+    (["generator", "--nmax", "-1"], "need n_max >= 0"),
+    (["generator", "--sequences", "0"], "need n_max >= 0"),
+    (["generator", "--mc-samples", "0"], "need n_max >= 0"),
+    (["generator", "--threshold", "0"], "need n_max >= 0"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

@@ -252,6 +252,37 @@ def test_generator_check_positive_and_negative():
     assert h.max_intersection_estimate >= 0.15  # a repeated element keeps its mass
 
 
+def test_generator_counts_independent_of_block_size(denjoy_c, monkeypatch):
+    for f, mu, sided in ((make_doubling(), make_lebesgue(circle()), None),
+                         (make_rotation(), make_lebesgue(circle()), "two_sided"),
+                         (make_cat(), make_lebesgue(torus2()), None),
+                         (make_denjoy(denjoy_c), make_denjoy_minimal(denjoy_c), None)):
+        monkeypatch.undo()  # the reference runs at the module's own block size
+        cover = make_ball_cover(f.space, radius=0.3, step=0.2)
+        kw = dict(n_max=2, sequence_samples=6, mc_samples=2000, seed=47, sided=sided)
+        want = generator_check(f, mu, cover, **kw)
+        assert max(want.per_sequence) > 0
+        for block in (1, 7, 1999, 2000, 2001):
+            monkeypatch.setattr(expansiveness, "_BLOCK", block)
+            assert generator_check(f, mu, cover, **kw) == want, (f.name, block)
+
+
+def test_generator_memory_bounded_in_batch_size():
+    # 1M samples: a dense (sequences, mc_samples) mask with whole-batch
+    # (cover elements, mc_samples) distances would peak near 550 MiB
+    f, mu = make_rotation(), make_lebesgue(circle())
+    cover = make_ball_cover(circle(), radius=0.1, step=0.05)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        g = generator_check(f, mu, cover, n_max=3, mc_samples=1_000_000, seed=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.max_intersection_estimate >= 0.15  # an isometry keeps its mass
+    assert peak < 64 * 2 ** 20
+
+
 def test_converging_semiorbit_fractions():
     sq = converging_semiorbit_fraction(make_interval_square(), make_lebesgue(interval()),
                                        w=8, tol=1e-6, n_max=40, samples=5_000, seed=15)
