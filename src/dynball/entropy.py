@@ -30,7 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import CapabilityError, InsufficientSamplesError, SpaceMismatchError
-from .measures import MeasureSpec
+from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
 from .systems import SystemSpec, compose_power
 from .expansiveness import ONE_SIDED, expansiveness_verdict, survival_counts
@@ -91,15 +91,14 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x: geo.Point,
                   min_count: int = 30) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
     if not isinstance(x, geo.Point):
-        x = geo.Point(f.space, tuple(np.atleast_1d(np.asarray(x, dtype=float))))
+        x = geo.Point(f.space, x)
     if x.space != f.space or mu.space != f.space:
         raise SpaceMismatchError("system, measure, and center must share a space")
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
-    batch = mu.sample_coords(seed, samples)
-    counts = survival_counts(f, batch, x.array[None, :], list(delta_grid),
-                             ONE_SIDED, n_hi)
+    counts = survival_counts(f, mu, seed, samples, x.array[None, :],
+                             list(delta_grid), ONE_SIDED, n_hi)
     return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:], min_count)
             for i, d in enumerate(delta_grid)}
 
@@ -155,8 +154,8 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)
-    batch = mu.sample_coords(derive_seed(seed, "batch"), samples)
-    counts = survival_counts(f, batch, probes, grid, ONE_SIDED, n_hi)
+    counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples, probes,
+                             grid, ONE_SIDED, n_hi)
 
     e, se, rates, diags = [], [], [], []
     for i in range(len(grid)):
@@ -292,7 +291,8 @@ def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,
         raise CapabilityError(f"{f.name} carries no jacobian; volume check unavailable")
     if horizon < 1 or probes < 1:
         raise ValueError("need horizon >= 1 and probes >= 1")
-    pts = geo.random_points(f.space, derive_seed(seed, "volume-probes"), probes)
+    pts = make_lebesgue(f.space).sample_coords(derive_seed(seed, "volume-probes"),
+                                               probes)
     det_prods = []  # |det Df^n| at each probe, n = 1..horizon
     det_prod = np.ones(probes)
     lam = np.inf

@@ -14,12 +14,12 @@ read from one array and a pair is dropped once it exceeds the largest
 radius; only the points some alive pair references are advanced.  For a
 measure-expansive map the alive set shrinks geometrically, and even for
 an isometry it is about 2*delta of the pairs from window 1 on.
-``survival_counts`` streams the sample batch through the kernel in fixed
-blocks of indices and sums their counts, so its working memory does not
-grow with the batch; the counts equal those of a dense (radius, center,
-sample) mask exactly.  ``generator_check`` streams its batch in the same
-blocks; each block walks the orbit window once (``_window``), ANDing a
-(sequence, sample) ball-membership mask.
+``survival_counts`` and ``generator_check`` draw their sample batch
+themselves, in fixed blocks of indices (``_blocks``), so neither the
+batch nor the working memory grows with the sample count.  The kernel
+sums the blocks' counts, which equal a dense (radius, center, sample)
+mask's exactly; the generator walks each block through the orbit window
+once (``_window``), ANDing a (sequence, sample) ball-membership mask.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -37,7 +37,7 @@ from numpy.random import Generator, Philox
 
 from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
-from .measures import MeasureSpec
+from .measures import MeasureSpec, make_dirac
 from .rng import derive_seed
 from .stats import wilson_interval
 from .systems import SystemSpec, compose_power
@@ -45,9 +45,9 @@ from .systems import SystemSpec, compose_power
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
 
-# Sample indices per block of survival_counts and generator_check: bounds the
-# window-1 distance matrix at len(centers) * _BLOCK entries, and the
-# generator's membership mask at sequences * _BLOCK, whatever the batch size.
+# Sample indices per block drawn by _blocks: bounds survival_counts' window-1
+# distance matrix at len(centers) * _BLOCK entries and the generator's
+# membership mask at sequences * _BLOCK, whatever the sample count.
 _BLOCK = 1 << 16
 
 
@@ -64,16 +64,25 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     return sided
 
 
-def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
-                    deltas: Sequence[float], sided: str, n_max: int) -> np.ndarray:
-    """counts[d, p, n-1] = samples within deltas[d] of center p's orbit
-    through window n.  One shared batch serves every (delta, center) cell.
+def _blocks(mu: MeasureSpec, key: int, samples: int):
+    """Yield mu.sample_coords(key, samples) in blocks of ``_BLOCK`` rows; draws
+    are counter-based, so the rows equal the one-shot draw."""
+    for lo in range(0, samples, _BLOCK):
+        yield mu.sample_coords(key, min(_BLOCK, samples - lo), start=lo)
 
-    The batch is streamed in blocks of ``_BLOCK`` sample indices whose
-    counts are summed, so working memory does not grow with the batch.
-    Within a block, window 1 is one dense (center, sample) distance matrix;
-    after that only the alive (center, sample) pairs are kept, each with
-    its running maximum distance, and only the points they reference are
+
+def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
+                    centers: np.ndarray, deltas: Sequence[float], sided: str,
+                    n_max: int) -> np.ndarray:
+    """counts[d, p, n-1] = samples within deltas[d] of center p's orbit
+    through window n.  One batch, mu.sample_coords(key, samples), serves
+    every (delta, center) cell.
+
+    The batch is drawn and counted in blocks (``_blocks``) whose counts
+    are summed, so working memory does not grow with ``samples``.  Within
+    a block, window 1 is one dense (center, sample) distance matrix; after
+    that only the alive (center, sample) pairs are kept, each with its
+    running maximum distance, and only the points they reference are
     advanced (see ``_advance_pairs``).
     """
     if n_max < 1:
@@ -88,8 +97,7 @@ def survival_counts(f: SystemSpec, batch: np.ndarray, centers: np.ndarray,
     counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
     dmax = deltas_arr.max(initial=0.0)
     xb = f.inverse(centers) if two else None
-    for lo in range(0, len(batch), _BLOCK):
-        yf = batch[lo:lo + _BLOCK]
+    for yf in _blocks(mu, key, samples):
         dist = geo.distance(f.space, centers[:, None], yf[None])
         yb = None
         if two:
@@ -177,13 +185,9 @@ def dyn_ball_contains(f: SystemSpec, q: DynBallQuery, y):
 
     y may be a Point or a 1-D coordinate vector (returns a bool) or a
     (count, dim) array (returns a bool vector)."""
-    x = q.x
-    if isinstance(x, geo.Point):
-        if x.space != f.space:
-            raise SpaceMismatchError("query center must live on the system's space")
-        x_arr = x.array
-    else:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x = q.x if isinstance(q.x, geo.Point) else geo.Point(f.space, q.x)
+    if x.space != f.space:
+        raise SpaceMismatchError("query center must live on the system's space")
     single = isinstance(y, geo.Point) or np.asarray(y).ndim == 1
     if isinstance(y, geo.Point):
         if y.space != f.space:
@@ -193,8 +197,8 @@ def dyn_ball_contains(f: SystemSpec, q: DynBallQuery, y):
         ys = np.atleast_2d(np.asarray(y, dtype=float))
     sided = resolve_sided(f, q.sided)
     # the distance condition is symmetric in (x, y): treat each y as a
-    # center and the single x as the batch to get per-point membership
-    counts = survival_counts(f, x_arr[None, :], ys, [q.delta], sided, q.n)
+    # center and the single x, drawn from its Dirac measure, as the batch
+    counts = survival_counts(f, make_dirac(x), 0, 1, ys, [q.delta], sided, q.n)
     hits = counts[0, :, -1] == 1
     return bool(hits[0]) if single else hits
 
@@ -246,12 +250,12 @@ def decay_series(f: SystemSpec, mu: MeasureSpec, x: geo.Point, delta: float,
     if samples < 100:
         raise ValueError("samples must be >= 100")
     if not isinstance(x, geo.Point):
-        x = geo.Point(f.space, tuple(np.atleast_1d(np.asarray(x, dtype=float))))
+        x = geo.Point(f.space, x)
     if mu.space != f.space or x.space != f.space:
         raise SpaceMismatchError("system, measure, and center must share a space")
     sided = resolve_sided(f, sided)
-    batch = mu.sample_coords(seed, samples)
-    counts = survival_counts(f, batch, x.array[None, :], [delta], sided, n_max)
+    counts = survival_counts(f, mu, seed, samples, x.array[None, :], [delta],
+                             sided, n_max)
     return _series_from_counts(x.coords, delta, sided, counts[0, 0], samples, seed)
 
 
@@ -300,8 +304,8 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)
-    batch = mu.sample_coords(derive_seed(seed, "batch"), samples)
-    counts = survival_counts(f, batch, probes, [delta], sided, n_max)
+    counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples, probes,
+                             [delta], sided, n_max)
     terminal = counts[0, :, -1]
     lo, hi = wilson_interval(terminal, samples)
     worst_upper = float(hi.max())
@@ -433,8 +437,8 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)
-    batch = mu.sample_coords(derive_seed(seed, "fubini-batch"), pair_samples)
-    pc = survival_counts(f, batch, probes, [delta], sided, n_max)
+    pc = survival_counts(f, mu, derive_seed(seed, "fubini-batch"), pair_samples,
+                         probes, [delta], sided, n_max)
     terminals = pc[0, :, -1] / pair_samples
     mean = float(terminals.mean())
     se = float(terminals.std(ddof=1) / np.sqrt(fubini_probes))
@@ -490,9 +494,11 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or threshold <= 0:
         raise ValueError("need n_max >= 0, sequence_samples >= 1, mc_samples >= 1 "
                          "and threshold > 0")
+    if mu.space != f.space:
+        raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
     two = sided == TWO_SIDED
-    leb_delta = geo.lebesgue_number(cover)  # raises NotACoverError if not a cover
+    leb_delta = geo.lebesgue_number(cover, f.space)  # checks cover and space
     centers = np.stack([b.center.array for b in cover])
     radii = np.array([b.radius for b in cover])
     col = n_max if two else 0  # seq[:, col + n] is the element for iterate n
@@ -508,10 +514,8 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
         slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
         seq[:n_adv, col + n] = np.argmax(slack[:n_adv], axis=1)
 
-    key = derive_seed(seed, "batch")
     per_seq = np.zeros(sequence_samples, dtype=np.int64)
-    for lo in range(0, mc_samples, _BLOCK):
-        block = mu.sample_coords(key, min(_BLOCK, mc_samples - lo), start=lo)
+    for block in _blocks(mu, derive_seed(seed, "batch"), mc_samples):
         alive = np.ones((sequence_samples, len(block)), dtype=bool)
         for n, cur in _window(f, block, n_max, two):
             used, remap = np.unique(seq[:, col + n], return_inverse=True)

@@ -14,7 +14,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NotACoverError, SpaceMismatchError
-from .rng import uniform_block
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -159,13 +158,6 @@ def ball_contains(ball: Ball, coords: np.ndarray) -> np.ndarray:
     """Membership test, vectorized over rows of ``coords``."""
     d = distance(ball.space, ball.center.array, np.asarray(coords, dtype=float))
     return d <= ball.radius
-
-
-def random_points(space: SpaceDescriptor, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniform sample of the space, shape (count, dim), reproducible per index."""
-    u = uniform_block(seed, start, count, space.dim)
-    lo = np.array([b[0] for b in space.bounds])
-    return lo + u * space.widths
 
 
 def probe_grid(space: SpaceDescriptor, count: int) -> np.ndarray:

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynball import (CapabilityError, Point, circle, converging_semiorbit_fraction,
-                     decay_series, distance, dyn_ball_contains, expansiveness_verdict,
-                     generator_check, interval, make_ball_cover, make_cat,
-                     make_denjoy, make_denjoy_minimal, make_dirac, make_doubling,
-                     make_identity, make_interval_square, make_lebesgue,
-                     make_rotation, make_tent, periodic_fraction, power_consistency_check,
+from dynball import (CapabilityError, Point, SpaceMismatchError, circle,
+                     converging_semiorbit_fraction, decay_series, distance,
+                     dyn_ball_contains, expansiveness_verdict, generator_check,
+                     interval, make_ball_cover, make_cat, make_denjoy,
+                     make_denjoy_minimal, make_dirac, make_doubling, make_identity,
+                     make_interval_square, make_lebesgue, make_rotation, make_tent,
+                     periodic_fraction, power_consistency_check,
                      product_diagonal_test, torus2)
 from dynball import expansiveness
 from dynball.expansiveness import DynBallQuery, resolve_sided, survival_counts
@@ -30,9 +31,8 @@ def test_counts_nonincreasing_in_n():
     for f, sided in ((make_doubling(), "one_sided"), (make_cat(), "two_sided"),
                      (make_rotation(), "two_sided")):
         mu = make_lebesgue(f.space)
-        batch = mu.sample_coords(seed=31, count=4000)
         centers = mu.sample_coords(seed=32, count=5)
-        counts = survival_counts(f, batch, centers, [0.1, 0.05], sided, 12)
+        counts = survival_counts(f, mu, 31, 4000, centers, [0.1, 0.05], sided, 12)
         assert counts.shape == (2, 5, 12)
         assert np.all(np.diff(counts, axis=2) <= 0)
         # smaller radius means fewer survivors at every n
@@ -70,15 +70,16 @@ _KERNEL_CASES = [
 def test_kernel_matches_dense_reference(denjoy_c, make_f, make_mu, sided):
     f = make_f(denjoy_c) if make_mu else make_f()
     mu = make_mu(denjoy_c) if make_mu else make_lebesgue(f.space)
-    batch = mu.sample_coords(seed=41, count=3000)
     centers = mu.sample_coords(seed=42, count=6)
     deltas = [0.1, 0.02, 0.3, 0.05]  # unsorted on purpose
-    want = _dense_counts(f, batch, centers, deltas, sided, 15)
+    want = _dense_counts(f, mu.sample_coords(41, 3000), centers, deltas, sided, 15)
     assert want[:, :, 0].any()
-    assert np.array_equal(survival_counts(f, batch, centers, deltas, sided, 15), want)
-    for b, c in ((batch[:1], centers), (batch, centers[:1]), (batch[:0], centers)):
-        got = survival_counts(f, b, c, deltas, sided, 15)
-        assert np.array_equal(got, _dense_counts(f, b, c, deltas, sided, 15))
+    assert np.array_equal(survival_counts(f, mu, 41, 3000, centers, deltas, sided, 15),
+                          want)
+    for samples, c in ((1, centers), (3000, centers[:1]), (0, centers)):
+        got = survival_counts(f, mu, 41, samples, c, deltas, sided, 15)
+        batch = mu.sample_coords(41, samples)
+        assert np.array_equal(got, _dense_counts(f, batch, c, deltas, sided, 15))
 
 
 def test_kernel_counts_independent_of_block_size(monkeypatch):
@@ -86,29 +87,43 @@ def test_kernel_counts_independent_of_block_size(monkeypatch):
     for f, sided in ((make_rotation(), "two_sided"), (make_doubling(), "one_sided"),
                      (make_cat(), "two_sided")):
         mu = make_lebesgue(f.space)
-        batch = mu.sample_coords(seed=44, count=2000)
         centers = mu.sample_coords(seed=45, count=4)
-        want = survival_counts(f, batch, centers, [0.05, 0.2], sided, 12)
+        monkeypatch.undo()  # the reference runs at the module's own block size
+        want = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
         for block in (1, 7, 1999, 2000, 2001, *rng.integers(2, 1000, size=3)):
             monkeypatch.setattr(expansiveness, "_BLOCK", int(block))
-            got = survival_counts(f, batch, centers, [0.05, 0.2], sided, 12)
+            got = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
             assert np.array_equal(got, want), (f.name, block)
 
 
-def test_kernel_memory_bounded_in_batch_size():
-    # one center, 2M samples (a 16 MB batch, allocated before tracing):
-    # a dense step's distance row and inverse image alone would be 32 MB
-    f = make_rotation()
-    batch = make_lebesgue(circle()).sample_coords(seed=46, count=2_000_000)
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of call()."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        counts = survival_counts(f, batch, np.array([[0.3]]), [0.05], "two_sided", 20)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.09 <= counts[0, 0, -1] / len(batch) <= 0.11
+
+
+def test_kernel_memory_bounded_in_batch_size():
+    # one center, 2M samples drawn inside the call: the batch alone would be
+    # 16 MB, and a dense step's distance row and inverse image another 32 MB
+    f, mu = make_rotation(), make_lebesgue(circle())
+    counts, peak = _traced_peak(lambda: survival_counts(
+        f, mu, 46, 2_000_000, np.array([[0.3]]), [0.05], "two_sided", 20))
+    assert 0.09 <= counts[0, 0, -1] / 2_000_000 <= 0.11
     assert peak < 32 * 2 ** 20
+
+
+def test_decay_series_memory_bounded_in_samples():
+    # the whole estimator at 2M samples: a whole-batch draw alone is 16 MB
+    f, mu = make_rotation(), make_lebesgue(circle())
+    s, peak = _traced_peak(lambda: decay_series(f, mu, (0.3,), 0.05, n_max=20,
+                                                samples=2_000_000, seed=46))
+    assert 0.09 <= s.terminal <= 0.11
+    assert peak < 8 * 2 ** 20
 
 
 def test_isometry_series_is_flat():
@@ -154,6 +169,14 @@ def test_dyn_ball_contains_hand_example():
     rot = make_rotation()
     qr = DynBallQuery(x=(0.2,), delta=0.05, n=40)
     assert dyn_ball_contains(rot, qr, (0.24,))
+
+
+def test_dyn_ball_contains_rejects_raw_center_off_space():
+    f = make_interval_square()
+    for x in ((1.5,), (0.2, 0.3)):
+        q = DynBallQuery(x=x, delta=0.05, n=2, sided="one_sided")
+        with pytest.raises(SpaceMismatchError):
+            dyn_ball_contains(f, q, (0.5,))
 
 
 def test_verdict_trichotomy():
@@ -252,6 +275,15 @@ def test_generator_check_positive_and_negative():
     assert h.max_intersection_estimate >= 0.15  # a repeated element keeps its mass
 
 
+def test_generator_check_rejects_measure_or_cover_off_space():
+    with pytest.raises(SpaceMismatchError):
+        generator_check(make_cat(), make_lebesgue(circle()),
+                        make_ball_cover(torus2(), radius=0.3, step=0.2))
+    with pytest.raises(SpaceMismatchError):
+        generator_check(make_cat(), make_lebesgue(torus2()),
+                        make_ball_cover(circle(), radius=0.3, step=0.2))
+
+
 def test_generator_counts_independent_of_block_size(denjoy_c, monkeypatch):
     for f, mu, sided in ((make_doubling(), make_lebesgue(circle()), None),
                          (make_rotation(), make_lebesgue(circle()), "two_sided"),
@@ -272,13 +304,8 @@ def test_generator_memory_bounded_in_batch_size():
     # (cover elements, mc_samples) distances would peak near 550 MiB
     f, mu = make_rotation(), make_lebesgue(circle())
     cover = make_ball_cover(circle(), radius=0.1, step=0.05)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        g = generator_check(f, mu, cover, n_max=3, mc_samples=1_000_000, seed=48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = _traced_peak(lambda: generator_check(f, mu, cover, n_max=3,
+                                                   mc_samples=1_000_000, seed=48))
     assert g.max_intersection_estimate >= 0.15  # an isometry keeps its mass
     assert peak < 64 * 2 ** 20
 

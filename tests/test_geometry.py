@@ -3,7 +3,7 @@ import pytest
 
 from dynball import (Ball, NotACoverError, Point, SpaceMismatchError, box,
                      circle, distance, interval, lebesgue_number,
-                     make_ball_cover, torus2)
+                     make_ball_cover, make_lebesgue, torus2)
 from dynball import geometry as geo
 
 
@@ -57,19 +57,6 @@ def test_point_canonicalization_and_validation():
         Point(interval(), (1.5,))
 
 
-def test_random_points_deterministic_and_splittable():
-    sp = torus2()
-    a = geo.random_points(sp, seed=11, count=1000)
-    b = geo.random_points(sp, seed=11, count=1000)
-    assert np.array_equal(a, b)
-    head = geo.random_points(sp, seed=11, count=600)
-    tail = geo.random_points(sp, seed=11, count=400, start=600)
-    assert np.array_equal(a, np.concatenate([head, tail]))
-    c = geo.random_points(sp, seed=12, count=1000)
-    assert not np.array_equal(a, c)
-    assert np.all((a >= 0) & (a < 1))
-
-
 def test_probe_grid_periodic_drops_right_endpoint():
     g = geo.probe_grid(circle(), 8)
     assert g.shape == (8, 1)
@@ -99,7 +86,7 @@ def test_cover_and_lebesgue_number():
     sp = circle()
     cover = make_ball_cover(sp, radius=0.1, step=0.05)
     # every random point sits strictly inside some element
-    pts = geo.random_points(sp, seed=5, count=2000)
+    pts = make_lebesgue(sp).sample_coords(seed=5, count=2000)
     dmin = np.min(
         [distance(sp, pts, np.tile(b.center.array, (len(pts), 1))) for b in cover],
         axis=0)
@@ -108,7 +95,7 @@ def test_cover_and_lebesgue_number():
     assert 0 < num <= 0.1
     # any ball of radius num fits inside one element: spot check at
     # midpoints between adjacent centers, the worst case on a grid
-    mids = geo.random_points(sp, seed=6, count=500)
+    mids = make_lebesgue(sp).sample_coords(seed=6, count=500)
     for b in cover[:3]:
         assert b.radius == 0.1
 

@@ -17,6 +17,8 @@ def test_sampling_deterministic_and_splittable():
     head = mu.sample_coords(seed=9, count=700)
     tail = mu.sample_coords(seed=9, count=1300, start=700)
     assert np.array_equal(a, np.concatenate([head, tail]))
+    assert not np.array_equal(a, mu.sample_coords(seed=10, count=2000))
+    assert np.all((a >= 0) & (a < 1))
     batch = sample(mu, seed=9, count=2000)
     assert np.array_equal(batch.points, a)
     assert batch.seed == 9 and batch.count == 2000
