@@ -23,13 +23,12 @@ from .expansiveness import (DecaySeries, ExpansivenessVerdict,
                             power_consistency_check, product_diagonal_test)
 from .geometry import (Ball, Point, SpaceDescriptor, box, circle, distance,
                        interval, lebesgue_number, make_ball_cover, torus2)
-from .measures import (EmpiricalBatch, MeasureSpec, ball_mass, make_dirac,
-                       make_denjoy_minimal, make_lebesgue, make_measure,
-                       measure_names, pushforward, sample)
+from .measures import (MeasureSpec, ball_mass, make_dirac, make_denjoy_minimal,
+                       make_lebesgue, make_measure, measure_names, pushforward)
 from .systems import (GammaZeroReport, LinearMapSpec, SystemSpec, get_system,
                       iterate, linear_gamma_zero, make_cat, make_denjoy,
                       make_doubling, make_identity, make_interval_square,
-                      make_rotation, make_tent, make_zoo, orbit, zoo_names)
+                      make_rotation, make_tent, make_zoo, zoo_names)
 from .battery import (BatteryReport, TheoremCase, case_info,
                       consistency_matrix, run_battery, CASE_IDS)
 
@@ -40,11 +39,10 @@ __all__ = [
     "SystemSpec", "LinearMapSpec", "GammaZeroReport", "get_system", "iterate",
     "linear_gamma_zero", "make_cat", "make_denjoy", "make_doubling",
     "make_identity", "make_interval_square", "make_rotation", "make_tent",
-    "make_zoo", "orbit", "zoo_names",
+    "make_zoo", "zoo_names",
     "DenjoyConstruction", "build_denjoy", "rotation_number_estimate",
-    "MeasureSpec", "EmpiricalBatch", "ball_mass", "make_dirac",
-    "make_denjoy_minimal", "make_lebesgue", "make_measure", "measure_names",
-    "pushforward", "sample",
+    "MeasureSpec", "ball_mass", "make_dirac", "make_denjoy_minimal",
+    "make_lebesgue", "make_measure", "measure_names", "pushforward",
     "DecaySeries", "ExpansivenessVerdict", "converging_semiorbit_fraction",
     "decay_series", "dyn_ball_contains", "expansiveness_verdict",
     "generator_check", "periodic_fraction", "power_consistency_check",

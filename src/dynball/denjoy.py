@@ -16,8 +16,8 @@ map back to the rotation.
 Truncation details that keep the map an honest homeomorphism:
 
 * gap ``I_N`` has no inserted successor, so it is squeezed affinely onto a
-  ``2 * squeeze`` interval centered at ``psi(theta_{N+1})``; the staircase
-  conjugacy defect at breakpoints is then at most ``2 * squeeze``;
+  ``2 * SQUEEZE`` interval centered at ``psi(theta_{N+1})``; the staircase
+  conjugacy defect at gap endpoints is then at most ``2 * SQUEEZE``;
 * between gaps the map is the exact translation ``psi(t) -> psi(t + alpha)``,
   which breaks at only two points: ``theta_N`` (the squeezed gap) and
   ``theta_{-N-1}``, whose image is where the orbit enters ``I_{-N}`` (the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,23 +42,30 @@ GOLDEN_CONJUGATE = (np.sqrt(5.0) - 1.0) / 2.0
 # bracket pins sit at cell centers (j + 0.5) / _CELLS
 _CELLS = 1 << 21
 
+# half-width of the interval the truncated gap I_N is squeezed onto
+SQUEEZE = 2.5e-10
+
+
+def _insertion(orbit_sorted: np.ndarray, gap_cumsum: np.ndarray, t) -> np.ndarray:
+    """psi: old circle -> new circle (left endpoint on orbit points)."""
+    t = np.asarray(t, dtype=float) % 1.0
+    idx = np.searchsorted(orbit_sorted, t, side="left")
+    return t / 2.0 + gap_cumsum[idx]
+
 
 @dataclass(eq=False)
 class DenjoyConstruction:
     alpha: float
     N: int
-    gap_positions: np.ndarray      # theta_k for k = -N..N
-    gap_lengths: np.ndarray        # l_k, same indexing
-    left_endpoints: np.ndarray     # a_k = psi(theta_k)
+    gap_lengths: np.ndarray        # l_k for k = -N..N
+    left_endpoints: np.ndarray     # a_k = psi(theta_k), same indexing
     right_endpoints: np.ndarray    # b_k = a_k + l_k
-    breakpoints: np.ndarray        # all gap endpoints, sorted, 2*(2N+1) points
     map_x: np.ndarray              # pin abscissae on [0,1) plus wrap knot
     map_y: np.ndarray              # lifted pin ordinates, strictly increasing
     staircase_x: np.ndarray        # gap endpoints in circle order plus wrap knot
     staircase_y: np.ndarray        # h values (old coordinates), nondecreasing
     orbit_sorted: np.ndarray       # theta_k sorted by position
     gap_cumsum: np.ndarray         # prefix sums of lengths in sorted order
-    squeeze: float
 
     @property
     def smallest_gap(self) -> float:
@@ -65,9 +73,7 @@ class DenjoyConstruction:
 
     def insertion(self, t: np.ndarray) -> np.ndarray:
         """psi: old circle -> new circle (left endpoint on orbit points)."""
-        t = np.asarray(t, dtype=float) % 1.0
-        idx = np.searchsorted(self.orbit_sorted, t, side="left")
-        return t / 2.0 + self.gap_cumsum[idx]
+        return _insertion(self.orbit_sorted, self.gap_cumsum, t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float) % 1.0, self.map_x, self.map_y) % 1.0
@@ -89,8 +95,7 @@ class DenjoyConstruction:
         return (hhi - hlo) % 1.0 if (hi % 1.0) != (lo % 1.0) else 0.0
 
 
-def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
-                 squeeze: float = 2.5e-10) -> DenjoyConstruction:
+def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> DenjoyConstruction:
     """Build the truncated construction for gaps at orbit indices |k| <= N."""
     if N < 8:
         raise ConstructionError(f"N={N} too small; need N >= 8")
@@ -114,11 +119,7 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     orbit_sorted = theta[order]
     gap_cumsum = np.concatenate([[0.0], np.cumsum(lengths[order])])
 
-    def psi(t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(orbit_sorted, t, side="left")
-        return t / 2.0 + gap_cumsum[idx]
-
+    psi = partial(_insertion, orbit_sorted, gap_cumsum)
     a = psi(theta)
     b = a + lengths
     p_next = float(psi(theta_next))
@@ -144,7 +145,7 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     grid = (np.array(sorted(cells)) + 0.5) / _CELLS
 
     px = np.concatenate([a[:-1], b[:-1], [a[-1], b[-1]], psi(grid)])
-    py = np.concatenate([a[1:], b[1:], [p_next - squeeze, p_next + squeeze],
+    py = np.concatenate([a[1:], b[1:], [p_next - SQUEEZE, p_next + SQUEEZE],
                          psi((grid + alpha) % 1.0)])
     s = np.argsort(px)
     px, py = px[s], py[s]
@@ -173,14 +174,11 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64,
     hy[-1] = hy[0] + 1.0
 
     return DenjoyConstruction(
-        alpha=float(alpha), N=int(N),
-        gap_positions=theta, gap_lengths=lengths,
+        alpha=float(alpha), N=int(N), gap_lengths=lengths,
         left_endpoints=a, right_endpoints=b,
-        breakpoints=np.sort(np.concatenate([a, b])),
         map_x=map_x, map_y=map_y,
         staircase_x=hx, staircase_y=hy,
-        orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum,
-        squeeze=float(squeeze))
+        orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum)
 
 
 def rotation_number_estimate(c: DenjoyConstruction, n_iter: int = 1_000_000,

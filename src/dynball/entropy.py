@@ -5,8 +5,8 @@ the forward window masses, fitted by weighted least squares on the
 log-survival increments log(c_n / c_{n+1}); the increment variance for
 a nested survival chain is 1/c_{n+1} - 1/c_n (delta method on the
 conditional binomial), so weights are its reciprocal and the slope
-standard error is (sum of weights)^(-1/2).  Cells with counts below
-``min_count`` are censored: their log-ratios are too noisy for the
+standard error is (sum of weights)^(-1/2).  Cells with counts below 30
+(``_MIN_COUNT``) are censored: their log-ratios are too noisy for the
 variance model, and a zero cell has no log at all, so both only bound
 the slope from below.
 
@@ -39,6 +39,13 @@ from .expansiveness import ONE_SIDED, expansiveness_verdict, survival_counts
 # probability zero); keeps identity-like series at slope exactly 0
 _VAR_FLOOR = 1e-12
 
+# survival counts below this are censored from the slope fits
+_MIN_COUNT = 30
+
+# volume_expanding_check reports growth when the worst per-step rate
+# lambda reaches this bar
+_DETECT_AT = 1.05
+
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -53,13 +60,13 @@ class SlopeFit:
                 "censored": self.censored, "max_residual": self.max_residual}
 
 
-def fit_decay_slope(counts: np.ndarray, min_count: int = 30) -> SlopeFit:
+def fit_decay_slope(counts: np.ndarray) -> SlopeFit:
     """Weighted-increment slope of -log(survival) per step for one center."""
     c = np.asarray(counts, dtype=np.int64)
     if c[0] == 0:
         raise InsufficientSamplesError(
             "no sample survived the first window; radius too small for the budget")
-    usable = c >= min_count
+    usable = c >= _MIN_COUNT
     k = int(np.argmin(usable)) if not usable.all() else len(c)
     censored = k < len(c)
     if k < 2:
@@ -81,14 +88,9 @@ def fit_decay_slope(counts: np.ndarray, min_count: int = 30) -> SlopeFit:
                     max_residual=resid)
 
 
-def _slopes_for_counts(counts_2d: np.ndarray, min_count: int) -> list[SlopeFit]:
-    return [fit_decay_slope(counts_2d[p], min_count) for p in range(len(counts_2d))]
-
-
 def local_entropy(f: SystemSpec, mu: MeasureSpec, x: geo.Point,
                   delta_grid: Sequence[float], n_range: tuple[int, int] = (1, 14),
-                  samples: int = 100_000, seed: int = 0,
-                  min_count: int = 30) -> dict[float, SlopeFit]:
+                  samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
     if not isinstance(x, geo.Point):
         x = geo.Point(f.space, x)
@@ -99,7 +101,7 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x: geo.Point,
         raise ValueError("need 1 <= n_lo < n_hi")
     counts = survival_counts(f, mu, seed, samples, x.array[None, :],
                              list(delta_grid), ONE_SIDED, n_hi)
-    return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:], min_count)
+    return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:])
             for i, d in enumerate(delta_grid)}
 
 
@@ -118,10 +120,6 @@ class EntropyEstimate:
     per_x_rates: tuple[tuple[float, ...], ...] = field(repr=False, default=())
     fit_diagnostics: tuple[dict, ...] = field(repr=False, default=())
 
-    def ci_of_delta(self, i: int) -> tuple[float, float]:
-        return (self.e_of_delta[i] - 2 * self.se_of_delta[i],
-                self.e_of_delta[i] + 2 * self.se_of_delta[i])
-
     def to_dict(self) -> dict:
         return {
             "delta_grid": list(self.delta_grid),
@@ -139,8 +137,7 @@ class EntropyEstimate:
 
 def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
                n_range: tuple[int, int] = (1, 14), x_probes: int = 30,
-               samples: int = 100_000, seed: int = 0,
-               min_count: int = 30) -> EntropyEstimate:
+               samples: int = 100_000, seed: int = 0) -> EntropyEstimate:
     """Entropy rate: min over probes of per-center slopes, per radius,
     then the plateau value across the radius grid."""
     if x_probes < 20:
@@ -159,7 +156,7 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
 
     e, se, rates, diags = [], [], [], []
     for i in range(len(grid)):
-        fits = _slopes_for_counts(counts[i, :, n_lo - 1:], min_count)
+        fits = [fit_decay_slope(row) for row in counts[i, :, n_lo - 1:]]
         slopes = np.array([ft.slope for ft in fits])
         ses = np.array([ft.se for ft in fits])
         finite = np.isfinite(ses)
@@ -283,7 +280,7 @@ class VolumeExpandingReport:
 
 
 def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,
-                           seed: int = 0, detect_at: float = 1.05) -> VolumeExpandingReport:
+                           seed: int = 0) -> VolumeExpandingReport:
     """Detects uniform volume growth: the worst n-step Jacobian determinant
     must satisfy |det Df^n| >= K * lambda^n with lambda above the detection
     bar at every probe and horizon step."""
@@ -302,7 +299,7 @@ def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,
         lam = min(lam, float(np.min(det_prod ** (1.0 / n))))
         det_prods.append(det_prod)
         cur = f.forward(cur)
-    detected = lam >= detect_at
+    detected = lam >= _DETECT_AT
     # smallest multiplicative constant consistent with the detected rate
     k_est = 1.0
     if detected:

@@ -8,7 +8,7 @@ membership tests are closed (<=).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -25,6 +25,9 @@ _PERIODIC_KINDS = {CIRCLE: True, INTERVAL: False, TORUS2: True, BOX: False}
 # Largest ball cover make_ball_cover builds; building and probing one
 # takes seconds at this size and grows as step ** -dim.
 _MAX_COVER_SIZE = 10 ** 5
+
+# grid points lebesgue_number checks for slack
+_LEBESGUE_PROBES = 4096
 
 
 @dataclass(frozen=True)
@@ -52,14 +55,6 @@ class SpaceDescriptor:
     @property
     def widths(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.bounds])
-
-    @property
-    def diameter(self) -> float:
-        """Largest distance realized between two points of the space."""
-        w = self.widths
-        if self.periodic:
-            return float(np.sum(w / 2.0))
-        return float(np.sum(w))
 
 
 def circle() -> SpaceDescriptor:
@@ -129,9 +124,10 @@ class Point:
             raise SpaceMismatchError(
                 f"point has {arr.shape} coords, space is {self.space.dim}-dimensional")
         arr = canonicalize(self.space, arr)
+        coords = tuple(float(v) for v in arr)
         if not bool(contains(self.space, arr)):
-            raise SpaceMismatchError(f"coords {tuple(arr)} outside {self.space.kind} bounds")
-        object.__setattr__(self, "coords", tuple(float(v) for v in arr))
+            raise SpaceMismatchError(f"coords {coords} outside {self.space.kind} bounds")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def array(self) -> np.ndarray:
@@ -200,8 +196,7 @@ def make_ball_cover(space: SpaceDescriptor, radius: float, step: float) -> list[
     return cover
 
 
-def lebesgue_number(cover: list[Ball], space: SpaceDescriptor | None = None,
-                    probe_count: int = 4096) -> float:
+def lebesgue_number(cover: list[Ball], space: SpaceDescriptor | None = None) -> float:
     """A delta such that every probed point's closed delta-ball sits inside
     one cover element.
 
@@ -215,7 +210,7 @@ def lebesgue_number(cover: list[Ball], space: SpaceDescriptor | None = None,
     for b in cover:
         if b.space != space:
             raise SpaceMismatchError("cover element space differs from the target space")
-    probes = probe_grid(space, probe_count)
+    probes = probe_grid(space, _LEBESGUE_PROBES)
     centers = np.stack([b.center.array for b in cover])
     radii = np.array([b.radius for b in cover])
     # slack[p] = max over elements of r_j - d(probe_p, c_j)

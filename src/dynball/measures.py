@@ -1,5 +1,7 @@
 """Borel probability measures as seeded samplers with optional ball oracles.
 
+A measure is its space, a transform from uniform draws to sample
+coordinates and, when it has one, a ball oracle; nothing else is stored.
 Masses of dynamically defined sets are always estimated as sample
 frequencies with Wilson intervals; the oracle, when a measure has one,
 gives the exact mass of plain metric balls and backs the calibration
@@ -9,7 +11,7 @@ split across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,26 +32,10 @@ class MeasureSpec:
     # may overwrite u (sample_coords hands it a fresh draw)
     transform: Callable[[np.ndarray], np.ndarray]
     ball_oracle: Optional[Callable[[geo.Ball], float]] = None
-    nonatomic: bool = True
-    pushforward_of: Optional[str] = None
-    params: dict = field(default_factory=dict)
 
     def sample_coords(self, seed: int, count: int, start: int = 0) -> np.ndarray:
         u = uniform_block(seed, start, count, self.space.dim)
         return self.transform(u)
-
-
-@dataclass(frozen=True)
-class EmpiricalBatch:
-    points: np.ndarray
-    seed: int
-    count: int
-
-
-def sample(mu: MeasureSpec, seed: int, count: int, start: int = 0) -> EmpiricalBatch:
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return EmpiricalBatch(points=mu.sample_coords(seed, count, start), seed=seed, count=count)
 
 
 def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
@@ -96,7 +82,7 @@ def make_lebesgue(space: geo.SpaceDescriptor) -> MeasureSpec:
         return u
 
     return MeasureSpec(name="lebesgue", space=space, transform=transform,
-                       ball_oracle=_lebesgue_ball_oracle(space), nonatomic=True)
+                       ball_oracle=_lebesgue_ball_oracle(space))
 
 
 def make_dirac(point: geo.Point) -> MeasureSpec:
@@ -109,9 +95,7 @@ def make_dirac(point: geo.Point) -> MeasureSpec:
         return 1.0 if bool(geo.ball_contains(b, coords)) else 0.0
 
     return MeasureSpec(name=f"dirac:{','.join(repr(c) for c in point.coords)}",
-                       space=point.space, transform=transform,
-                       ball_oracle=oracle, nonatomic=False,
-                       params={"atom": list(point.coords)})
+                       space=point.space, transform=transform, ball_oracle=oracle)
 
 
 def make_denjoy_minimal(d: DenjoyConstruction) -> MeasureSpec:
@@ -129,8 +113,7 @@ def make_denjoy_minimal(d: DenjoyConstruction) -> MeasureSpec:
         return d.arc_mass(c - b.radius, c + b.radius)
 
     return MeasureSpec(name="denjoy-minimal", space=space, transform=transform,
-                       ball_oracle=oracle, nonatomic=True,
-                       params={"alpha": d.alpha, "N": d.N})
+                       ball_oracle=oracle)
 
 
 def pushforward(mu: MeasureSpec, phi: Callable[[np.ndarray], np.ndarray],
@@ -141,9 +124,7 @@ def pushforward(mu: MeasureSpec, phi: Callable[[np.ndarray], np.ndarray],
         return np.asarray(phi(mu.transform(u)), dtype=float)
 
     return MeasureSpec(name=name or f"pushforward({mu.name})", space=mu.space,
-                       transform=transform, ball_oracle=None,
-                       nonatomic=mu.nonatomic, pushforward_of=mu.name,
-                       params=dict(mu.params))
+                       transform=transform)
 
 
 def make_measure(name: str, space: geo.SpaceDescriptor,

@@ -6,8 +6,8 @@ import numpy as np
 Z95 = 1.96
 
 
-def wilson_interval(successes, trials, z: float = Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes, trials):
+    """Wilson 95% score interval for a binomial proportion.
 
     Vectorized over ``successes``; returns (low, high) arrays (or floats
     for scalar input).  Behaves sanely at 0 and ``trials`` successes,
@@ -19,6 +19,7 @@ def wilson_interval(successes, trials, z: float = Z95):
     if n <= 0:
         raise ValueError("trials must be positive")
     p = k / n
+    z = Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))

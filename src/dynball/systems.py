@@ -1,13 +1,15 @@
 """The dynamical-system zoo and the analytic linear-map classifier.
 
-System maps operate on coordinate batches of shape (count, dim) and must
-keep iterates inside their space.  Two-sided orbit windows require an
-inverse; Jacobians, when present, return (count, dim, dim) and feed the
-volume-expanding detector.
+A system is its space, its forward map and, when it has them, an inverse
+and a Jacobian; nothing else is stored.  Maps operate on coordinate
+batches of shape (count, dim) and must keep iterates inside their space.
+A system is invertible exactly when it carries an inverse, and only then
+are two-sided orbit windows available.  Jacobians return
+(count, dim, dim) and feed the volume-expanding detector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,18 +28,10 @@ class SystemSpec:
     forward: Map
     inverse: Optional[Map] = None
     jacobian: Optional[Map] = None
-    invertible: bool = False
-    isometry: bool = False
-    params: dict = field(default_factory=dict)
-    # canonical-measure verdict expectations, by measure name
-    expected_verdicts: dict = field(default_factory=dict)
 
-    def step(self, coords: np.ndarray, direction: int = 1) -> np.ndarray:
-        if direction >= 0:
-            return self.forward(coords)
-        if self.inverse is None:
-            raise CapabilityError(f"{self.name} has no inverse")
-        return self.inverse(coords)
+    @property
+    def invertible(self) -> bool:
+        return self.inverse is not None
 
 
 def iterate(f: SystemSpec, x, n: int):
@@ -58,14 +52,6 @@ def iterate(f: SystemSpec, x, n: int):
     for _ in range(abs(n)):
         coords = step(coords)
     return geo.Point(f.space, tuple(coords[0])) if as_point else coords
-
-
-def orbit(f: SystemSpec, coords: np.ndarray, n_steps: int, direction: int = 1) -> np.ndarray:
-    """Stack of iterates 0..n_steps, shape (n_steps+1, count, dim)."""
-    out = [np.asarray(coords, dtype=float)]
-    for _ in range(n_steps):
-        out.append(f.step(out[-1], direction))
-    return np.stack(out)
 
 
 def compose_power(f: SystemSpec, k: int) -> SystemSpec:
@@ -92,10 +78,8 @@ def compose_power(f: SystemSpec, k: int) -> SystemSpec:
                 total = _j(c) @ total
             return total
 
-    return SystemSpec(
-        name=f"{f.name}^{k}", space=f.space, forward=fwd, inverse=inv,
-        jacobian=jac, invertible=f.invertible, isometry=f.isometry,
-        params={**f.params, "power": k}, expected_verdicts=dict(f.expected_verdicts))
+    return SystemSpec(name=f"{f.name}^{k}", space=f.space, forward=fwd,
+                      inverse=inv, jacobian=jac)
 
 
 def _const_jacobian(matrix: np.ndarray) -> Map:
@@ -113,9 +97,7 @@ def make_identity(space: geo.SpaceDescriptor | None = None) -> SystemSpec:
         name="identity", space=space,
         forward=lambda c: np.asarray(c, dtype=float).copy(),
         inverse=lambda c: np.asarray(c, dtype=float).copy(),
-        jacobian=_const_jacobian(eye),
-        invertible=True, isometry=True,
-        expected_verdicts={"lebesgue": "evidence_not_expansive"})
+        jacobian=_const_jacobian(eye))
 
 
 def make_rotation(alpha: float = GOLDEN_CONJUGATE) -> SystemSpec:
@@ -124,18 +106,14 @@ def make_rotation(alpha: float = GOLDEN_CONJUGATE) -> SystemSpec:
         name="rotation", space=geo.circle(),
         forward=lambda c: (np.asarray(c, dtype=float) + a) % 1.0,
         inverse=lambda c: (np.asarray(c, dtype=float) - a) % 1.0,
-        jacobian=_const_jacobian(np.eye(1)),
-        invertible=True, isometry=True, params={"alpha": a},
-        expected_verdicts={"lebesgue": "evidence_not_expansive"})
+        jacobian=_const_jacobian(np.eye(1)))
 
 
 def make_doubling() -> SystemSpec:
     return SystemSpec(
         name="doubling", space=geo.circle(),
         forward=lambda c: (2.0 * np.asarray(c, dtype=float)) % 1.0,
-        jacobian=_const_jacobian([[2.0]]),
-        invertible=False,
-        expected_verdicts={"lebesgue": "evidence_expansive"})
+        jacobian=_const_jacobian([[2.0]]))
 
 
 def make_tent() -> SystemSpec:
@@ -147,10 +125,7 @@ def make_tent() -> SystemSpec:
         c = np.asarray(c, dtype=float)
         return np.where(c < 0.5, 2.0, -2.0)[..., None]
 
-    return SystemSpec(
-        name="tent", space=geo.interval(), forward=fwd, jacobian=jac,
-        invertible=False,
-        expected_verdicts={"lebesgue": "evidence_expansive"})
+    return SystemSpec(name="tent", space=geo.interval(), forward=fwd, jacobian=jac)
 
 
 CAT_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -162,9 +137,7 @@ def make_cat() -> SystemSpec:
         name="cat", space=geo.torus2(),
         forward=lambda c: (np.asarray(c, dtype=float) @ CAT_MATRIX.T) % 1.0,
         inverse=lambda c: (np.asarray(c, dtype=float) @ CAT_INVERSE.T) % 1.0,
-        jacobian=_const_jacobian(CAT_MATRIX),
-        invertible=True, params={"matrix": CAT_MATRIX.tolist()},
-        expected_verdicts={"lebesgue": "evidence_expansive"})
+        jacobian=_const_jacobian(CAT_MATRIX))
 
 
 def make_interval_square() -> SystemSpec:
@@ -177,19 +150,14 @@ def make_interval_square() -> SystemSpec:
     def jac(c):
         return 2.0 * np.asarray(c, dtype=float)[..., None]
 
-    return SystemSpec(
-        name="interval-square", space=geo.interval(),
-        forward=fwd, inverse=inv, jacobian=jac, invertible=True,
-        expected_verdicts={"lebesgue": "evidence_not_expansive"})
+    return SystemSpec(name="interval-square", space=geo.interval(),
+                      forward=fwd, inverse=inv, jacobian=jac)
 
 
 def make_denjoy(construction: DenjoyConstruction | None = None) -> SystemSpec:
     c = construction or build_denjoy()
-    return SystemSpec(
-        name="denjoy", space=geo.circle(),
-        forward=c.forward, inverse=c.inverse,
-        invertible=True, params={"alpha": c.alpha, "N": c.N},
-        expected_verdicts={"denjoy-minimal": "evidence_expansive"})
+    return SystemSpec(name="denjoy", space=geo.circle(),
+                      forward=c.forward, inverse=c.inverse)
 
 
 def make_zoo(denjoy_construction: DenjoyConstruction | None = None) -> list[SystemSpec]:

@@ -134,7 +134,9 @@ def test_criterion_07_circle_classification(denjoy_c):
     f = db.make_denjoy(denjoy_c)
     nu = db.make_denjoy_minimal(denjoy_c)
     delta = denjoy_c.smallest_gap / 2.0
-    s = db.decay_series(f, nu, (float(denjoy_c.breakpoints[7]),), delta,
+    # the eighth gap endpoint in circle order
+    x = np.sort(np.concatenate([denjoy_c.left_endpoints, denjoy_c.right_endpoints]))[7]
+    s = db.decay_series(f, nu, (float(x),), delta,
                         n_max=30, samples=100_000, seed=7)
     assert s.terminal < 0.05
     v = db.expansiveness_verdict(f, nu, delta, n_max=30, samples=100_000,

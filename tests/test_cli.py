@@ -70,13 +70,25 @@ def test_decay_golden_bytes(tmp_path):
     (["generator", "--system", "rotation", "--mc-samples", "20000"],
      "099a11327d83e8887cae9c1eec9187a19483f6138287f9936a7dfddc8cf08af2",
      "4af742b4b01bd47c18ebc9869826d8cd88f207ee5b7964cb25c733c90f061b17"),
+    (["decay", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
+     "6455420c0d07d7d12af60fe5240c54e13def34044c0f1ff3cf8ab782c591deb4",
+     "9f876d7e1fcecc9ecf97e827d386a3b4001e5330a72861730e4444a9e78bb064"),
+    (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
+     "c77db51e1899e5b2ed6cd20450eb63cf57a4b0fd7bf12719675a6677fdc66cbc",
+     "fcb514a65495cffc24309cc8836eb8abf1c02ee6080f389125eaa5ef076e8170"),
+    # the battery writes no csv
+    (["battery", "--cases", "circle1,reddy", "--workers", "1"],
+     None,
+     "f400a0baf6e034721ec1f2afc1ce27a4f65cd275ad7495e48133ccd730d4f2f5"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     # digests recorded from the dense survival kernel and the dense generator
-    # mask: speed work on the estimators must leave every csv/json byte as it was
+    # mask, the denjoy and battery rows before the spec types were trimmed:
+    # speed and simplicity work must leave every csv/json byte as it was
     assert run(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     cmd = argv[0]
-    assert hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest() == csv_sha
+    if csv_sha is not None:
+        assert hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((tmp_path / f"{cmd}.json").read_bytes()).hexdigest() == json_sha
 
 
@@ -227,6 +239,8 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--sequences", "0"], "need n_max >= 0"),
     (["generator", "--mc-samples", "0"], "need n_max >= 0"),
     (["generator", "--threshold", "0"], "need n_max >= 0"),
+    (["decay", "--system", "interval-square", "--x", "1.5"],
+     "coords (1.5,) outside interval bounds"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

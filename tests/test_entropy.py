@@ -12,23 +12,23 @@ from dynball import (CapabilityError, InsufficientSamplesError, bk_entropy,
 
 def test_fit_decay_slope_exact_halving():
     counts = np.array([64000, 32000, 16000, 8000, 4000, 2000, 1000])
-    fit = fit_decay_slope(counts, min_count=30)
+    fit = fit_decay_slope(counts)
     assert fit.slope == pytest.approx(math.log(2.0), abs=1e-9)
     assert not fit.censored
     assert fit.n_used == 7  # all cells usable
 
 
 def test_fit_decay_slope_constant_counts():
-    fit = fit_decay_slope(np.array([500, 500, 500, 500]), min_count=30)
+    fit = fit_decay_slope(np.array([500, 500, 500, 500]))
     assert fit.slope == 0.0
     assert fit.se >= 0.0
 
 
 def test_fit_decay_slope_degenerate_inputs():
     with pytest.raises(InsufficientSamplesError):
-        fit_decay_slope(np.array([0, 0, 0]), min_count=30)
+        fit_decay_slope(np.array([0, 0, 0]))
     # a series dying immediately only supports a lower bound
-    fit = fit_decay_slope(np.array([50, 0, 0, 0]), min_count=30)
+    fit = fit_decay_slope(np.array([50, 0, 0, 0]))
     assert fit.censored
     assert fit.slope == pytest.approx(math.log(50.0))
     assert math.isnan(fit.se)
@@ -37,7 +37,7 @@ def test_fit_decay_slope_degenerate_inputs():
 def test_fit_ignores_starved_tail():
     # the plateau at count 1 would otherwise flatten the fitted slope
     healthy = np.array([40000, 20000, 10000, 5000, 2500, 1, 1, 1])
-    fit = fit_decay_slope(healthy, min_count=30)
+    fit = fit_decay_slope(healthy)
     assert fit.slope == pytest.approx(math.log(2.0), abs=0.05)
 
 

@@ -30,12 +30,6 @@ def test_distance_metric_axioms_random():
         assert np.allclose(distance(sp, a, a), 0.0)
 
 
-def test_diameters():
-    assert circle().diameter == pytest.approx(0.5)
-    assert interval().diameter == pytest.approx(1.0)
-    assert torus2().diameter == pytest.approx(1.0)
-
-
 def test_torus_metric_is_sum_of_circle_metrics():
     sp = torus2()
     c = circle()
