@@ -48,7 +48,7 @@ SQUEEZE = 2.5e-10
 
 def _insertion(orbit_sorted: np.ndarray, gap_cumsum: np.ndarray, t) -> np.ndarray:
     """psi: old circle -> new circle (left endpoint on orbit points)."""
-    t = np.asarray(t, dtype=float) % 1.0
+    t = geo.wrap01(np.array(t, dtype=float))
     idx = np.searchsorted(orbit_sorted, t, side="left")
     return t / 2.0 + gap_cumsum[idx]
 
@@ -76,17 +76,19 @@ class DenjoyConstruction:
         return _insertion(self.orbit_sorted, self.gap_cumsum, t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float) % 1.0, self.map_x, self.map_y) % 1.0
+        x = geo.wrap01(np.array(x, dtype=float))
+        return geo.wrap01(np.interp(x, self.map_x, self.map_y))
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float) % 1.0
+        y = geo.wrap01(np.array(y, dtype=float))
         y0 = self.map_y[0]
         lifted = y + (y < y0)
-        return np.interp(lifted, self.map_y, self.map_x) % 1.0
+        return geo.wrap01(np.interp(lifted, self.map_y, self.map_x))
 
     def staircase(self, x: np.ndarray) -> np.ndarray:
         """h: new circle -> old circle, collapsing every gap to its orbit point."""
-        return np.interp(np.asarray(x, dtype=float) % 1.0, self.staircase_x, self.staircase_y) % 1.0
+        x = geo.wrap01(np.array(x, dtype=float))
+        return geo.wrap01(np.interp(x, self.staircase_x, self.staircase_y))
 
     def arc_mass(self, lo: float, hi: float) -> float:
         """Minimal-measure mass of the positively-oriented arc [lo, hi]."""

@@ -73,6 +73,21 @@ def box(bounds: Iterable[tuple[float, float]]) -> SpaceDescriptor:
     return SpaceDescriptor(BOX, tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
+def wrap01(x: np.ndarray) -> np.ndarray:
+    """Fold a float array the caller owns into [0, 1) in place; return it.
+
+    Bit for bit the same as ``x % 1.0``, and several times cheaper.  numpy's
+    remainder is ``fmod(x, 1.0)``, plus 1.0 when that is negative; fmod
+    is exact, so both it and ``x - floor(x)`` round the one exact real
+    ``x - floor(x)`` once, to the same double (e.g. -1e-20 gives 1.0 in
+    both).  A zero result is +0.0 in both, and NaN or +-inf give NaN.
+    Unit period only: a general width rounds differently (see
+    ``canonicalize``).
+    """
+    x -= np.floor(x)
+    return x
+
+
 def canonicalize(space: SpaceDescriptor, coords: np.ndarray) -> np.ndarray:
     """Fold periodic coordinates into their fundamental domain."""
     coords = np.asarray(coords, dtype=float)
@@ -123,6 +138,9 @@ class Point:
         if arr.shape != (self.space.dim,):
             raise SpaceMismatchError(
                 f"point has {arr.shape} coords, space is {self.space.dim}-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise SpaceMismatchError(
+                f"coords {tuple(float(v) for v in arr)} must be finite")
         arr = canonicalize(self.space, arr)
         coords = tuple(float(v) for v in arr)
         if not bool(contains(self.space, arr)):

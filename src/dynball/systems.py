@@ -104,15 +104,15 @@ def make_rotation(alpha: float = GOLDEN_CONJUGATE) -> SystemSpec:
     a = float(alpha)
     return SystemSpec(
         name="rotation", space=geo.circle(),
-        forward=lambda c: (np.asarray(c, dtype=float) + a) % 1.0,
-        inverse=lambda c: (np.asarray(c, dtype=float) - a) % 1.0,
+        forward=lambda c: geo.wrap01(np.asarray(c, dtype=float) + a),
+        inverse=lambda c: geo.wrap01(np.asarray(c, dtype=float) - a),
         jacobian=_const_jacobian(np.eye(1)))
 
 
 def make_doubling() -> SystemSpec:
     return SystemSpec(
         name="doubling", space=geo.circle(),
-        forward=lambda c: (2.0 * np.asarray(c, dtype=float)) % 1.0,
+        forward=lambda c: geo.wrap01(2.0 * np.asarray(c, dtype=float)),
         jacobian=_const_jacobian([[2.0]]))
 
 
@@ -135,8 +135,8 @@ CAT_INVERSE = np.array([[1.0, -1.0], [-1.0, 2.0]])
 def make_cat() -> SystemSpec:
     return SystemSpec(
         name="cat", space=geo.torus2(),
-        forward=lambda c: (np.asarray(c, dtype=float) @ CAT_MATRIX.T) % 1.0,
-        inverse=lambda c: (np.asarray(c, dtype=float) @ CAT_INVERSE.T) % 1.0,
+        forward=lambda c: geo.wrap01(np.asarray(c, dtype=float) @ CAT_MATRIX.T),
+        inverse=lambda c: geo.wrap01(np.asarray(c, dtype=float) @ CAT_INVERSE.T),
         jacobian=_const_jacobian(CAT_MATRIX))
 
 

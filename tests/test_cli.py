@@ -241,6 +241,10 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--threshold", "0"], "need n_max >= 0"),
     (["decay", "--system", "interval-square", "--x", "1.5"],
      "coords (1.5,) outside interval bounds"),
+    (["decay", "--system", "rotation", "--x", "nan"], "coords (nan,) must be finite"),
+    (["decay", "--system", "rotation", "--x", "inf"], "coords (inf,) must be finite"),
+    (["verdict", "--system", "rotation", "--measure", "dirac:nan"],
+     "coords (nan,) must be finite"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

@@ -106,3 +106,32 @@ def test_interval_cover_keeps_endpoints():
     cover = make_ball_cover(sp, radius=0.15, step=0.1)
     num = lebesgue_number(cover, sp)
     assert num > 0
+
+
+def test_wrap01_matches_remainder_bit_for_bit():
+    rng = np.random.default_rng(20)
+    edges = np.array([-0.0, 0.0, 5e-324, -5e-324, -1e-20, 1.0, -1.0, 2.0,
+                      1.0 - 2.0 ** -53, 2.0 ** 53 + 1, -2.0 ** 60,
+                      np.inf, -np.inf, np.nan])
+    for x in (rng.uniform(-3.0, 3.0, 5_000_000),
+              rng.uniform(-1e-12, 1e-12, 1_000_000), edges):
+        with np.errstate(invalid="ignore"):  # inf folds to NaN in both
+            want = x % 1.0
+            got = geo.wrap01(x.copy())
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    # a tiny negative rounds up to 1.0 in both, and zeros come out +0.0
+    assert geo.wrap01(np.array([-1e-20]))[0] == 1.0
+    assert not np.signbit(geo.wrap01(np.array([-0.0, -2.0]))).any()
+    # the fold is in place
+    x = np.array([2.25, -0.25])
+    assert geo.wrap01(x) is x and list(x) == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("space", [circle(), interval(), torus2()])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_coords(space, bad):
+    coords = (bad,) + (0.5,) * (space.dim - 1)
+    with pytest.raises(SpaceMismatchError, match="must be finite"):
+        Point(space, coords)

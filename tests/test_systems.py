@@ -271,3 +271,42 @@ def test_identity_map_trivial_dynamics():
     f = make_identity(circle())
     x = np.array([[0.3]])
     assert np.allclose(iterate(f, x, 17), x)
+
+
+def test_circle_and_torus_maps_match_remainder_formulas_bit_for_bit(denjoy_c):
+    # each map's output equals, bit for bit, the ``% 1.0`` formula its fold
+    # replaced, on inputs both inside and outside [0, 1)
+    rng = np.random.default_rng(31)
+    edges = [-0.0, 0.0, -1e-20, 1e-20, 1.0 - 2.0 ** -53, -1.0, 1.0, 2.0,
+             -2.0 ** 40 - 0.5, 1e6 + 0.1]
+    x1 = np.concatenate([rng.uniform(-3.0, 3.0, 200_000), rng.random(200_000),
+                         edges]).reshape(-1, 1)
+    x2 = np.concatenate([rng.uniform(-3.0, 3.0, (200_000, 2)),
+                         np.array(edges).reshape(-1, 2)])
+    rot = make_rotation(alpha=0.3)
+    a = 0.3
+    c = denjoy_c
+
+    def denjoy_inverse(y):
+        y = y % 1.0
+        return np.interp(y + (y < c.map_y[0]), c.map_y, c.map_x) % 1.0
+
+    cases = [
+        (rot.forward, x1, lambda x: (x + a) % 1.0),
+        (rot.inverse, x1, lambda x: (x - a) % 1.0),
+        (make_doubling().forward, x1, lambda x: (2.0 * x) % 1.0),
+        (make_cat().forward, x2, lambda x: (x @ CAT_MATRIX.T) % 1.0),
+        (make_cat().inverse, x2, lambda x: (x @ CAT_INVERSE.T) % 1.0),
+        (c.forward, x1, lambda x: np.interp(x % 1.0, c.map_x, c.map_y) % 1.0),
+        (c.inverse, x1, denjoy_inverse),
+        (c.staircase, x1,
+         lambda x: np.interp(x % 1.0, c.staircase_x, c.staircase_y) % 1.0),
+        (c.insertion, x1, lambda x: (x % 1.0) / 2.0
+         + c.gap_cumsum[np.searchsorted(c.orbit_sorted, x % 1.0)]),
+    ]
+    for fn, x, formula in cases:
+        before = x.copy()
+        got, want = fn(x), formula(x)
+        assert np.array_equal(x, before)  # the caller's array is not folded
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
