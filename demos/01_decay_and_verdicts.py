@@ -20,7 +20,7 @@ for f in (db.make_rotation(), db.make_doubling(), db.make_identity()):
     series[f.name] = db.decay_series(f, mu, (0.2,), 0.05, n_max=12,
                                      samples=50_000, seed=SEED)
 for i in range(12):
-    row = [series[name].estimates[i] for name in ("rotation", "doubling", "identity")]
+    row = [series[name].estimate[i] for name in ("rotation", "doubling", "identity")]
     print(f"{i + 1:>3} {row[0]:>10.5f} {row[1]:>10.5f} {row[2]:>10.5f}")
 
 print()

@@ -10,6 +10,7 @@ Run: python3 demos/04_battery_report.py          (subset, a few seconds)
 """
 import sys
 import time
+from dataclasses import asdict
 
 import dynball as db
 
@@ -21,8 +22,9 @@ report = db.run_battery(case_filter=cases, seed=7, workers=2)
 dt = time.perf_counter() - t0
 
 print(report.to_markdown())
-print(f"({report.passed + report.failed + report.vacuous + report.inconclusive}"
-      f" cases in {dt:.1f}s; all case details live in report.to_dict())")
+record = asdict(report)  # the battery.json object, field for field
+print(f"({sum(report.summary.values())} cases in {dt:.1f}s; "
+      f"asdict(report) holds {', '.join(sorted(record))})")
 
 for case in report.cases:
     if case.outcome != "pass":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,14 +52,6 @@ class TheoremCase:
     details: dict = field(default_factory=dict)
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id, "claim": self.claim,
-            "systems": list(self.systems), "measures": list(self.measures),
-            "settings": self.settings, "expectation": self.expectation,
-            "outcome": self.outcome, "details": self.details, "error": self.error,
-        }
-
 
 def _case_isometry(seed: int) -> tuple[str, dict]:
     settings = dict(delta=0.05, n_max=20, samples=50_000, x_probes=20)
@@ -83,7 +75,7 @@ def _case_pp2(seed: int) -> tuple[str, dict]:
         mu = make_lebesgue(f.space)
         rep = power_consistency_check(f, mu, k, grid, n_max=16, samples=30_000,
                                       seed=derive_seed(seed, f.name, k))
-        details[f"{f.name}^{k}"] = rep.to_dict()
+        details[f"{f.name}^{k}"] = asdict(rep)
         ok &= rep.consistent
     return ("pass" if ok else "fail"), details
 
@@ -97,14 +89,13 @@ def _case_diagonal(seed: int) -> tuple[str, dict]:
         rep = product_diagonal_test(f, make_lebesgue(f.space), delta=0.05,
                                     n_max=12, pair_samples=100_000,
                                     seed=derive_seed(seed, f.name))
-        d = rep.to_dict()
-        d["terminal"] = rep.series.terminal
-        details[f.name] = d
+        series = rep.pair_series
+        details[f.name] = {**asdict(rep), "terminal": series.terminal}
         ok &= rep.agree
         if band is not None:
-            ok &= band[0] <= rep.series.terminal <= band[1]
+            ok &= band[0] <= series.terminal <= band[1]
         elif f.name in ("doubling", "cat"):
-            ok &= rep.series.ci_high[-1] <= 0.02
+            ok &= series.ci_high[-1] <= 0.02
     return ("pass" if ok else "fail"), details
 
 
@@ -116,11 +107,11 @@ def _case_pp0(seed: int) -> tuple[str, dict]:
     g = generator_check(make_doubling(), mu, cover, n_max=10,
                         sequence_samples=32, mc_samples=100_000,
                         seed=derive_seed(seed, "doubling"))
-    details["doubling"] = g.to_dict()
+    details["doubling"] = asdict(g)
     h = generator_check(make_identity(space), mu, cover, n_max=10,
                         sequence_samples=32, mc_samples=100_000,
                         seed=derive_seed(seed, "identity"))
-    details["identity"] = h.to_dict()
+    details["identity"] = asdict(h)
     ok = g.is_generator_evidence and not h.is_generator_evidence \
         and h.max_intersection_estimate >= 0.15
     return ("pass" if ok else "fail"), details
@@ -138,8 +129,8 @@ def _case_reddy(seed: int) -> tuple[str, dict]:
     den_c = _denjoy_construction()
     den = converging_semiorbit_fraction(make_denjoy(den_c), make_denjoy_minimal(den_c),
                                         seed=derive_seed(seed, "denjoy"), **settings)
-    details = {"interval-square": sq.to_dict(), "rotation": rot.to_dict(),
-               "cat": cat.to_dict(), "denjoy": den.to_dict()}
+    details = {"interval-square": asdict(sq), "rotation": asdict(rot),
+               "cat": asdict(cat), "denjoy": asdict(den)}
     # the two expansive homeomorphisms must put (near-)zero mass on
     # converging semi-orbits; the non-expansive interval map is free to
     # put full mass there, and the rotation's orbits never settle
@@ -153,7 +144,7 @@ def _case_thA(seed: int) -> tuple[str, dict]:
                             eps=1e-4, samples=100_000, seed=derive_seed(seed, "cat"))
     ident = periodic_fraction(make_identity(), make_lebesgue(geo.circle()), max_period=1,
                               eps=1e-4, samples=50_000, seed=derive_seed(seed, "identity"))
-    details = {"cat": cat.to_dict(), "identity": ident.to_dict()}
+    details = {"cat": asdict(cat), "identity": asdict(ident)}
     ok = cat.fraction <= 1e-3 and ident.fraction == 1.0
     return ("pass" if ok else "fail"), details
 
@@ -213,7 +204,7 @@ def _case_emu_positive(seed: int) -> tuple[str, dict]:
         rep = entropy_implies_expansive_check(
             f, make_lebesgue(f.space), grids[f.name], n_range=(1, 12),
             x_probes=20, samples=30_000, seed=derive_seed(seed, f.name))
-        details[f.name] = rep.to_dict()
+        details[f.name] = asdict(rep)
         ok &= rep.holds
         if f.name in ("doubling", "tent", "cat"):
             ok &= not rep.vacuous
@@ -229,7 +220,7 @@ def _case_exxx1(seed: int) -> tuple[str, dict]:
         f = make()
         rep = volume_expanding_check(f, horizon=10, probes=100,
                                      seed=derive_seed(seed, f.name))
-        row = rep.to_dict()
+        row = asdict(rep)
         if rep.detected:
             v = expansiveness_verdict(f, make_lebesgue(f.space), 0.02, n_max=20,
                                       samples=30_000, x_probes=20,
@@ -329,13 +320,13 @@ def consistency_matrix(seed: int = 7) -> dict:
                               mc_samples=30_000,
                               seed=derive_seed(seed, "cm-gen", f.name))
         decay_says = v.verdict == EXPANSIVE
-        diag_says = diag.series.ci_high[-1] <= 0.01
+        diag_says = diag.pair_series.ci_high[-1] <= 0.01
         gen_says = gen.is_generator_evidence
         consistent = decay_says == diag_says == gen_says
         all_consistent &= consistent
         rows[f.name] = {
             "verdict": v.verdict,
-            "diagonal_terminal_upper": diag.series.ci_high[-1],
+            "diagonal_terminal_upper": diag.pair_series.ci_high[-1],
             "generator_evidence": gen_says,
             "consistent": consistent,
         }
@@ -347,30 +338,18 @@ class BatteryReport:
     version: str
     seed: int
     cases: tuple[TheoremCase, ...]
-    consistency: dict
-    passed: int
-    failed: int
-    vacuous: int
-    inconclusive: int
+    consistency_matrix: dict
+    summary: dict  # outcome -> number of cases
 
     @property
     def all_clear(self) -> bool:
-        return self.failed == 0 and self.inconclusive == 0
+        return self.summary["fail"] == 0 and self.summary["inconclusive"] == 0
 
     def failing_ids(self) -> list[str]:
         return [c.id for c in self.cases if c.outcome in ("fail", "inconclusive")]
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version, "seed": self.seed,
-            "cases": [c.to_dict() for c in self.cases],
-            "consistency_matrix": self.consistency,
-            "summary": {"pass": self.passed, "fail": self.failed,
-                        "vacuous": self.vacuous, "inconclusive": self.inconclusive},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_markdown(self) -> str:
         lines = [
@@ -385,11 +364,10 @@ class BatteryReport:
             lines.append(f"| {c.id} | {c.outcome} | {', '.join(c.systems)} | {c.claim} |")
         lines += [
             "",
-            f"pass {self.passed}, fail {self.failed}, vacuous {self.vacuous}, "
-            f"inconclusive {self.inconclusive}",
+            ", ".join(f"{outcome} {n}" for outcome, n in self.summary.items()),
             "",
             f"cross-estimator consistency: "
-            f"{'all agree' if self.consistency['all_consistent'] else 'DISAGREEMENT'}",
+            f"{'all agree' if self.consistency_matrix['all_consistent'] else 'DISAGREEMENT'}",
             "",
         ]
         return "\n".join(lines)
@@ -431,6 +409,4 @@ def run_battery(case_filter: list[str] | None = None, seed: int = 7,
         tally[c.outcome] += 1
     return BatteryReport(
         version=__version__, seed=int(seed), cases=tuple(cases),
-        consistency=consistency_matrix(seed),
-        passed=tally["pass"], failed=tally["fail"],
-        vacuous=tally["vacuous"], inconclusive=tally["inconclusive"])
+        consistency_matrix=consistency_matrix(seed), summary=tally)

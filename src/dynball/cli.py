@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -157,8 +158,8 @@ def _decay(f, mu, s: dict, seed: int):
                           samples=s["samples"], seed=seed)
     echo = {"delta": s["delta"], "nmax": s["nmax"], "samples": s["samples"],
             "sided": series.sided, "x": list(series.x)}
-    rows = list(zip(series.n_values, series.estimates, series.ci_low, series.ci_high))
-    return (series.to_dict(), echo, rows,
+    rows = list(zip(series.n, series.estimate, series.ci_low, series.ci_high))
+    return (asdict(series), echo, rows,
             f"{len(rows)} rows (terminal estimate {series.terminal!r})")
 
 
@@ -169,7 +170,7 @@ def _verdict(f, mu, s: dict, seed: int):
     echo = {k: s[k] for k in ("delta", "nmax", "samples", "x_probes", "threshold")}
     rows = [(i + 1, est, lo, hi) for i, (est, lo, hi) in
             enumerate(zip(v.per_probe_terminal, v.per_probe_lower, v.per_probe_upper))]
-    return (v.to_dict(), {**echo, "sided": v.sided}, rows,
+    return (asdict(v), {**echo, "sided": v.sided}, rows,
             f"{v.verdict} (delta={v.delta}, worst upper {v.worst_upper_bound!r})")
 
 
@@ -182,7 +183,7 @@ def _entropy(f, mu, s: dict, seed: int):
             "x_probes": s["x_probes"], "samples": s["samples"]}
     rows = [(d, e, e - 2 * se, e + 2 * se) for d, e, se in
             zip(est.delta_grid, est.e_of_delta, est.se_of_delta)]
-    return (est.to_dict(), echo, rows,
+    return (asdict(est), echo, rows,
             f"extrapolated {est.extrapolated_e!r} +- {est.extrapolated_se!r} "
             f"(converged={est.converged})")
 
@@ -196,7 +197,7 @@ def _generator(f, mu, s: dict, seed: int):
     echo = {k: s[k] for k in ("radius", "step", "nmax", "sequences",
                               "mc_samples", "threshold")}
     rows = [(i + 1, v, v, v) for i, v in enumerate(rep.per_sequence)]
-    return (rep.to_dict(), {**echo, "sided": rep.sided}, rows,
+    return (asdict(rep), {**echo, "sided": rep.sided}, rows,
             f"evidence={rep.is_generator_evidence} "
             f"(max estimate {rep.max_intersection_estimate!r})")
 
@@ -295,9 +296,8 @@ def _battery(args: argparse.Namespace, cfg: dict) -> int:
             "runtime_seconds": runtime, "workers": workers}
     (out / "battery.meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    print(f"battery: {report.passed} pass, {report.failed} fail, "
-          f"{report.vacuous} vacuous, {report.inconclusive} inconclusive "
-          f"-> {args.out}/battery.md")
+    tally = ", ".join(f"{n} {outcome}" for outcome, n in report.summary.items())
+    print(f"battery: {tally} -> {args.out}/battery.md")
     if not report.all_clear:
         print("failing cases: " + ", ".join(report.failing_ids()), file=sys.stderr)
         return 1

@@ -55,10 +55,6 @@ class SlopeFit:
     censored: bool           # true when the fit window hit the count floor
     max_residual: float
 
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "se": self.se, "n_used": self.n_used,
-                "censored": self.censored, "max_residual": self.max_residual}
-
 
 def fit_decay_slope(counts: np.ndarray) -> SlopeFit:
     """Weighted-increment slope of -log(survival) per step for one center."""
@@ -114,25 +110,11 @@ class EntropyEstimate:
     extrapolated_se: float
     converged: bool
     x_probes: int
-    sample_count: int
+    samples: int
     n_range: tuple[int, int]
     seed: int
     per_x_rates: tuple[tuple[float, ...], ...] = field(repr=False, default=())
     fit_diagnostics: tuple[dict, ...] = field(repr=False, default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_grid": list(self.delta_grid),
-            "e_of_delta": list(self.e_of_delta),
-            "se_of_delta": list(self.se_of_delta),
-            "extrapolated_e": self.extrapolated_e,
-            "extrapolated_se": self.extrapolated_se,
-            "converged": self.converged,
-            "x_probes": self.x_probes, "samples": self.sample_count,
-            "n_range": list(self.n_range), "seed": self.seed,
-            "per_x_rates": [list(r) for r in self.per_x_rates],
-            "fit_diagnostics": list(self.fit_diagnostics),
-        }
 
 
 def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
@@ -179,7 +161,7 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     return EntropyEstimate(
         delta_grid=tuple(grid), e_of_delta=tuple(e), se_of_delta=tuple(se),
         extrapolated_e=e[pick], extrapolated_se=se[pick], converged=converged,
-        x_probes=int(x_probes), sample_count=int(samples),
+        x_probes=int(x_probes), samples=int(samples),
         n_range=(int(n_lo), int(n_hi)), seed=int(seed),
         per_x_rates=tuple(rates), fit_diagnostics=tuple(diags))
 
@@ -194,12 +176,6 @@ class PowerLawReport:
     tolerance: float
     holds: bool
     inconclusive: bool
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "e_base": self.e_base, "e_power": self.e_power,
-                "se_base": self.se_base, "se_power": self.se_power,
-                "tolerance": self.tolerance, "holds": self.holds,
-                "inconclusive": self.inconclusive}
 
 
 def power_law_check(f: SystemSpec, mu: MeasureSpec, k: int,
@@ -229,9 +205,6 @@ class EntropyExpansiveReport:
     rows: tuple[dict, ...]
     holds: bool
     vacuous: bool
-
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows), "holds": self.holds, "vacuous": self.vacuous}
 
 
 def entropy_implies_expansive_check(f: SystemSpec, mu: MeasureSpec,
@@ -273,10 +246,6 @@ class VolumeExpandingReport:
     k_est: float
     horizon: int
     probes: int
-
-    def to_dict(self) -> dict:
-        return {"detected": self.detected, "lambda_est": self.lambda_est,
-                "k_est": self.k_est, "horizon": self.horizon, "probes": self.probes}
 
 
 def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,

@@ -168,24 +168,17 @@ def _window(f: SystemSpec, coords: np.ndarray, n_max: int, two: bool):
             yield -n, bwd
 
 
-@dataclass(frozen=True)
-class DynBallQuery:
-    x: geo.Point
-    delta: float
-    n: int
-    sided: str = TWO_SIDED
-
-    def __post_init__(self):
-        if self.delta <= 0 or self.n < 1:
-            raise ValueError("need delta > 0 and n >= 1")
-
-
-def dyn_ball_contains(f: SystemSpec, q: DynBallQuery, y):
-    """Membership of y in the window set of the query.
+def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
+                      sided: str | None = None):
+    """Membership of y in the window-n set of radius delta around x.
 
     y may be a Point or a 1-D coordinate vector (returns a bool) or a
-    (count, dim) array (returns a bool vector)."""
-    x = q.x if isinstance(q.x, geo.Point) else geo.Point(f.space, q.x)
+    (count, dim) array (returns a bool vector).  ``sided`` defaults as in
+    ``resolve_sided``: two-sided windows only for an invertible f."""
+    if delta <= 0 or n < 1:
+        raise ValueError("need delta > 0 and n >= 1")
+    if not isinstance(x, geo.Point):
+        x = geo.Point(f.space, x)
     if x.space != f.space:
         raise SpaceMismatchError("query center must live on the system's space")
     single = isinstance(y, geo.Point) or np.asarray(y).ndim == 1
@@ -195,10 +188,10 @@ def dyn_ball_contains(f: SystemSpec, q: DynBallQuery, y):
         ys = y.array[None, :]
     else:
         ys = np.atleast_2d(np.asarray(y, dtype=float))
-    sided = resolve_sided(f, q.sided)
+    sided = resolve_sided(f, sided)
     # the distance condition is symmetric in (x, y): treat each y as a
     # center and the single x, drawn from its Dirac measure, as the batch
-    counts = survival_counts(f, make_dirac(x), 0, 1, ys, [q.delta], sided, q.n)
+    counts = survival_counts(f, make_dirac(x), 0, 1, ys, [delta], sided, n)
     hits = counts[0, :, -1] == 1
     return bool(hits[0]) if single else hits
 
@@ -208,27 +201,17 @@ class DecaySeries:
     x: Optional[tuple]
     delta: float
     sided: str
-    n_values: tuple[int, ...]
+    n: tuple[int, ...]
     counts: tuple[int, ...]
-    estimates: tuple[float, ...]
+    estimate: tuple[float, ...]
     ci_low: tuple[float, ...]
     ci_high: tuple[float, ...]
-    sample_count: int
+    samples: int
     seed: int
 
     @property
     def terminal(self) -> float:
-        return self.estimates[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "x": list(self.x) if self.x is not None else None,
-            "delta": self.delta, "sided": self.sided,
-            "n": list(self.n_values), "counts": list(self.counts),
-            "estimate": list(self.estimates),
-            "ci_low": list(self.ci_low), "ci_high": list(self.ci_high),
-            "samples": self.sample_count, "seed": self.seed,
-        }
+        return self.estimate[-1]
 
 
 def _series_from_counts(x, delta, sided, counts_1d, samples, seed) -> DecaySeries:
@@ -236,11 +219,11 @@ def _series_from_counts(x, delta, sided, counts_1d, samples, seed) -> DecaySerie
     lo, hi = wilson_interval(counts_1d, samples)
     return DecaySeries(
         x=tuple(x) if x is not None else None, delta=float(delta), sided=sided,
-        n_values=tuple(range(1, len(counts_1d) + 1)),
+        n=tuple(range(1, len(counts_1d) + 1)),
         counts=tuple(int(c) for c in counts_1d),
-        estimates=tuple(float(v) for v in est),
+        estimate=tuple(float(v) for v in est),
         ci_low=tuple(float(v) for v in lo), ci_high=tuple(float(v) for v in hi),
-        sample_count=int(samples), seed=int(seed))
+        samples=int(samples), seed=int(seed))
 
 
 def decay_series(f: SystemSpec, mu: MeasureSpec, x: geo.Point, delta: float,
@@ -265,30 +248,16 @@ class ExpansivenessVerdict:
     delta: float
     threshold: float
     sided: str
-    x_probe_count: int
+    x_probes: int
     worst_upper_bound: float
     witness: Optional[tuple]
     witness_lower_bound: float
     n_max: int
-    sample_count: int
+    samples: int
     seed: int
     per_probe_terminal: tuple[float, ...] = field(repr=False, default=())
     per_probe_upper: tuple[float, ...] = field(repr=False, default=())
     per_probe_lower: tuple[float, ...] = field(repr=False, default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict, "delta": self.delta,
-            "threshold": self.threshold, "sided": self.sided,
-            "x_probes": self.x_probe_count,
-            "worst_upper_bound": self.worst_upper_bound,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "witness_lower_bound": self.witness_lower_bound,
-            "n_max": self.n_max, "samples": self.sample_count, "seed": self.seed,
-            "per_probe_terminal": list(self.per_probe_terminal),
-            "per_probe_upper": list(self.per_probe_upper),
-            "per_probe_lower": list(self.per_probe_lower),
-        }
 
 
 def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
@@ -296,8 +265,8 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
                           x_probes: int = 20, threshold: float = 0.01,
                           seed: int = 0, sided: str | None = None) -> ExpansivenessVerdict:
     """Three-valued verdict from terminal window masses at measure-sampled probes."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < 1:  # a window mass is at most 1
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if x_probes < 20:
         raise ValueError("x_probes must be >= 20")
     if mu.space != f.space:
@@ -319,9 +288,9 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
         verdict, witness = "inconclusive", None
     return ExpansivenessVerdict(
         verdict=verdict, delta=float(delta), threshold=float(threshold),
-        sided=sided, x_probe_count=int(x_probes), worst_upper_bound=worst_upper,
+        sided=sided, x_probes=int(x_probes), worst_upper_bound=worst_upper,
         witness=witness, witness_lower_bound=witness_lower,
-        n_max=int(n_max), sample_count=int(samples), seed=int(seed),
+        n_max=int(n_max), samples=int(samples), seed=int(seed),
         per_probe_terminal=tuple(float(v) for v in terminal / samples),
         per_probe_upper=tuple(float(v) for v in hi),
         per_probe_lower=tuple(float(v) for v in lo))
@@ -334,20 +303,7 @@ class PowerConsistencyReport:
     verdicts_base: tuple[str, ...]
     verdicts_power: tuple[str, ...]
     matched_pairs: tuple[tuple[float, float], ...]
-    contradiction: bool
-
-    @property
-    def consistent(self) -> bool:
-        return not self.contradiction
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "delta_grid": list(self.delta_grid),
-            "verdicts_base": list(self.verdicts_base),
-            "verdicts_power": list(self.verdicts_power),
-            "matched_pairs": [list(p) for p in self.matched_pairs],
-            "consistent": self.consistent,
-        }
+    consistent: bool
 
 
 def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
@@ -385,26 +341,16 @@ def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
     return PowerConsistencyReport(
         k=int(k), delta_grid=tuple(float(d) for d in delta_grid),
         verdicts_base=tuple(vb), verdicts_power=tuple(vp),
-        matched_pairs=matched, contradiction=contradiction)
+        matched_pairs=matched, consistent=not contradiction)
 
 
 @dataclass(frozen=True)
 class DiagonalReport:
-    series: DecaySeries
+    pair_series: DecaySeries
     fubini_mean: float
-    fubini_ci_low: float
-    fubini_ci_high: float
+    fubini_ci: tuple[float, float]
     fubini_probes: int
     agree: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_series": self.series.to_dict(),
-            "fubini_mean": self.fubini_mean,
-            "fubini_ci": [self.fubini_ci_low, self.fubini_ci_high],
-            "fubini_probes": self.fubini_probes,
-            "agree": self.agree,
-        }
 
 
 def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
@@ -444,8 +390,7 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     se = float(terminals.std(ddof=1) / np.sqrt(fubini_probes))
     lo, hi = mean - 1.96 * se, mean + 1.96 * se
     agree = (series.ci_low[-1] <= hi) and (lo <= series.ci_high[-1])
-    return DiagonalReport(series=series, fubini_mean=mean,
-                          fubini_ci_low=lo, fubini_ci_high=hi,
+    return DiagonalReport(pair_series=series, fubini_mean=mean, fubini_ci=(lo, hi),
                           fubini_probes=int(fubini_probes), agree=agree)
 
 
@@ -461,17 +406,6 @@ class GeneratorReport:
     sided: str
     n_max: int
     per_sequence: tuple[float, ...] = field(repr=False, default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "cover_size": self.cover_size, "lebesgue_delta": self.lebesgue_delta,
-            "sequences_tested": self.sequences_tested,
-            "max_intersection_estimate": self.max_intersection_estimate,
-            "max_upper_ci": self.max_upper_ci,
-            "is_generator_evidence": self.is_generator_evidence,
-            "threshold": self.threshold, "sided": self.sided, "n_max": self.n_max,
-            "per_sequence": list(self.per_sequence),
-        }
 
 
 def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
@@ -491,9 +425,9 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     The batch is drawn and walked in blocks of ``_BLOCK`` sample indices,
     so working memory does not grow with ``mc_samples``.
     """
-    if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or threshold <= 0:
+    if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or not 0 < threshold < 1:
         raise ValueError("need n_max >= 0, sequence_samples >= 1, mc_samples >= 1 "
-                         "and threshold > 0")
+                         "and 0 < threshold < 1")
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
@@ -541,13 +475,8 @@ class FractionEstimate:
     ci_low: float
     ci_high: float
     hits: int
-    sample_count: int
+    samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"fraction": self.fraction, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "hits": self.hits,
-                "samples": self.sample_count, "seed": self.seed}
 
 
 def _tail_spread(space: geo.SpaceDescriptor, tail: list[np.ndarray]) -> np.ndarray:
@@ -586,7 +515,7 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
     hits = int(converged.sum())
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
-                            hits=hits, sample_count=int(samples), seed=int(seed))
+                            hits=hits, samples=int(samples), seed=int(seed))
 
 
 def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
@@ -604,4 +533,4 @@ def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
     hits = int(near.sum())
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
-                            hits=hits, sample_count=int(samples), seed=int(seed))
+                            hits=hits, samples=int(samples), seed=int(seed))

@@ -9,6 +9,7 @@ are two-sided orbit windows available.  Jacobians return
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -198,16 +199,26 @@ def zoo_names() -> list[str]:
 def system_params(name: str, params: dict | None = None) -> dict:
     """Check ``params`` against the keys system ``name`` takes and cast them.
 
-    Raises KeyError, listing the known keys, on an unknown system or key.
+    Raises KeyError, listing the known keys, on an unknown system or key,
+    and ValueError on a value that is not finite or, for an int key, not
+    integral.
     """
     if name not in _FACTORIES:
         raise KeyError(f"unknown system {name!r}; known: {', '.join(_FACTORIES)}")
     casts = _PARAMS.get(name, {})
-    for key in params or {}:
+    out = {}
+    for key, value in (params or {}).items():
         if key not in casts:
             raise KeyError(f"unknown parameter {key!r} for system {name!r}; "
                            f"known: {', '.join(casts) or 'none'}")
-    return {key: casts[key](value) for key, value in (params or {}).items()}
+        try:
+            out[key] = casts[key](value)
+            if not math.isfinite(out[key]) or out[key] != float(value):  # N=8.5
+                raise ValueError
+        except (ValueError, OverflowError):  # e.g. float('abc'), int(inf)
+            raise ValueError(f"parameter {key} = {value!r} for system {name!r} "
+                             f"is not a finite {casts[key].__name__}") from None
+    return out
 
 
 def get_system(name: str, params: dict | None = None) -> SystemSpec:

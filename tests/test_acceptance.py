@@ -44,12 +44,12 @@ def test_criterion_01_isometry_flat_decay():
     mu = db.make_lebesgue(f.space)
     s = db.decay_series(f, mu, (0.123456789,), 0.05, n_max=20,
                         samples=100_000, seed=7)
-    assert all(0.09 <= e <= 0.11 for e in s.estimates)
+    assert all(0.09 <= e <= 0.11 for e in s.estimate)
     v = db.expansiveness_verdict(f, mu, 0.05, n_max=20, samples=100_000,
                                  x_probes=20, seed=7)
     assert v.verdict == "evidence_not_expansive"
-    _report(1, f"rotation estimates in [{min(s.estimates):.4f}, "
-               f"{max(s.estimates):.4f}], verdict {v.verdict}",
+    _report(1, f"rotation estimates in [{min(s.estimate):.4f}, "
+               f"{max(s.estimate):.4f}], verdict {v.verdict}",
             "all estimates in [0.09, 0.11] (analytic 0.10)", t0)
 
 
@@ -60,7 +60,7 @@ def test_criterion_02_doubling_decay_law():
     worst = 0.0
     for x in (1.0 / 3.0, 0.1):
         s = db.decay_series(f, mu, (x,), 0.01, n_max=8, samples=100_000, seed=7)
-        for n, est, lo, hi in zip(s.n_values, s.estimates, s.ci_low, s.ci_high):
+        for n, est, lo, hi in zip(s.n, s.estimate, s.ci_low, s.ci_high):
             law = 0.02 * 2.0 ** (-(n - 1))
             hw = (hi - lo) / 2.0
             assert abs(est - law) <= 3 * hw + 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from dynball import CASE_IDS, case_info, consistency_matrix, run_battery
@@ -43,7 +45,7 @@ def test_report_formats():
     assert "cross-estimator consistency" in md
     js = rep.to_json()
     assert js.endswith("\n")
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["summary"]["pass"] == 1
     assert d["cases"][0]["id"] == "isometry"
     assert d["version"] == rep.version

@@ -80,6 +80,12 @@ def test_decay_golden_bytes(tmp_path):
     (["battery", "--cases", "circle1,reddy", "--workers", "1"],
      None,
      "f400a0baf6e034721ec1f2afc1ce27a4f65cd275ad7495e48133ccd730d4f2f5"),
+    # the power, diagonal, generator, fraction, entropy-expansive and volume
+    # records, recorded while each result type still had a hand-written
+    # to_dict: a field's name is its json key
+    (["battery", "--cases", "pp2,diagonal,pp0,thA,emu-positive,exxx1", "--workers", "1"],
+     None,
+     "ce53d134bd889acd678bc18762edea7d1c7836d399023fd67055225f4be93497"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     # digests recorded from the dense survival kernel and the dense generator
@@ -245,6 +251,15 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["decay", "--system", "rotation", "--x", "inf"], "coords (inf,) must be finite"),
     (["verdict", "--system", "rotation", "--measure", "dirac:nan"],
      "coords (nan,) must be finite"),
+    (["generator", "--system", "identity", "--threshold", "inf"], "need n_max >= 0"),
+    (["verdict", "--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
+    (["verdict", "--threshold", "nan"], "threshold must lie in (0, 1), got nan"),
+    (["decay", "--param", "alpha=nan"],
+     "parameter alpha = nan for system 'rotation' is not a finite float"),
+    (["verdict", "--param", "alpha=inf"],
+     "parameter alpha = inf for system 'rotation' is not a finite float"),
+    (["decay", "--system", "denjoy", "--param", "N=8.5"],
+     "parameter N = 8.5 for system 'denjoy' is not a finite int"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

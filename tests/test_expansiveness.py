@@ -12,7 +12,7 @@ from dynball import (CapabilityError, Point, SpaceMismatchError, circle,
                      periodic_fraction, power_consistency_check,
                      product_diagonal_test, torus2)
 from dynball import expansiveness
-from dynball.expansiveness import DynBallQuery, resolve_sided, survival_counts
+from dynball.expansiveness import resolve_sided, survival_counts
 
 
 def test_resolve_sided():
@@ -138,7 +138,7 @@ def test_doubling_halving_law():
     f = make_doubling()
     mu = make_lebesgue(f.space)
     s = decay_series(f, mu, (0.1,), 0.01, n_max=8, samples=100_000, seed=2)
-    for n, est, lo, hi in zip(s.n_values, s.estimates, s.ci_low, s.ci_high):
+    for n, est, lo, hi in zip(s.n, s.estimate, s.ci_low, s.ci_high):
         law = 0.02 * 2.0 ** (-(n - 1))
         assert abs(est - law) <= 3 * (hi - lo) / 2 + 1e-9
 
@@ -151,32 +151,42 @@ def test_decay_series_seed_behavior():
     assert a.counts == b.counts
     c = decay_series(f, mu, (0.2, 0.7), 0.1, n_max=10, samples=10_000, seed=2)
     assert a.counts != c.counts  # different stream, same law
-    assert abs(a.estimates[0] - c.estimates[0]) < 0.02
+    assert abs(a.estimate[0] - c.estimate[0]) < 0.02
 
 
 def test_dyn_ball_contains_hand_example():
     f = make_doubling()
-    q2 = DynBallQuery(x=(0.3,), delta=0.01, n=2, sided="one_sided")
-    q3 = DynBallQuery(x=(0.3,), delta=0.01, n=3, sided="one_sided")
     y = np.array([[0.304]])
-    assert dyn_ball_contains(f, q2, y)[0]
-    assert not dyn_ball_contains(f, q3, y)[0]  # 8*0.004 > 0.01 at i=2
+    assert dyn_ball_contains(f, (0.3,), y, 0.01, 2, sided="one_sided")[0]
+    # 8*0.004 > 0.01 at i=2
+    assert not dyn_ball_contains(f, (0.3,), y, 0.01, 3, sided="one_sided")[0]
     # separation doubles past delta already at i=1
-    q = DynBallQuery(x=(1.0 / 3.0,), delta=0.05, n=2, sided="one_sided")
-    assert not dyn_ball_contains(f, q, (1.0 / 3.0 + 0.04,))
-    assert dyn_ball_contains(f, q, (1.0 / 3.0,))
+    third = (1.0 / 3.0,)
+    assert not dyn_ball_contains(f, third, (1.0 / 3.0 + 0.04,), 0.05, 2,
+                                 sided="one_sided")
+    assert dyn_ball_contains(f, third, third, 0.05, 2, sided="one_sided")
     # an isometry never separates points that start together
-    rot = make_rotation()
-    qr = DynBallQuery(x=(0.2,), delta=0.05, n=40)
-    assert dyn_ball_contains(rot, qr, (0.24,))
+    assert dyn_ball_contains(make_rotation(), (0.2,), (0.24,), 0.05, 40)
+
+
+def test_dyn_ball_contains_default_sided():
+    # a non-invertible map gets one-sided windows by default, as in every
+    # other estimator; two-sided ones must be asked for and are refused
+    f = make_doubling()
+    assert dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 3)
+    assert not dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 4)  # 8*0.01 > 0.05
+    with pytest.raises(CapabilityError):
+        dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 3, sided="two")
+    for delta, n in ((0.0, 2), (-0.1, 2), (0.05, 0)):
+        with pytest.raises(ValueError, match="need delta > 0 and n >= 1"):
+            dyn_ball_contains(make_rotation(), (0.2,), (0.21,), delta, n)
 
 
 def test_dyn_ball_contains_rejects_raw_center_off_space():
     f = make_interval_square()
     for x in ((1.5,), (0.2, 0.3)):
-        q = DynBallQuery(x=x, delta=0.05, n=2, sided="one_sided")
         with pytest.raises(SpaceMismatchError):
-            dyn_ball_contains(f, q, (0.5,))
+            dyn_ball_contains(f, x, (0.5,), 0.05, 2, sided="one_sided")
 
 
 def test_verdict_trichotomy():
@@ -235,8 +245,7 @@ def test_isometry_ball_identity_random_trials():
     plain = distance(circle(), ys, x.array) <= 0.08
     assert plain.any() and not plain.all()
     for n in (1, 6, 25):
-        q = DynBallQuery(x=x, delta=0.08, n=n)
-        assert np.array_equal(dyn_ball_contains(rot, q, ys), plain)
+        assert np.array_equal(dyn_ball_contains(rot, x, ys, 0.08, n), plain)
 
 
 def test_power_consistency():
@@ -258,7 +267,7 @@ def test_diagonal_fubini_agreement():
         assert rep.agree
     r = product_diagonal_test(make_rotation(), make_lebesgue(circle()), 0.05,
                               n_max=10, pair_samples=40_000, seed=12)
-    assert 0.08 <= r.series.terminal <= 0.12  # pair distance <= delta has mass 2*delta
+    assert 0.08 <= r.pair_series.terminal <= 0.12  # pair distance <= delta has mass 2*delta
 
 
 def test_generator_check_positive_and_negative():
