@@ -101,6 +101,10 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> DenjoyConstruc
     """Build the truncated construction for gaps at orbit indices |k| <= N."""
     if N < 8:
         raise ConstructionError(f"N={N} too small; need N >= 8")
+    if N > 10_000:
+        # past N ~ 34,600 the smallest gap is narrower than 2 * SQUEEZE, so
+        # I_N would be stretched, not squeezed; at the cap it is 6.0e-9
+        raise ConstructionError(f"N={N} too large; need N <= 10000")
     if not 0.0 < alpha < 1.0:
         raise ConstructionError("alpha must lie in (0, 1)")
 

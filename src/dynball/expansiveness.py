@@ -14,12 +14,12 @@ read from one array and a pair is dropped once it exceeds the largest
 radius; only the points some alive pair references are advanced.  For a
 measure-expansive map the alive set shrinks geometrically, and even for
 an isometry it is about 2*delta of the pairs from window 1 on.
-``survival_counts`` and ``generator_check`` draw their sample batch
-themselves, in fixed blocks of indices (``_blocks``), so neither the
-batch nor the working memory grows with the sample count.  The kernel
-sums the blocks' counts, which equal a dense (radius, center, sample)
-mask's exactly; the generator walks each block through the orbit window
-once (``_window``), ANDing a (sequence, sample) ball-membership mask.
+
+Every estimator here draws its sample budget through the block generator
+``measures.sample_blocks`` and sums its counts block by block, so working
+memory does not grow with the budget and the counts equal a whole-batch
+draw's exactly.  The generator check walks each block through the orbit
+window once (``_window``), ANDing a (sequence, sample) membership mask.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -30,6 +30,7 @@ witness), ``inconclusive`` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,18 +38,13 @@ from numpy.random import Generator, Philox
 
 from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
-from .measures import MeasureSpec, make_dirac
+from .measures import MeasureSpec, make_dirac, sample_blocks
 from .rng import derive_seed
 from .stats import wilson_interval
 from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
-
-# Sample indices per block drawn by _blocks: bounds survival_counts' window-1
-# distance matrix at len(centers) * _BLOCK entries and the generator's
-# membership mask at sequences * _BLOCK, whatever the sample count.
-_BLOCK = 1 << 16
 
 
 def resolve_sided(f: SystemSpec, sided: str | None) -> str:
@@ -64,13 +60,6 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     return sided
 
 
-def _blocks(mu: MeasureSpec, key: int, samples: int):
-    """Yield mu.sample_coords(key, samples) in blocks of ``_BLOCK`` rows; draws
-    are counter-based, so the rows equal the one-shot draw."""
-    for lo in range(0, samples, _BLOCK):
-        yield mu.sample_coords(key, min(_BLOCK, samples - lo), start=lo)
-
-
 def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
                     centers: np.ndarray, deltas: Sequence[float], sided: str,
                     n_max: int) -> np.ndarray:
@@ -78,12 +67,10 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     through window n.  One batch, mu.sample_coords(key, samples), serves
     every (delta, center) cell.
 
-    The batch is drawn and counted in blocks (``_blocks``) whose counts
-    are summed, so working memory does not grow with ``samples``.  Within
-    a block, window 1 is one dense (center, sample) distance matrix; after
-    that only the alive (center, sample) pairs are kept, each with its
-    running maximum distance, and only the points they reference are
-    advanced (see ``_advance_pairs``).
+    Within each block of the batch, window 1 is one dense (center,
+    sample) distance matrix; after that only the alive pairs are kept,
+    each with its running maximum distance, and only the points they
+    reference are advanced (see ``_advance_pairs``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -97,7 +84,7 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
     dmax = deltas_arr.max(initial=0.0)
     xb = f.inverse(centers) if two else None
-    for yf in _blocks(mu, key, samples):
+    for yf in sample_blocks(mu, key, samples, len(centers)):
         dist = geo.distance(f.space, centers[:, None], yf[None])
         yb = None
         if two:
@@ -264,7 +251,16 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
                           n_max: int = 30, samples: int = 100_000,
                           x_probes: int = 20, threshold: float = 0.01,
                           seed: int = 0, sided: str | None = None) -> ExpansivenessVerdict:
-    """Three-valued verdict from terminal window masses at measure-sampled probes."""
+    """Three-valued verdict from terminal window masses at measure-sampled probes.
+
+    Designed error rates, at radius delta and window ``n_max`` and only
+    for the probed centers: ``evidence_expansive`` is wrong only if a
+    probe whose true terminal mass exceeds the threshold gets a 95% Wilson
+    upper bound below that mass, about 2.5%.  ``evidence_not_expansive``
+    takes the largest of ``x_probes`` lower bounds with no multiplicity
+    correction, so its union bound is ``x_probes * 2.5%``: 50% at the
+    default 20 probes when every probe mass sits just under the threshold.
+    """
     if not 0 < threshold < 1:  # a window mass is at most 1
         raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if x_probes < 20:
@@ -369,17 +365,16 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
     two = sided == TWO_SIDED
-    xs = mu.sample_coords(derive_seed(seed, "pair-left"), pair_samples)
-    ys = mu.sample_coords(derive_seed(seed, "pair-right"), pair_samples)
-
-    xb, yb = (f.inverse(xs), f.inverse(ys)) if two else (None, None)
-    dist = geo.distance(f.space, xs, ys)
-    if two:
-        dist = np.maximum(dist, geo.distance(f.space, xb, yb))
-    i = np.flatnonzero(dist <= delta)
     counts = np.zeros((1, 1, n_max), dtype=np.int64)
-    _advance_pairs(f, np.array([delta], dtype=float), counts, xs, xb, ys, yb,
-                   i, i, np.zeros_like(i), dist[i])
+    for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples),
+                      sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples)):
+        xb, yb = (f.inverse(xs), f.inverse(ys)) if two else (None, None)
+        dist = geo.distance(f.space, xs, ys)
+        if two:
+            dist = np.maximum(dist, geo.distance(f.space, xb, yb))
+        i = np.flatnonzero(dist <= delta)
+        _advance_pairs(f, np.array([delta], dtype=float), counts, xs, xb, ys, yb,
+                       i, i, np.zeros_like(i), dist[i])
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)
@@ -421,9 +416,6 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     pilot orbit, always picking the element holding that iterate deepest.
     Evidence for a generator means even the worst sequence's upper CI
     stays at or below the threshold.
-
-    The batch is drawn and walked in blocks of ``_BLOCK`` sample indices,
-    so working memory does not grow with ``mc_samples``.
     """
     if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or not 0 < threshold < 1:
         raise ValueError("need n_max >= 0, sequence_samples >= 1, mc_samples >= 1 "
@@ -449,7 +441,7 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
         seq[:n_adv, col + n] = np.argmax(slack[:n_adv], axis=1)
 
     per_seq = np.zeros(sequence_samples, dtype=np.int64)
-    for block in _blocks(mu, derive_seed(seed, "batch"), mc_samples):
+    for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples, sequence_samples):
         alive = np.ones((sequence_samples, len(block)), dtype=bool)
         for n, cur in _window(f, block, n_max, two):
             used, remap = np.unique(seq[:, col + n], return_inverse=True)
@@ -479,13 +471,12 @@ class FractionEstimate:
     seed: int
 
 
-def _tail_spread(space: geo.SpaceDescriptor, tail: list[np.ndarray]) -> np.ndarray:
-    """Max pairwise distance within each sample's tail segment."""
-    spread = np.zeros(len(tail[0]))
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            spread = np.maximum(spread, geo.distance(space, tail[i], tail[j]))
-    return spread
+def _fraction(mu: MeasureSpec, samples: int, seed: int, hit) -> FractionEstimate:
+    """Fraction of mu's samples where the row mask hit(block) holds."""
+    hits = sum(int(np.count_nonzero(hit(b))) for b in sample_blocks(mu, seed, samples))
+    lo, hi = wilson_interval(hits, samples)
+    return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
+                            hits=hits, samples=int(samples), seed=int(seed))
 
 
 def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
@@ -504,18 +495,17 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
         raise ValueError("need w >= 2 and n_max > w")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    batch = mu.sample_coords(seed, samples)
-    fwd: list[np.ndarray] = []
-    bwd: list[np.ndarray] = []
-    for n, cur in _window(f, batch, n_max, True):
-        if abs(n) > n_max - w:
-            (fwd if n > 0 else bwd).append(cur)
-    converged = ((_tail_spread(f.space, fwd) <= tol)
-                 & (_tail_spread(f.space, bwd) <= tol))
-    hits = int(converged.sum())
-    lo, hi = wilson_interval(hits, samples)
-    return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
-                            hits=hits, samples=int(samples), seed=int(seed))
+
+    def converged(batch):  # every pair of same-side tail iterates within tol
+        tail = [(n > 0, cur) for n, cur in _window(f, batch, n_max, True)
+                if abs(n) > n_max - w]
+        ok = np.ones(len(batch), dtype=bool)
+        for (side_a, a), (side_b, b) in combinations(tail, 2):
+            if side_a == side_b:
+                ok &= geo.distance(f.space, a, b) <= tol
+        return ok
+
+    return _fraction(mu, samples, seed, converged)
 
 
 def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
@@ -524,13 +514,12 @@ def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
     """Fraction of samples within eps of closing up at some period <= max_period."""
     if max_period < 1 or eps <= 0:
         raise ValueError("need max_period >= 1 and eps > 0")
-    batch = mu.sample_coords(seed, samples)
-    near = np.zeros(samples, dtype=bool)
-    cur = batch
-    for _ in range(max_period):
-        cur = f.forward(cur)
-        near |= geo.distance(f.space, cur, batch) <= eps
-    hits = int(near.sum())
-    lo, hi = wilson_interval(hits, samples)
-    return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
-                            hits=hits, samples=int(samples), seed=int(seed))
+
+    def near(batch):
+        cur, close = batch, np.zeros(len(batch), dtype=bool)
+        for _ in range(max_period):
+            cur = f.forward(cur)
+            close |= geo.distance(f.space, cur, batch) <= eps
+        return close
+
+    return _fraction(mu, samples, seed, near)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry as geo
-from .denjoy import DenjoyConstruction
+from .denjoy import DenjoyConstruction, build_denjoy
 from .errors import SpaceMismatchError
 from .rng import uniform_block
 from .stats import wilson_interval
@@ -38,6 +38,20 @@ class MeasureSpec:
         return self.transform(u)
 
 
+# most rows per block: a caller's (width, block) matrix stays within
+# 32 * _BLOCK entries whatever the sample budget
+_BLOCK = 1 << 16
+
+
+def sample_blocks(mu: MeasureSpec, key: int, samples: int, width: int = 1):
+    """Yield mu.sample_coords(key, samples) in consecutive blocks of
+    min(_BLOCK, 32 * _BLOCK // width) rows, at least one; draws are
+    counter-based, so the rows equal the one-shot draw."""
+    rows = max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)))
+    for lo in range(0, samples, rows):
+        yield mu.sample_coords(key, min(rows, samples - lo), start=lo)
+
+
 def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
               seed: int = 0) -> tuple[float, float, float]:
     """(estimate, ci_low, ci_high); exact point interval when an oracle exists."""
@@ -46,8 +60,8 @@ def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
     if mu.ball_oracle is not None:
         v = float(mu.ball_oracle(ball))
         return v, v, v
-    pts = mu.sample_coords(seed, samples)
-    hits = int(np.count_nonzero(geo.ball_contains(ball, pts)))
+    hits = sum(int(np.count_nonzero(geo.ball_contains(ball, pts)))
+               for pts in sample_blocks(mu, seed, samples))
     lo, hi = wilson_interval(hits, samples)
     return hits / samples, lo, hi
 
@@ -137,7 +151,6 @@ def make_measure(name: str, space: geo.SpaceDescriptor,
     if name == "lebesgue":
         return make_lebesgue(space)
     if name == "denjoy-minimal":
-        from .denjoy import build_denjoy
         return make_denjoy_minimal(denjoy_construction or build_denjoy())
     if name.startswith("dirac:"):
         coords = tuple(float(v) for v in name.split(":", 1)[1].split(","))

@@ -161,18 +161,6 @@ def make_denjoy(construction: DenjoyConstruction | None = None) -> SystemSpec:
                       forward=c.forward, inverse=c.inverse)
 
 
-def make_zoo(denjoy_construction: DenjoyConstruction | None = None) -> list[SystemSpec]:
-    return [
-        make_identity(),
-        make_rotation(),
-        make_doubling(),
-        make_tent(),
-        make_cat(),
-        make_interval_square(),
-        make_denjoy(denjoy_construction),
-    ]
-
-
 _FACTORIES = {
     "identity": make_identity,
     "rotation": make_rotation,
@@ -182,6 +170,11 @@ _FACTORIES = {
     "interval-square": make_interval_square,
     "denjoy": make_denjoy,
 }
+
+
+def make_zoo(denjoy_construction: DenjoyConstruction | None = None) -> list[SystemSpec]:
+    return [make(denjoy_construction) if name == "denjoy" else make()
+            for name, make in _FACTORIES.items()]
 
 
 # the parameters each factory takes, with their casts; systems not listed

@@ -260,6 +260,8 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
      "parameter alpha = inf for system 'rotation' is not a finite float"),
     (["decay", "--system", "denjoy", "--param", "N=8.5"],
      "parameter N = 8.5 for system 'denjoy' is not a finite int"),
+    (["decay", "--system", "denjoy", "--param", "N=100000000"],
+     "N=100000000 too large; need N <= 10000"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

@@ -3,15 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynball import (CapabilityError, Point, SpaceMismatchError, circle,
-                     converging_semiorbit_fraction, decay_series, distance,
+from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass,
+                     circle, converging_semiorbit_fraction, decay_series, distance,
                      dyn_ball_contains, expansiveness_verdict, generator_check,
                      interval, make_ball_cover, make_cat, make_denjoy,
                      make_denjoy_minimal, make_dirac, make_doubling, make_identity,
-                     make_interval_square, make_lebesgue, make_rotation, make_tent,
-                     periodic_fraction, power_consistency_check,
-                     product_diagonal_test, torus2)
-from dynball import expansiveness
+                     make_interval_square, make_lebesgue, make_measure,
+                     make_rotation, make_tent, periodic_fraction,
+                     power_consistency_check, product_diagonal_test, torus2)
+from dynball import measures
 from dynball.expansiveness import resolve_sided, survival_counts
 
 
@@ -91,7 +91,7 @@ def test_kernel_counts_independent_of_block_size(monkeypatch):
         monkeypatch.undo()  # the reference runs at the module's own block size
         want = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
         for block in (1, 7, 1999, 2000, 2001, *rng.integers(2, 1000, size=3)):
-            monkeypatch.setattr(expansiveness, "_BLOCK", int(block))
+            monkeypatch.setattr(measures, "_BLOCK", int(block))
             got = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
             assert np.array_equal(got, want), (f.name, block)
 
@@ -124,6 +124,51 @@ def test_decay_series_memory_bounded_in_samples():
                                                 samples=2_000_000, seed=46))
     assert 0.09 <= s.terminal <= 0.11
     assert peak < 8 * 2 ** 20
+
+
+def test_kernel_memory_bounded_in_center_count():
+    # 256 centers: 65,536-sample blocks would make each window-1 (center,
+    # sample) matrix 128 MiB; narrower blocks keep it at 32 * _BLOCK entries
+    f, mu = make_rotation(), make_lebesgue(circle())
+    centers = mu.sample_coords(seed=49, count=256)
+    counts, peak = _traced_peak(lambda: survival_counts(
+        f, mu, 50, 200_000, centers, [0.05], "two_sided", 3))
+    assert 0.09 <= counts[0, :, -1].sum() / (256 * 200_000) <= 0.11
+    assert peak < 96 * 2 ** 20
+
+
+# estimators that count hits over one sample budget, as functions of the
+# sample count; at 300 samples each has both hits and misses
+_BATCH_ESTIMATORS = {
+    "converging": lambda n: converging_semiorbit_fraction(
+        make_interval_square(), make_lebesgue(interval()), w=3, tol=1e-3, n_max=10,
+        samples=n, seed=51),
+    "periodic": lambda n: periodic_fraction(
+        make_cat(), make_lebesgue(torus2()), max_period=3, eps=0.1, samples=n, seed=52),
+    "diagonal": lambda n: product_diagonal_test(
+        make_doubling(), make_lebesgue(circle()), 0.1, n_max=4, pair_samples=n,
+        seed=53, fubini_probes=2),
+    "ball_mass": lambda n: ball_mass(
+        make_measure("pushforward:sqrt", interval()),
+        Ball(Point(interval(), (0.3,)), 0.1), samples=n, seed=54),
+}
+
+
+@pytest.mark.parametrize("name", _BATCH_ESTIMATORS)
+def test_batch_estimators_independent_of_block_size(monkeypatch, name):
+    estimate, n = _BATCH_ESTIMATORS[name], 300
+    want = estimate(n)  # at the module's own block size
+    for block in (1, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(measures, "_BLOCK", block)
+        assert estimate(n) == want, block
+
+
+@pytest.mark.parametrize("name", _BATCH_ESTIMATORS)
+def test_batch_estimators_memory_bounded_in_samples(name):
+    # a whole 2M-sample draw and its per-sample temporaries peak at 45 to
+    # 155 MiB
+    _, peak = _traced_peak(lambda: _BATCH_ESTIMATORS[name](2_000_000))
+    assert peak < 16 * 2 ** 20
 
 
 def test_isometry_series_is_flat():
@@ -304,7 +349,7 @@ def test_generator_counts_independent_of_block_size(denjoy_c, monkeypatch):
         want = generator_check(f, mu, cover, **kw)
         assert max(want.per_sequence) > 0
         for block in (1, 7, 1999, 2000, 2001):
-            monkeypatch.setattr(expansiveness, "_BLOCK", block)
+            monkeypatch.setattr(measures, "_BLOCK", block)
             assert generator_check(f, mu, cover, **kw) == want, (f.name, block)
 
 

@@ -244,6 +244,8 @@ def test_denjoy_construction_rejects_bad_input():
     with pytest.raises(ConstructionError):
         build_denjoy(N=4)
     with pytest.raises(ConstructionError):
+        build_denjoy(N=10_001)
+    with pytest.raises(ConstructionError):
         build_denjoy(alpha=0.5, N=16)
     with pytest.raises(ConstructionError):
         build_denjoy(alpha=1.5, N=16)
