@@ -10,7 +10,7 @@ so results are independent of batch splits and worker counts.
 """
 __version__ = "0.1.0"
 
-from .denjoy import DenjoyConstruction, build_denjoy, rotation_number_estimate
+from .denjoy import DenjoyConstruction, build_denjoy
 from .entropy import (EntropyEstimate, bk_entropy, entropy_implies_expansive_check,
                       fit_decay_slope, local_entropy, power_law_check,
                       volume_expanding_check)
@@ -21,7 +21,7 @@ from .expansiveness import (DecaySeries, ExpansivenessVerdict,
                             dyn_ball_contains, expansiveness_verdict,
                             generator_check, periodic_fraction,
                             power_consistency_check, product_diagonal_test)
-from .geometry import (Ball, Point, SpaceDescriptor, box, circle, distance,
+from .geometry import (Ball, Point, SpaceDescriptor, circle, distance,
                        interval, lebesgue_number, make_ball_cover, torus2)
 from .measures import (MeasureSpec, ball_mass, make_dirac, make_denjoy_minimal,
                        make_lebesgue, make_measure, measure_names, pushforward)
@@ -34,13 +34,13 @@ from .battery import (BatteryReport, TheoremCase, case_info,
 
 __all__ = [
     "__version__",
-    "Ball", "Point", "SpaceDescriptor", "box", "circle", "distance", "interval",
+    "Ball", "Point", "SpaceDescriptor", "circle", "distance", "interval",
     "lebesgue_number", "make_ball_cover", "torus2",
     "SystemSpec", "LinearMapSpec", "GammaZeroReport", "get_system", "iterate",
     "linear_gamma_zero", "make_cat", "make_denjoy", "make_doubling",
     "make_identity", "make_interval_square", "make_rotation", "make_tent",
     "make_zoo", "zoo_names",
-    "DenjoyConstruction", "build_denjoy", "rotation_number_estimate",
+    "DenjoyConstruction", "build_denjoy",
     "MeasureSpec", "ball_mass", "make_dirac", "make_denjoy_minimal",
     "make_lebesgue", "make_measure", "measure_names", "pushforward",
     "DecaySeries", "ExpansivenessVerdict", "converging_semiorbit_fraction",

@@ -28,7 +28,6 @@ Truncation details that keep the map an honest homeomorphism:
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -186,23 +185,3 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> DenjoyConstruc
         staircase_x=hx, staircase_y=hy,
         orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum)
 
-
-def rotation_number_estimate(c: DenjoyConstruction, n_iter: int = 1_000_000,
-                             x0: float = 0.123456789) -> float:
-    """Birkhoff average of lift displacements along one orbit.
-
-    For a circle homeomorphism the partial displacements satisfy
-    |F^n(x) - x - n*rho| <= 1, so the estimate is within 1/n_iter of the
-    map's true rotation number; the construction itself holds that number
-    within one bracket cell (2**-21) of alpha.
-    """
-    xs = c.map_x.tolist()
-    ys = c.map_y.tolist()
-    x = x0 % 1.0
-    disp = 0.0
-    for _ in range(n_iter):
-        j = bisect_right(xs, x) - 1
-        y = ys[j] + (ys[j + 1] - ys[j]) * (x - xs[j]) / (xs[j + 1] - xs[j])
-        disp += y - x
-        x = y % 1.0
-    return disp / n_iter

@@ -32,6 +32,7 @@ from . import geometry as geo
 from .errors import CapabilityError, InsufficientSamplesError, SpaceMismatchError
 from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
+from .stats import check_samples
 from .systems import SystemSpec, compose_power
 from .expansiveness import ONE_SIDED, expansiveness_verdict, survival_counts
 
@@ -122,6 +123,7 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
                samples: int = 100_000, seed: int = 0) -> EntropyEstimate:
     """Entropy rate: min over probes of per-center slopes, per radius,
     then the plateau value across the radius grid."""
+    check_samples(samples)
     if x_probes < 20:
         raise ValueError("x_probes must be >= 20")
     if mu.space != f.space:

@@ -40,7 +40,7 @@ from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
 from .measures import MeasureSpec, make_dirac, sample_blocks
 from .rng import derive_seed
-from .stats import wilson_interval
+from .stats import check_samples, wilson_interval
 from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
@@ -217,8 +217,7 @@ def decay_series(f: SystemSpec, mu: MeasureSpec, x: geo.Point, delta: float,
                  sided: str | None = None, n_max: int = 30,
                  samples: int = 100_000, seed: int = 0) -> DecaySeries:
     """Window-measure estimates at a single center from one sample batch."""
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
+    check_samples(samples)
     if not isinstance(x, geo.Point):
         x = geo.Point(f.space, x)
     if mu.space != f.space or x.space != f.space:
@@ -261,6 +260,7 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
     correction, so its union bound is ``x_probes * 2.5%``: 50% at the
     default 20 probes when every probe mass sits just under the threshold.
     """
+    check_samples(samples)
     if not 0 < threshold < 1:  # a window mass is at most 1
         raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if x_probes < 20:
@@ -361,6 +361,9 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     Fubini the same number is the mu-average over centers x of the
     window mass at x, estimated from probe-averaged decay terminals.
     """
+    check_samples(pair_samples)
+    if fubini_probes < 2:  # the probe spread needs two terminals
+        raise ValueError(f"fubini_probes must be >= 2, got {fubini_probes!r}")
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
@@ -417,9 +420,9 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     Evidence for a generator means even the worst sequence's upper CI
     stays at or below the threshold.
     """
-    if n_max < 0 or sequence_samples < 1 or mc_samples < 1 or not 0 < threshold < 1:
-        raise ValueError("need n_max >= 0, sequence_samples >= 1, mc_samples >= 1 "
-                         "and 0 < threshold < 1")
+    check_samples(mc_samples)
+    if n_max < 0 or sequence_samples < 1 or not 0 < threshold < 1:
+        raise ValueError("need n_max >= 0, sequence_samples >= 1 and 0 < threshold < 1")
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
@@ -434,11 +437,15 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     rng = Generator(Philox(key=derive_seed(seed, "random-sequences")))
     seq = np.empty((sequence_samples, col + n_max + 1), dtype=np.int64)
     seq[n_adv:] = rng.integers(0, len(cover), size=(n_rand, seq.shape[1]))
-    # adversarial: deepest-containment element along each pilot orbit
-    pilots = mu.sample_coords(derive_seed(seed, "pilots"), max(n_adv, 1))
-    for n, cur in _window(f, pilots, n_max, two):
-        slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
-        seq[:n_adv, col + n] = np.argmax(slack[:n_adv], axis=1)
+    # adversarial: deepest-containment element along each pilot orbit, the
+    # pilots walked in blocks so the (pilot, element) slack stays bounded
+    start = 0
+    for pilots in sample_blocks(mu, derive_seed(seed, "pilots"), n_adv, len(cover)):
+        rows = slice(start, start + len(pilots))
+        for n, cur in _window(f, pilots, n_max, two):
+            slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
+            seq[rows, col + n] = np.argmax(slack, axis=1)
+        start = rows.stop
 
     per_seq = np.zeros(sequence_samples, dtype=np.int64)
     for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples, sequence_samples):

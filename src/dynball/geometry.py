@@ -1,15 +1,14 @@
 """Spaces, points, balls, and covers.
 
-Supported spaces are the circle R/Z, the unit interval, the 2-torus,
-and axis-aligned boxes.  Periodic axes use the quotient metric
-min(|a-b|, 1-|a-b|); multi-axis spaces combine coordinates by summing
-per-axis distances, so balls on the torus are L1 diamonds.  All ball
-membership tests are closed (<=).
+A space is its kind: the circle R/Z, the unit interval [0, 1] or the
+2-torus R^2/Z^2, every axis of unit length.  Periodic axes use the
+quotient metric min(|a-b|, 1-|a-b|); the torus sums its per-axis
+distances, so its balls are L1 diamonds.  All ball membership tests are
+closed (<=).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -18,9 +17,9 @@ from .errors import NotACoverError, SpaceMismatchError
 CIRCLE = "circle"
 INTERVAL = "interval"
 TORUS2 = "torus2"
-BOX = "box"
 
-_PERIODIC_KINDS = {CIRCLE: True, INTERVAL: False, TORUS2: True, BOX: False}
+# kind -> (dim, periodic)
+_KINDS = {CIRCLE: (1, True), INTERVAL: (1, False), TORUS2: (2, True)}
 
 # Largest ball cover make_ball_cover builds; building and probing one
 # takes seconds at this size and grows as step ** -dim.
@@ -35,42 +34,30 @@ class SpaceDescriptor:
     """A compact metric space the estimators can sample and measure on."""
 
     kind: str
-    bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.kind not in _PERIODIC_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        for lo, hi in self.bounds:
-            if not hi > lo:
-                raise ValueError("each axis needs lo < hi")
 
     @property
     def dim(self) -> int:
-        return len(self.bounds)
+        return _KINDS[self.kind][0]
 
     @property
     def periodic(self) -> bool:
-        return _PERIODIC_KINDS[self.kind]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.bounds])
+        return _KINDS[self.kind][1]
 
 
 def circle() -> SpaceDescriptor:
-    return SpaceDescriptor(CIRCLE, ((0.0, 1.0),))
+    return SpaceDescriptor(CIRCLE)
 
 
 def interval() -> SpaceDescriptor:
-    return SpaceDescriptor(INTERVAL, ((0.0, 1.0),))
+    return SpaceDescriptor(INTERVAL)
 
 
 def torus2() -> SpaceDescriptor:
-    return SpaceDescriptor(TORUS2, ((0.0, 1.0), (0.0, 1.0)))
-
-
-def box(bounds: Iterable[tuple[float, float]]) -> SpaceDescriptor:
-    return SpaceDescriptor(BOX, tuple((float(lo), float(hi)) for lo, hi in bounds))
+    return SpaceDescriptor(TORUS2)
 
 
 def wrap01(x: np.ndarray) -> np.ndarray:
@@ -81,31 +68,9 @@ def wrap01(x: np.ndarray) -> np.ndarray:
     is exact, so both it and ``x - floor(x)`` round the one exact real
     ``x - floor(x)`` once, to the same double (e.g. -1e-20 gives 1.0 in
     both).  A zero result is +0.0 in both, and NaN or +-inf give NaN.
-    Unit period only: a general width rounds differently (see
-    ``canonicalize``).
     """
     x -= np.floor(x)
     return x
-
-
-def canonicalize(space: SpaceDescriptor, coords: np.ndarray) -> np.ndarray:
-    """Fold periodic coordinates into their fundamental domain."""
-    coords = np.asarray(coords, dtype=float)
-    if not space.periodic:
-        return coords
-    lo = np.array([b[0] for b in space.bounds])
-    return lo + np.mod(coords - lo, space.widths)
-
-
-def contains(space: SpaceDescriptor, coords: np.ndarray) -> np.ndarray:
-    """Membership in the underlying set (always true on periodic spaces
-    after canonicalization)."""
-    coords = np.asarray(coords, dtype=float)
-    if space.periodic:
-        return np.ones(coords.shape[:-1], dtype=bool)
-    lo = np.array([b[0] for b in space.bounds])
-    hi = np.array([b[1] for b in space.bounds])
-    return np.all((coords >= lo) & (coords <= hi), axis=-1)
 
 
 def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,19 +81,19 @@ def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w = space.widths
     total = None
     for ax in range(space.dim):
         diff = np.abs(a[..., ax] - b[..., ax])
         if space.periodic:
-            diff = np.minimum(diff, w[ax] - diff)
+            diff = np.minimum(diff, 1.0 - diff)
         total = diff if total is None else total + diff
     return total
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point of a space, canonicalized on construction."""
+    """A point of a space, folded with ``wrap01`` on periodic spaces and
+    checked to lie in [0, 1] on the interval."""
 
     space: SpaceDescriptor
     coords: tuple[float, ...]
@@ -141,11 +106,12 @@ class Point:
         if not np.all(np.isfinite(arr)):
             raise SpaceMismatchError(
                 f"coords {tuple(float(v) for v in arr)} must be finite")
-        arr = canonicalize(self.space, arr)
-        coords = tuple(float(v) for v in arr)
-        if not bool(contains(self.space, arr)):
-            raise SpaceMismatchError(f"coords {coords} outside {self.space.kind} bounds")
-        object.__setattr__(self, "coords", coords)
+        if self.space.periodic:
+            arr = wrap01(arr.copy())  # arr may alias the caller's array
+        elif not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise SpaceMismatchError(
+                f"coords {tuple(float(v) for v in arr)} outside interval bounds")
+        object.__setattr__(self, "coords", tuple(float(v) for v in arr))
 
     @property
     def array(self) -> np.ndarray:
@@ -183,13 +149,11 @@ def probe_grid(space: SpaceDescriptor, count: int) -> np.ndarray:
         raise ValueError("count must be positive")
     d = space.dim
     per_axis = int(np.ceil(count ** (1.0 / d)))
-    axes = []
-    for (lo, hi) in space.bounds:
-        if space.periodic:
-            axes.append(lo + (hi - lo) * np.arange(per_axis) / per_axis)
-        else:
-            axes.append(np.linspace(lo, hi, max(per_axis, 2)))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    if space.periodic:
+        axis = np.arange(per_axis) / per_axis
+    else:
+        axis = np.linspace(0.0, 1.0, max(per_axis, 2))
+    mesh = np.meshgrid(*[axis] * d, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -202,7 +166,7 @@ def make_ball_cover(space: SpaceDescriptor, radius: float, step: float) -> list[
     ``_MAX_COVER_SIZE`` elements.
     """
     with np.errstate(over="ignore"):  # a subnormal step gives inf, refused below
-        per_axis = max(np.ceil(space.widths.max() / step), 1.0)
+        per_axis = max(np.ceil(1.0 / step), 1.0)
         size = per_axis ** space.dim
     if size > _MAX_COVER_SIZE:
         raise ValueError(f"a ball cover at step {step!r} has {size:.0f} elements, "

@@ -5,6 +5,18 @@ import numpy as np
 
 Z95 = 1.96
 
+# smallest sample budget the decay, verdict, entropy, diagonal and
+# generator estimators take; at 100 samples a Wilson interval around 1/2
+# is still about +-0.1 wide
+MIN_SAMPLES = 100
+
+
+def check_samples(samples: int) -> None:
+    """Refuse a sample budget below MIN_SAMPLES, in the same words for
+    each of those estimators."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+
 
 def wilson_interval(successes, trials):
     """Wilson 95% score interval for a binomial proportion.

@@ -86,11 +86,23 @@ def test_decay_golden_bytes(tmp_path):
     (["battery", "--cases", "pp2,diagonal,pp0,thA,emu-positive,exxx1", "--workers", "1"],
      None,
      "ce53d134bd889acd678bc18762edea7d1c7836d399023fd67055225f4be93497"),
+    # interval spaces, recorded while spaces still carried per-axis bounds
+    (["decay", "--system", "tent", "--samples", "20000"],
+     "3c3ec60afdb0862ce1c4c779d7d4a3c7a52348546b4b896e3758672908606c95",
+     "89cca7583cdd76ea4cbc5af472faf433a88be5e0ac943b28a3710117b83f733d"),
+    (["verdict", "--system", "interval-square", "--measure", "pushforward:sqrt",
+      "--samples", "20000"],
+     "da24e65aabb65eb8545889ca54c15afdb12e05390cda9ab6f2a35a92e2e7ed9c",
+     "c24295f25d58647ef89da98ed68a113c3a48ad675cc0a202f527818bae5ce14a"),
+    (["battery", "--cases", "isometry,thD", "--workers", "1"],
+     None,
+     "15502579d1ccdafcccd5c36b4282d14d1dbfbcb9de85d6cd0eb0ece732c7b0e7"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     # digests recorded from the dense survival kernel and the dense generator
-    # mask, the denjoy and battery rows before the spec types were trimmed:
-    # speed and simplicity work must leave every csv/json byte as it was
+    # mask, the denjoy and battery rows before the spec types were trimmed,
+    # the interval rows before spaces lost their bounds: speed and
+    # simplicity work must leave every csv/json byte as it was
     assert run(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     cmd = argv[0]
     if csv_sha is not None:
@@ -243,7 +255,7 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
      "config value nmax = '2.5' is not a valid int"),
     (["generator", "--nmax", "-1"], "need n_max >= 0"),
     (["generator", "--sequences", "0"], "need n_max >= 0"),
-    (["generator", "--mc-samples", "0"], "need n_max >= 0"),
+    (["generator", "--mc-samples", "0"], "need at least 100 samples, got 0"),
     (["generator", "--threshold", "0"], "need n_max >= 0"),
     (["decay", "--system", "interval-square", "--x", "1.5"],
      "coords (1.5,) outside interval bounds"),
@@ -262,6 +274,11 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
      "parameter N = 8.5 for system 'denjoy' is not a finite int"),
     (["decay", "--system", "denjoy", "--param", "N=100000000"],
      "N=100000000 too large; need N <= 10000"),
+    # one sample floor for every data command
+    (["decay", "--samples", "1"], "need at least 100 samples, got 1"),
+    (["verdict", "--samples", "1"], "need at least 100 samples, got 1"),
+    (["entropy", "--samples", "1"], "need at least 100 samples, got 1"),
+    (["generator", "--mc-samples", "1"], "need at least 100 samples, got 1"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

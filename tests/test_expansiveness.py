@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass,
-                     circle, converging_semiorbit_fraction, decay_series, distance,
+                     bk_entropy, circle, converging_semiorbit_fraction, decay_series, distance,
                      dyn_ball_contains, expansiveness_verdict, generator_check,
                      interval, make_ball_cover, make_cat, make_denjoy,
                      make_denjoy_minimal, make_dirac, make_doubling, make_identity,
@@ -362,6 +362,45 @@ def test_generator_memory_bounded_in_batch_size():
                                                    mc_samples=1_000_000, seed=48))
     assert g.max_intersection_estimate >= 0.15  # an isometry keeps its mass
     assert peak < 64 * 2 ** 20
+
+
+def test_generator_memory_bounded_in_sequence_count():
+    # 8192 sequences over a 2000-ball cover: one (pilot, element) slack
+    # table for all 4096 pilots would peak near 250 MiB
+    f, mu = make_rotation(), make_lebesgue(circle())
+    cover = make_ball_cover(circle(), radius=0.001, step=0.0005)
+    g, peak = _traced_peak(lambda: generator_check(f, mu, cover, n_max=2,
+                                                   sequence_samples=8192,
+                                                   mc_samples=1000, seed=48))
+    assert len(cover) == 2000 and g.sequences_tested == 8192
+    assert peak < 96 * 2 ** 20
+
+
+def test_diagonal_rejects_single_fubini_probe():
+    # one probe has no spread, so the Fubini interval would be NaN
+    with pytest.raises(ValueError, match="fubini_probes must be >= 2, got 1"):
+        product_diagonal_test(make_doubling(), make_lebesgue(circle()), 0.1, n_max=4,
+                              pair_samples=1000, seed=53, fubini_probes=1)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda mu, n: decay_series(make_rotation(), mu, (0.3,), 0.05, n_max=3, samples=n),
+    lambda mu, n: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=3, samples=n),
+    lambda mu, n: bk_entropy(make_doubling(), mu, (0.1, 0.05), n_range=(1, 4),
+                             samples=n),
+    lambda mu, n: generator_check(make_doubling(), mu,
+                                  make_ball_cover(circle(), radius=0.3, step=0.2),
+                                  n_max=2, sequence_samples=2, mc_samples=n),
+    lambda mu, n: product_diagonal_test(make_doubling(), mu, 0.1, n_max=3,
+                                        pair_samples=n, fubini_probes=2),
+], ids=["decay_series", "expansiveness_verdict", "bk_entropy", "generator_check",
+        "product_diagonal_test"])
+def test_sample_floor(estimate):
+    mu = make_lebesgue(circle())
+    for n in (0, 1, 99):
+        with pytest.raises(ValueError, match=f"^need at least 100 samples, got {n}$"):
+            estimate(mu, n)
+    estimate(mu, 100)
 
 
 def test_converging_semiorbit_fractions():

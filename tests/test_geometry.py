@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dynball import (Ball, NotACoverError, Point, SpaceMismatchError, box,
-                     circle, distance, interval, lebesgue_number,
-                     make_ball_cover, make_lebesgue, torus2)
+from dynball import (Ball, NotACoverError, Point, SpaceDescriptor,
+                     SpaceMismatchError, circle, distance, interval,
+                     lebesgue_number, make_ball_cover, make_lebesgue, torus2)
 from dynball import geometry as geo
 
 
@@ -16,9 +16,8 @@ def test_circle_distance_wraps():
 
 def test_distance_metric_axioms_random():
     rng = np.random.default_rng(42)
-    for sp in (circle(), interval(), torus2(), box(((0.0, 2.0), (0.0, 3.0)))):
-        pts = rng.random((50, 3, sp.dim)) * np.array(sp.widths)
-        pts += np.array([b[0] for b in sp.bounds])
+    for sp in (circle(), interval(), torus2()):
+        pts = rng.random((50, 3, sp.dim))
         a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
         dab = distance(sp, a, b)
         dba = distance(sp, b, a)
@@ -47,8 +46,27 @@ def test_point_canonicalization_and_validation():
     assert q.coords == (0.75,)
     with pytest.raises(SpaceMismatchError):
         Point(circle(), (0.1, 0.2))
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError, match="outside interval bounds"):
         Point(interval(), (1.5,))
+    with pytest.raises(SpaceMismatchError, match="outside interval bounds"):
+        Point(interval(), (-0.25,))
+    assert Point(interval(), (0.0,)).coords == (0.0,)
+    assert Point(interval(), (1.0,)).coords == (1.0,)
+
+
+def test_space_is_its_kind():
+    assert [(sp.dim, sp.periodic) for sp in (circle(), interval(), torus2())] == \
+        [(1, True), (1, False), (2, True)]
+    assert SpaceDescriptor("circle") == circle()
+    with pytest.raises(ValueError, match="unknown space kind"):
+        SpaceDescriptor("box")
+
+
+def test_point_leaves_caller_array_unfolded():
+    coords = np.array([1.25, -0.25])
+    p = Point(torus2(), coords)
+    assert p.coords == (0.25, 0.75)
+    assert list(coords) == [1.25, -0.25]
 
 
 def test_probe_grid_periodic_drops_right_endpoint():

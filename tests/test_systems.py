@@ -6,8 +6,7 @@ from dynball import (CapabilityError, ConstructionError, LinearMapSpec,
                      expansiveness_verdict, get_system, iterate,
                      linear_gamma_zero, make_cat, make_denjoy, make_doubling,
                      make_identity, make_interval_square, make_lebesgue,
-                     make_rotation, make_tent, make_zoo,
-                     rotation_number_estimate, zoo_names)
+                     make_rotation, make_tent, make_zoo, zoo_names)
 from dynball.denjoy import SQUEEZE
 from dynball.expansiveness import ONE_SIDED, TWO_SIDED, resolve_sided
 from dynball.systems import CAT_INVERSE, CAT_MATRIX, compose_power
@@ -233,11 +232,6 @@ def test_denjoy_knots_are_the_affine_pieces(denjoy_c):
     img = make_denjoy(c).forward(c.insertion(t).reshape(-1, 1))[:, 0]
     err = np.abs(img - c.insertion((t + c.alpha) % 1.0))
     assert np.max(np.minimum(err, 1.0 - err)) < 1e-14
-
-
-def test_denjoy_rotation_number(denjoy_c):
-    rho = rotation_number_estimate(denjoy_c, n_iter=1_000_000)
-    assert abs(rho - denjoy_c.alpha) < 1e-6
 
 
 def test_denjoy_construction_rejects_bad_input():
