@@ -8,13 +8,14 @@ The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
 The four data commands are rows of one table, ``_COMMANDS``.  A row holds
-the command's flags with their defaults (flag ``--a-b`` sets ``a_b``; its
-type is the default's type, a ``None`` default meaning a string), the
-settings that must be finite positive lengths, the CSV header, and a
-function ``(f, mu, settings, seed)`` returning the result, the command's
-own config-echo fields, the CSV rows and a one-line summary.  The parser
-is generated from the table and ``_run`` does the shared steps once.
-``runtime_seconds`` times that function: the estimator plus decay's
+the command's flags with their defaults (flag ``--a-b`` sets ``a_b``), the
+CSV header, and a function ``(f, mu, settings, seed)`` returning the
+result, the command's own config-echo fields, the CSV rows and a one-line
+summary.  The parser is generated from the table, and its types read each
+setting once, whatever the source: a flag, a config-file line (made a flag
+placed before the command line's own, which win) or ``DYNBALL_SEED`` (the
+text default of ``--seed``).  ``_run`` does the shared steps once.
+``runtime_seconds`` times the row's function: the estimator plus decay's
 center draw and generator's cover build, not the system and measure
 construction or the file writes.  ``battery`` takes its flags from the
 same table but runs its own function.
@@ -46,113 +47,107 @@ from .rng import derive_seed
 from .systems import get_system, make_denjoy, system_params, zoo_names
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so ``main`` returns 2 for it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _integral(text: str) -> int:
+    """20000, or a float spelling of an integer such as 2e4."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():  # 2.5, inf, nan
+        raise ValueError(text)
+    return int(value)
+
+
+def _checked(read, ok):
+    """Reader that refuses a value ``ok`` rejects."""
+    def check(text: str):
+        value = read(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return check
+
+
+_length = _checked(float, lambda v: math.isfinite(v) and v > 0)
+
+
+def _key_value(text: str) -> tuple[str, str]:
+    key, value = text.split("=", 1)  # ValueError without "="
+    return key.strip(), value.strip()
+
+
+# setting -> (reader of its text, what the text must be).  Any other
+# setting is read by _integral if its default is an int, else kept as text;
+# a --param value stays text until systems.system_params casts it.
+_TYPES = {"delta": (_length, "finite and positive"),
+          "radius": (_length, "finite and positive"),
+          "step": (_length, "finite and positive"),
+          "delta_grid": (lambda t: tuple(map(_length, t.split(","))), "finite and positive"),
+          "x": (lambda t: tuple(map(float, t.split(","))), "comma-separated numbers"),
+          "threshold": (float, "a number"),
+          "seed": (_checked(_integral, lambda v: 0 <= v < 2 ** 64),
+                   "an integer in [0, 2**64)"),
+          "param": (_key_value, "key=value")}
+
+
+def _converter(key: str, default=None):
+    """The argparse type of setting ``key``: a usage error names the
+    setting and its text when the reader refuses the text."""
+    if key not in _TYPES and not isinstance(default, int):
+        return None
+    read, want = _TYPES.get(key, (_integral, "an integer"))
+
+    def convert(text: str):
         try:
-            return cast(text)
+            return read(text)
         except ValueError:
-            pass
-    return text
+            raise argparse.ArgumentTypeError(f"{key.replace('_', '-')} must be "
+                                             f"{want}, got {text!r}") from None
+    return convert
 
 
-def _parse_params(items: list[str] | None) -> dict:
-    params = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ValueError(f"--param expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        params[key.strip()] = _parse_value(value.strip())
-    return params
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_args(path: str, keys: set) -> list[str]:
+    """A config file's ``key = value`` lines as ``--key=value`` flags,
+    keeping the keys in ``keys``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"config {path} is not UTF-8 text") from None
+    flags = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if line and not eq:
             raise ValueError(f"config line needs key=value: {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+        if key.strip().replace("-", "_") in keys:
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _effective(args: argparse.Namespace, cfg: dict, flags: dict) -> dict:
-    """Flag > config file > default, per option.  A config-file value is
-    cast once to its default's type; ``None`` defaults are strings."""
-    out = {}
-    for key, default in flags.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            cast = str if default is None else type(default)
-            try:
-                value = _parse_value(cfg[key])
-                out[key] = cast(value)
-                if cast is int and out[key] != value:  # nmax = 2.5; 2e4 is 20000
-                    raise ValueError
-            except (ValueError, OverflowError):  # e.g. int('abc'), int(1e400)
-                raise ValueError(f"config value {key} = {cfg[key]!r} is not a "
-                                 f"valid {cast.__name__}") from None
-        else:
-            out[key] = default
-    return out
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("DYNBALL_SEED", "7"))
-
-
-def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        seed = int(args.seed)
-    elif "seed" in cfg:
-        seed = int(cfg["seed"])
-    else:
-        seed = _env_seed()
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return seed
-
-
-def _grid(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(","))
-
-
-def _check_lengths(settings: dict, *keys: str) -> None:
-    """Radii and cover steps must be finite and positive."""
-    for key in keys:
-        for value in _grid(settings[key]):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key.replace('_', '-')} must be finite and "
-                                 f"positive, got {value!r}")
-
-
-def _build_pair(settings: dict, params: dict):
-    """System + measure sharing one gapped-circle construction if needed."""
-    sys_name = settings["system"]
-    meas_name = settings["measure"]
-    kwargs = system_params(sys_name, params)
-    construction = None
-    if sys_name == "denjoy" or meas_name == "denjoy-minimal":
-        construction = build_denjoy(**system_params("denjoy", kwargs))
-    if sys_name == "denjoy":
-        f = make_denjoy(construction)
-    else:
-        f = get_system(sys_name, kwargs)
-    mu = make_measure(meas_name, f.space, denjoy_construction=construction)
-    return f, mu
+def _write(out: str, files: dict) -> None:
+    """Write each file of ``files`` into directory ``out``: text as it is,
+    a dict as sorted, indented JSON."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            if isinstance(data, dict):
+                data = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            (Path(out) / name).write_text(data)
+    except OSError as exc:
+        raise ValueError(f"cannot write to --out {out}: {exc.strerror}") from None
 
 
 def _decay(f, mu, s: dict, seed: int):
-    if s["x"] is not None:
-        coords = _grid(s["x"])
-    else:
-        coords = tuple(mu.sample_coords(derive_seed(seed, "x"), 1)[0])
+    coords = s["x"] or tuple(mu.sample_coords(derive_seed(seed, "x"), 1)[0])
     series = decay_series(f, mu, geo.Point(f.space, coords), s["delta"],
                           sided=s["sided"], n_max=s["nmax"],
                           samples=s["samples"], seed=seed)
@@ -175,7 +170,7 @@ def _verdict(f, mu, s: dict, seed: int):
 
 
 def _entropy(f, mu, s: dict, seed: int):
-    grid = _grid(s["delta_grid"])
+    grid = s["delta_grid"]
     n_range = (s["n_lo"], s["n_hi"])
     est = bk_entropy(f, mu, grid, n_range=n_range, x_probes=s["x_probes"],
                      samples=s["samples"], seed=seed)
@@ -206,7 +201,6 @@ class _Command(NamedTuple):
     help: str
     flags: dict                # setting -> default; flag --<setting with dashes>
     run: Callable | None = None  # (f, mu, settings, seed) -> result, echo, rows, summary
-    lengths: tuple = ()        # settings that must be finite positive lengths
     header: str = "n,estimate,ci_low,ci_high"
 
 
@@ -215,23 +209,23 @@ _COMMANDS = {
         "window-mass decay curve at one center",
         {"system": "rotation", "measure": "lebesgue", "delta": 0.05, "nmax": 20,
          "samples": 100_000, "sided": None, "x": None},
-        _decay, ("delta",)),
+        _decay),
     "verdict": _Command(
         "three-valued expansiveness verdict",
         {"system": "rotation", "measure": "lebesgue", "delta": 0.05, "nmax": 30,
          "samples": 100_000, "x_probes": 20, "threshold": 0.01, "sided": None},
-        _verdict, ("delta",)),
+        _verdict),
     "entropy": _Command(
         "local entropy rate over a radius grid",
         {"system": "doubling", "measure": "lebesgue", "delta_grid": "0.1,0.05,0.02",
          "n_lo": 1, "n_hi": 14, "x_probes": 30, "samples": 100_000},
-        _entropy, ("delta_grid",), "delta,estimate,ci_low,ci_high"),
+        _entropy, "delta,estimate,ci_low,ci_high"),
     "generator": _Command(
         "cover-sequence intersection check",
         {"system": "doubling", "measure": "lebesgue", "radius": 0.1, "step": 0.05,
          "nmax": 10, "sequences": 32, "mc_samples": 100_000, "threshold": 0.01,
          "sided": None},
-        _generator, ("radius", "step")),
+        _generator),
     "battery": _Command("run the theorem battery", {"cases": None, "workers": 1}),
 }
 _SIDED = ["one", "two", "one_sided", "two_sided"]
@@ -239,63 +233,52 @@ _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
 
-def _run(command: str, args: argparse.Namespace, cfg: dict) -> int:
+def _run(command: str, args: argparse.Namespace) -> int:
     """Shared steps of the data commands; only the table's function is timed."""
     spec = _COMMANDS[command]
-    settings = _effective(args, cfg, spec.flags)
-    _check_lengths(settings, *spec.lengths)
-    seed = _resolve_seed(args, cfg)
-    params = _parse_params(args.param)
-    f, mu = _build_pair(settings, params)
+    params = system_params(args.system, dict(args.param or ()))
+    # the system and the measure share one gapped-circle construction
+    construction = None
+    if args.system == "denjoy" or args.measure == "denjoy-minimal":
+        construction = build_denjoy(**system_params("denjoy", params))
+    f = make_denjoy(construction) if args.system == "denjoy" else get_system(args.system, params)
+    mu = make_measure(args.measure, f.space, denjoy_construction=construction)
     t0 = time.perf_counter()
-    result, fields, rows, summary = spec.run(f, mu, settings, seed)
+    result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
     runtime = time.perf_counter() - t0
     echo = {"system": {"name": f.name, "params": params},
-            "measure": {"name": mu.name}, **fields, "seed": seed}
+            "measure": {"name": mu.name}, **fields, "seed": args.seed}
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"# dynball {__version__}",
              f"# command: {command}",
              f"# config: {json.dumps(echo, sort_keys=True, separators=(',', ':'))}",
-             f"# seed: {seed}",
+             f"# seed: {args.seed}",
              spec.header]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    (out / f"{command}.csv").write_text("\n".join(lines) + "\n")
     payload = {"version": __version__, "command": command,
-               "config": echo, "seed": seed, "result": result}
-    (out / f"{command}.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    meta = {"version": __version__, "command": command, "seed": seed,
+               "config": echo, "seed": args.seed, "result": result}
+    meta = {"version": __version__, "command": command, "seed": args.seed,
             "runtime_seconds": runtime}
-    (out / f"{command}.meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write(args.out, {f"{command}.csv": "\n".join(lines) + "\n",
+                      f"{command}.json": payload, f"{command}.meta.json": meta})
     print(f"{command}: {summary} -> {args.out}/{command}.json")
     return 0
 
 
-def _battery(args: argparse.Namespace, cfg: dict) -> int:
-    settings = _effective(args, cfg, _COMMANDS["battery"].flags)
-    seed = _resolve_seed(args, cfg)
-    workers = settings["workers"]
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    case_filter = None
-    if settings["cases"]:
-        case_filter = [c.strip() for c in settings["cases"].split(",")]
+def _battery(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    case_filter = [c.strip() for c in args.cases.split(",")] if args.cases else None
     t0 = time.perf_counter()
-    report = run_battery(case_filter=case_filter, seed=seed, workers=workers)
+    report = run_battery(case_filter=case_filter, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "battery.json").write_text(report.to_json())
-    (out / "battery.md").write_text(report.to_markdown())
-    meta = {"version": __version__, "command": "battery", "seed": seed,
-            "runtime_seconds": runtime, "workers": workers}
-    (out / "battery.meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta = {"version": __version__, "command": "battery", "seed": args.seed,
+            "runtime_seconds": runtime, "workers": args.workers}
+    _write(args.out, {"battery.json": report.to_json(),
+                      "battery.md": report.to_markdown(),
+                      "battery.meta.json": meta})
     tally = ", ".join(f"{n} {outcome}" for outcome, n in report.summary.items())
     print(f"battery: {tally} -> {args.out}/battery.md")
     if not report.all_clear:
@@ -305,11 +288,7 @@ def _battery(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _explain(args: argparse.Namespace) -> int:
-    try:
-        info = case_info(args.case_id)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    info = case_info(args.case_id)
     print(f"{info['id']}: {info['claim']}")
     print(f"systems: {', '.join(info['systems'])}")
     print(f"measures: {', '.join(info['measures'])}")
@@ -317,19 +296,15 @@ def _explain(args: argparse.Namespace) -> int:
 
 
 def _print_listing() -> None:
-    print("systems:")
-    for name in zoo_names():
-        print(f"  {name}")
-    print("measures:")
-    for name in measure_names():
-        print(f"  {name}")
-    print("battery cases:")
-    for cid in CASE_IDS:
-        print(f"  {cid}")
+    for title, names in (("systems", zoo_names()), ("measures", measure_names()),
+                         ("battery cases", CASE_IDS)):
+        print(f"{title}:")
+        for name in names:
+            print(f"  {name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynball",
         description="Monte-Carlo expansiveness and entropy estimates for "
                     "the built-in system zoo.")
@@ -339,12 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         for key, default in spec.flags.items():
-            p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key),
-                           type=str if default is None else type(default),
+            p.add_argument("--" + key.replace("_", "-"), default=default,
+                           type=_converter(key, default), help=_HELP.get(key),
                            choices=_SIDED if key == "sided" else None)
         if "system" in spec.flags:
-            p.add_argument("--param", action="append", metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int)
+            p.add_argument("--param", action="append", metavar="KEY=VALUE",
+                           type=_converter("param"))
+        # a text default goes through the type too: a bad DYNBALL_SEED is refused
+        p.add_argument("--seed", type=_converter("seed"),
+                       default=os.environ.get("DYNBALL_SEED", "7"))
         p.add_argument("--config")
         p.add_argument("--out", default=".")
     p = sub.add_parser("explain", help="describe one battery case")
@@ -353,21 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.list:
-        _print_listing()
-        return 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.command == "explain":
-        return _explain(args)
     try:
-        cfg = _load_config(args.config)
+        args = parser.parse_args(argv)
+        if args.list:
+            _print_listing()
+            return 0
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        if args.command == "explain":
+            return _explain(args)
+        if args.config is not None:
+            # file entries go right after the command name, so a flag wins
+            at = argv.index(args.command) + 1
+            keys = {*_COMMANDS[args.command].flags, "seed"}
+            args = parser.parse_args(argv[:at] + _config_args(args.config, keys)
+                                     + argv[at:])
         if args.command == "battery":
-            return _battery(args, cfg)
-        return _run(args.command, args, cfg)
+            return _battery(args)
+        return _run(args.command, args)
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3

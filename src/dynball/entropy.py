@@ -89,6 +89,7 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x: geo.Point,
                   delta_grid: Sequence[float], n_range: tuple[int, int] = (1, 14),
                   samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
+    check_samples(samples)
     if not isinstance(x, geo.Point):
         x = geo.Point(f.space, x)
     if x.space != f.space or mu.space != f.space:

@@ -421,8 +421,12 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     stays at or below the threshold.
     """
     check_samples(mc_samples)
-    if n_max < 0 or sequence_samples < 1 or not 0 < threshold < 1:
-        raise ValueError("need n_max >= 0, sequence_samples >= 1 and 0 < threshold < 1")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    if sequence_samples < 1:
+        raise ValueError(f"sequence_samples must be >= 1, got {sequence_samples!r}")
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
@@ -478,8 +482,12 @@ class FractionEstimate:
     seed: int
 
 
-def _fraction(mu: MeasureSpec, samples: int, seed: int, hit) -> FractionEstimate:
+def _fraction(f: SystemSpec, mu: MeasureSpec, samples: int, seed: int,
+              hit) -> FractionEstimate:
     """Fraction of mu's samples where the row mask hit(block) holds."""
+    check_samples(samples)
+    if mu.space != f.space:
+        raise SpaceMismatchError("system and measure must share a space")
     hits = sum(int(np.count_nonzero(hit(b))) for b in sample_blocks(mu, seed, samples))
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
@@ -512,7 +520,7 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
                 ok &= geo.distance(f.space, a, b) <= tol
         return ok
 
-    return _fraction(mu, samples, seed, converged)
+    return _fraction(f, mu, samples, seed, converged)
 
 
 def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
@@ -529,4 +537,4 @@ def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
             close |= geo.distance(f.space, cur, batch) <= eps
         return close
 
-    return _fraction(mu, samples, seed, near)
+    return _fraction(f, mu, samples, seed, near)

@@ -20,7 +20,7 @@ from . import geometry as geo
 from .denjoy import DenjoyConstruction, build_denjoy
 from .errors import SpaceMismatchError
 from .rng import uniform_block
-from .stats import wilson_interval
+from .stats import check_samples, wilson_interval
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
     if mu.ball_oracle is not None:
         v = float(mu.ball_oracle(ball))
         return v, v, v
+    check_samples(samples)
     hits = sum(int(np.count_nonzero(geo.ball_contains(ball, pts)))
                for pts in sample_blocks(mu, seed, samples))
     lo, hi = wilson_interval(hits, samples)
@@ -145,7 +146,10 @@ def make_measure(name: str, space: geo.SpaceDescriptor,
     if name == "denjoy-minimal":
         return make_denjoy_minimal(denjoy_construction or build_denjoy())
     if name.startswith("dirac:"):
-        coords = tuple(float(v) for v in name.split(":", 1)[1].split(","))
+        try:
+            coords = tuple(float(v) for v in name.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(f"measure {name!r} needs numbers after 'dirac:'") from None
         return make_dirac(geo.Point(space, coords))
     if name.startswith("pushforward:"):
         kind = name.split(":", 1)[1]

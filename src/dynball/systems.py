@@ -190,7 +190,8 @@ def zoo_names() -> list[str]:
 
 
 def system_params(name: str, params: dict | None = None) -> dict:
-    """Check ``params`` against the keys system ``name`` takes and cast them.
+    """Check ``params`` against the keys system ``name`` takes and cast each
+    value, a number or its text, through float (``N = "1e2"`` is 100).
 
     Raises KeyError, listing the known keys, on an unknown system or key,
     and ValueError on a value that is not finite or, for an int key, not
@@ -205,11 +206,11 @@ def system_params(name: str, params: dict | None = None) -> dict:
             raise KeyError(f"unknown parameter {key!r} for system {name!r}; "
                            f"known: {', '.join(casts) or 'none'}")
         try:
-            out[key] = casts[key](value)
+            out[key] = casts[key](float(value))
             if not math.isfinite(out[key]) or out[key] != float(value):  # N=8.5
                 raise ValueError
         except (ValueError, OverflowError):  # e.g. float('abc'), int(inf)
-            raise ValueError(f"parameter {key} = {value!r} for system {name!r} "
+            raise ValueError(f"parameter {key} = {value} for system {name!r} "
                              f"is not a finite {casts[key].__name__}") from None
     return out
 

@@ -183,6 +183,14 @@ def test_param_flag(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "decay.json").read_text())
     assert payload["config"]["system"]["params"]["alpha"] == 0.25
+    # the echo holds the values the system was built with
+    for argv, params in ((["--param", "alpha=1"], '{"alpha": 1.0}'),
+                         (["--system", "denjoy", "--measure", "denjoy-minimal",
+                           "--param", "N=1e2"], '{"N": 100}')):
+        assert run(["decay", *argv, "--nmax", "2", "--samples", "200",
+                    "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "decay.json").read_text())
+        assert json.dumps(payload["config"]["system"]["params"]) == params
 
 
 def test_explain(capsys):
@@ -250,20 +258,21 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["generator", "--system", "cat", "--step", "0.001"], "above the limit of 100000"),
     (["generator", "--step", "5e-324"], "above the limit of 100000"),
     (["decay", "--config", "samples = 1e400\n"],
-     "config value samples = '1e400' is not a valid int"),
+     "samples must be an integer, got '1e400'"),
     (["decay", "--config", "nmax = 2.5\n"],
-     "config value nmax = '2.5' is not a valid int"),
-    (["generator", "--nmax", "-1"], "need n_max >= 0"),
-    (["generator", "--sequences", "0"], "need n_max >= 0"),
+     "nmax must be an integer, got '2.5'"),
+    (["generator", "--nmax", "-1"], "n_max must be >= 0, got -1"),
+    (["generator", "--sequences", "0"], "sequence_samples must be >= 1, got 0"),
     (["generator", "--mc-samples", "0"], "need at least 100 samples, got 0"),
-    (["generator", "--threshold", "0"], "need n_max >= 0"),
+    (["generator", "--threshold", "0"], "threshold must lie in (0, 1), got 0.0"),
     (["decay", "--system", "interval-square", "--x", "1.5"],
      "coords (1.5,) outside interval bounds"),
     (["decay", "--system", "rotation", "--x", "nan"], "coords (nan,) must be finite"),
     (["decay", "--system", "rotation", "--x", "inf"], "coords (inf,) must be finite"),
     (["verdict", "--system", "rotation", "--measure", "dirac:nan"],
      "coords (nan,) must be finite"),
-    (["generator", "--system", "identity", "--threshold", "inf"], "need n_max >= 0"),
+    (["generator", "--system", "identity", "--threshold", "inf"],
+     "threshold must lie in (0, 1), got inf"),
     (["verdict", "--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
     (["verdict", "--threshold", "nan"], "threshold must lie in (0, 1), got nan"),
     (["decay", "--param", "alpha=nan"],
@@ -279,6 +288,13 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["verdict", "--samples", "1"], "need at least 100 samples, got 1"),
     (["entropy", "--samples", "1"], "need at least 100 samples, got 1"),
     (["generator", "--mc-samples", "1"], "need at least 100 samples, got 1"),
+    # a bad setting is named with its text, whatever its source
+    (["decay", "--x", "0.3,abc"], "x must be comma-separated numbers, got '0.3,abc'"),
+    (["entropy", "--delta-grid", "0.1,abc"],
+     "delta-grid must be finite and positive, got '0.1,abc'"),
+    (["verdict", "--measure", "dirac:0.2,abc"], "measure 'dirac:0.2,abc' needs"),
+    (["decay", "--param", "alpha"], "param must be key=value, got 'alpha'"),
+    (["decay", "--config", "x = 0.3,abc\n"], "x must be comma-separated numbers"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text
@@ -360,3 +376,78 @@ def test_subcommand_flag_sets():
                     "--workers"},
         "explain": {"-h", "--help"},
     }
+
+
+def test_int_setting_read_alike_from_flag_and_config(tmp_path):
+    (tmp_path / "run.cfg").write_text("samples = 2e4\n")
+    cfg = ["--config", str(tmp_path / "run.cfg")]
+    outs = []
+    for i, argv in enumerate((["--samples", "20000"], ["--samples", "2e4"], cfg,
+                              cfg + ["--samples", "2e4"])):
+        outs.append(tmp_path / str(i))
+        assert run(["decay", "--nmax", "3", *argv, "--out", str(outs[-1])]) == 0
+    for name in ("decay.csv", "decay.json"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+
+
+def test_seed_precedence(tmp_path, monkeypatch, capsys):
+    def seed(*argv, cfg=None):
+        if cfg is not None:
+            (tmp_path / "run.cfg").write_text(cfg)
+            argv += ("--config", str(tmp_path / "run.cfg"))
+        code = run(["decay", "--nmax", "2", "--samples", "200", *argv,
+                    "--out", str(tmp_path)])
+        if code != 0:
+            return code, capsys.readouterr().err
+        return code, json.loads((tmp_path / "decay.json").read_text())["seed"]
+
+    assert seed() == (0, 7)
+    monkeypatch.setenv("DYNBALL_SEED", "5")
+    assert seed() == (0, 5)
+    assert seed(cfg="seed = 4\n") == (0, 4)
+    assert seed("--seed", "3", cfg="seed = 4\n") == (0, 3)
+    bad = "seed must be an integer in [0, 2**64), got 'abc'"
+    assert bad in seed(cfg="seed = abc\n")[1]
+    monkeypatch.setenv("DYNBALL_SEED", "abc")
+    code, err = seed()
+    assert code == 2 and err.startswith("usage error: ") and bad in err
+    assert seed("--seed", "3") == (0, 3)
+
+
+def test_config_key_not_taken_is_ignored(tmp_path):
+    (tmp_path / "run.cfg").write_text("x = 0.5\nnmax = 3\n")
+    assert run(["verdict", "--samples", "2000", "--config", str(tmp_path / "run.cfg"),
+                "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "verdict.json").read_text())["config"]["nmax"] == 3
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_config_exit_code(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"nmax = 3\nsystem = \xff\n")
+    out = tmp_path / "out"
+    assert run(["decay", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["decay", "--sided", "sideways"],
+                                  ["decay", "--bogus", "1"],
+                                  ["verdict", "--nmax"]])
+def test_argparse_error_is_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [["decay", "--nmax", "2", "--samples", "200"],
+                                  ["battery", "--cases", "isometry"]])
+def test_out_naming_a_file_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(out) in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass,
-                     bk_entropy, circle, converging_semiorbit_fraction, decay_series, distance,
+                     bk_entropy, circle, local_entropy, converging_semiorbit_fraction, decay_series, distance,
                      dyn_ball_contains, expansiveness_verdict, generator_check,
                      interval, make_ball_cover, make_cat, make_denjoy,
                      make_denjoy_minimal, make_dirac, make_doubling, make_identity,
@@ -393,14 +393,31 @@ def test_diagonal_rejects_single_fubini_probe():
                                   n_max=2, sequence_samples=2, mc_samples=n),
     lambda mu, n: product_diagonal_test(make_doubling(), mu, 0.1, n_max=3,
                                         pair_samples=n, fubini_probes=2),
+    lambda mu, n: converging_semiorbit_fraction(make_rotation(), mu, samples=n),
+    lambda mu, n: periodic_fraction(make_rotation(), mu, samples=n),
+    # a measure without a ball oracle: an oracle draws no samples
+    lambda mu, n: ball_mass(measures.pushforward(mu, lambda c: c),
+                            Ball(Point(circle(), (0.3,)), 0.1), samples=n),
+    lambda mu, n: local_entropy(make_doubling(), mu, (0.3,), (0.1,), n_range=(1, 3),
+                                samples=n),
 ], ids=["decay_series", "expansiveness_verdict", "bk_entropy", "generator_check",
-        "product_diagonal_test"])
+        "product_diagonal_test", "converging_semiorbit_fraction", "periodic_fraction",
+        "ball_mass", "local_entropy"])
 def test_sample_floor(estimate):
     mu = make_lebesgue(circle())
     for n in (0, 1, 99):
         with pytest.raises(ValueError, match=f"^need at least 100 samples, got {n}$"):
             estimate(mu, n)
     estimate(mu, 100)
+
+
+def test_fractions_reject_measure_off_space():
+    with pytest.raises(SpaceMismatchError):
+        periodic_fraction(make_identity(), make_lebesgue(torus2()), max_period=1,
+                          samples=1_000)
+    with pytest.raises(SpaceMismatchError):
+        converging_semiorbit_fraction(make_rotation(), make_lebesgue(torus2()),
+                                      samples=1_000)
 
 
 def test_converging_semiorbit_fractions():
