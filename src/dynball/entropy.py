@@ -214,8 +214,6 @@ def entropy_implies_expansive_check(f: SystemSpec, mu: MeasureSpec,
                                     delta_grid: Sequence[float],
                                     n_range: tuple[int, int] = (1, 14),
                                     x_probes: int = 30, samples: int = 100_000,
-                                    verdict_n_max: int = 20,
-                                    threshold: float = 0.01,
                                     seed: int = 0) -> EntropyExpansiveReport:
     """Positive entropy rate at some radius must not coexist with a
     non-expansive one-sided verdict at that radius."""
@@ -228,8 +226,7 @@ def entropy_implies_expansive_check(f: SystemSpec, mu: MeasureSpec,
         if lower > 0:
             any_positive = True
             v = expansiveness_verdict(
-                f, mu, d, n_max=verdict_n_max, samples=samples,
-                x_probes=max(20, x_probes), threshold=threshold,
+                f, mu, d, n_max=20, samples=samples, x_probes=max(20, x_probes),
                 seed=derive_seed(seed, "verdict", repr(d)), sided=ONE_SIDED)
             row["verdict"] = v.verdict
             row["ok"] = v.verdict != "evidence_not_expansive"

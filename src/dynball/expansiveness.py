@@ -7,13 +7,17 @@ nested, so survival counts from a single sample batch are exactly
 nonincreasing in n, and the terminal count estimates the measure of the
 infinite-window set (the liminf of the window measures).
 
-``survival_counts`` and ``product_diagonal_test`` share one pair
-kernel, ``_advance_pairs``.  It keeps only the (center, sample) pairs
-still alive, each with its running maximum distance, so all radii are
-read from one array and a pair is dropped once it exceeds the largest
-radius; only the points some alive pair references are advanced.  For a
-measure-expansive map the alive set shrinks geometrically, and even for
-an isometry it is about 2*delta of the pairs from window 1 on.
+``survival_counts``, ``product_diagonal_test`` and ``dyn_ball_contains``
+hand their candidate pairs to one pair kernel, ``_advance_pairs``, whose
+single loop walks every window, window 1 included.  It keeps only the
+pairs still alive, each with its running maximum distance, so all radii
+are read from one array and a pair is dropped once it exceeds the
+largest radius; only the points some alive pair references are stepped
+forward or, two-sided, inverted.  The one dense step is forward: in
+``survival_counts`` a (center, sample) distance matrix picks the
+candidates, since every window needs d(x, y) within the largest radius.
+For a measure-expansive map the alive set shrinks geometrically, and
+even for an isometry it is about 2*delta of the pairs from window 1 on.
 
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
@@ -38,7 +42,7 @@ from numpy.random import Generator, Philox
 
 from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
-from .measures import MeasureSpec, make_dirac, sample_blocks
+from .measures import MeasureSpec, sample_blocks
 from .rng import derive_seed
 from .stats import check_samples, wilson_interval
 from .systems import SystemSpec, compose_power
@@ -67,66 +71,59 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     through window n.  One batch, mu.sample_coords(key, samples), serves
     every (delta, center) cell.
 
-    Within each block of the batch, window 1 is one dense (center,
-    sample) distance matrix; after that only the alive pairs are kept,
-    each with its running maximum distance, and only the points they
-    reference are advanced (see ``_advance_pairs``).
+    The only dense step is forward: within each block of the batch one
+    (center, sample) distance matrix keeps the pairs with d(x, y) at most
+    the largest radius, which every window requires.  ``_advance_pairs``
+    then walks those pairs through every window, window 1 included.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     deltas_arr = np.asarray(list(deltas), dtype=float)
     if np.any(deltas_arr <= 0):
         raise ValueError("deltas must be positive")
-    two = sided == TWO_SIDED
-    if two and not f.invertible:
-        raise CapabilityError(f"{f.name} has no inverse; two_sided windows unavailable")
+    two = resolve_sided(f, sided) == TWO_SIDED
 
     counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
     dmax = deltas_arr.max(initial=0.0)
-    xb = f.inverse(centers) if two else None
     for yf in sample_blocks(mu, key, samples, len(centers)):
-        dist = geo.distance(f.space, centers[:, None], yf[None])
-        yb = None
-        if two:
-            yb = f.inverse(yf)
-            dist = np.maximum(dist, geo.distance(f.space, xb[:, None], yb[None]))
-        xi, yi = np.nonzero(dist <= dmax)
-        _advance_pairs(f, deltas_arr, counts, centers, xb, yf, yb,
-                       xi, yi, xi, dist[xi, yi])
+        xi, yi = np.nonzero(geo.distance(f.space, centers[:, None], yf[None]) <= dmax)
+        _advance_pairs(f, deltas_arr, counts, two, centers, yf, xi, yi, xi)
     return counts
 
 
-def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray,
-                   xf, xb, yf, yb, xi, yi, label, m) -> None:
-    """Add the survivors of the alive pairs (xf[xi], yf[yi]) to counts.
+def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: bool,
+                   xf, yf, xi, yi, label) -> None:
+    """Add the survivors of the pairs (xf[xi], yf[yi]) to counts.
 
-    On entry the pairs are the survivors of window 1 at the largest
-    radius: xf, yf hold the window-1 forward points, xb, yb their inverse
-    images (None when one-sided), and m each pair's largest distance so
-    far.  Window n adds the comparisons at f^(n-1) and, two-sided, f^-n;
-    m keeps the maximum, so counts[d, label, n-1] counts the pairs with
-    m <= deltas[d], and a pair is dropped once m exceeds every radius.
-    Each window first compacts both sides to the rows a pair still
-    references, then advances only those rows.
+    xf, yf are the raw points, and the pairs may be any superset of the
+    survivors.  One loop walks every window, window 1 included: it
+    compacts both sides to the rows a pair still references, then
+    compares each pair at f^(n-1) (no forward step at n = 1) and,
+    two-sided, at f^-n, stepping only those rows, so the inverse starts
+    from the raw points.  m keeps each pair's largest distance so far:
+    counts[d, label, n-1] counts the pairs with m <= deltas[d], and a
+    pair is dropped once m exceeds every radius.
     """
     dmax = deltas.max(initial=0.0)
-    dropped = True  # window 1 left rows no pair references
+    xb, yb = (xf, yf) if two else (None, None)
+    m = np.zeros(len(xi))
+    dropped = True  # the candidates may leave rows no pair references
     for n in range(1, counts.shape[2] + 1):
+        if not len(m):
+            break
+        if dropped:
+            xi, (xf, xb) = _compact(xi, xf, xb)
+            yi, (yf, yb) = _compact(yi, yf, yb)
         if n > 1:
-            if not len(m):
-                break
-            if dropped:
-                xi, (xf, xb) = _compact(xi, xf, xb)
-                yi, (yf, yb) = _compact(yi, yf, yb)
             xf, yf = f.forward(xf), f.forward(yf)
-            m = np.maximum(m, geo.distance(f.space, xf[xi], yf[yi]))
-            if xb is not None:
-                xb, yb = f.inverse(xb), f.inverse(yb)
-                m = np.maximum(m, geo.distance(f.space, xb[xi], yb[yi]))
-            keep = m <= dmax
-            dropped = not keep.all()
-            if dropped:
-                xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
+        m = np.maximum(m, geo.distance(f.space, xf[xi], yf[yi]))
+        if two:
+            xb, yb = f.inverse(xb), f.inverse(yb)
+            m = np.maximum(m, geo.distance(f.space, xb[xi], yb[yi]))
+        keep = m <= dmax
+        dropped = not keep.all()
+        if dropped:
+            xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
         for d, delta in enumerate(deltas):
             counts[d, :, n - 1] += np.bincount(label[m <= delta], minlength=counts.shape[1])
 
@@ -175,10 +172,11 @@ def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
         ys = y.array[None, :]
     else:
         ys = np.atleast_2d(np.asarray(y, dtype=float))
-    sided = resolve_sided(f, sided)
-    # the distance condition is symmetric in (x, y): treat each y as a
-    # center and the single x, drawn from its Dirac measure, as the batch
-    counts = survival_counts(f, make_dirac(x), 0, 1, ys, [delta], sided, n)
+    two = resolve_sided(f, sided) == TWO_SIDED
+    counts = np.zeros((1, len(ys), n), dtype=np.int64)
+    pair = np.arange(len(ys))  # the pairs (x, y_j), labelled by j
+    _advance_pairs(f, np.array([delta]), counts, two, x.array[None, :], ys,
+                   np.zeros_like(pair), pair, pair)
     hits = counts[0, :, -1] == 1
     return bool(hits[0]) if single else hits
 
@@ -304,9 +302,8 @@ class PowerConsistencyReport:
 
 def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
                             delta_grid: Sequence[float], n_max: int = 20,
-                            samples: int = 30_000, x_probes: int = 20,
-                            threshold: float = 0.01, seed: int = 0,
-                            sided: str | None = None) -> PowerConsistencyReport:
+                            samples: int = 30_000,
+                            seed: int = 0) -> PowerConsistencyReport:
     """Same-verdict evidence for f and f^k over a radius grid.
 
     A contradiction means one map looks expansive at every tested radius
@@ -320,13 +317,11 @@ def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
     vb, vp = [], []
     for d in delta_grid:
         vb.append(expansiveness_verdict(
-            f, mu, d, n_max=n_max, samples=samples, x_probes=x_probes,
-            threshold=threshold, seed=derive_seed(seed, "base", repr(d)),
-            sided=sided).verdict)
+            f, mu, d, n_max=n_max, samples=samples,
+            seed=derive_seed(seed, "base", repr(d))).verdict)
         vp.append(expansiveness_verdict(
-            fk, mu, d, n_max=n_max, samples=samples, x_probes=x_probes,
-            threshold=threshold, seed=derive_seed(seed, "power", repr(d)),
-            sided=sided).verdict)
+            fk, mu, d, n_max=n_max, samples=samples,
+            seed=derive_seed(seed, "power", repr(d))).verdict)
     matched = tuple(
         (db, dp)
         for db, b in zip(delta_grid, vb) if b == "evidence_expansive"
@@ -351,8 +346,7 @@ class DiagonalReport:
 
 def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
                           n_max: int = 12, pair_samples: int = 100_000,
-                          seed: int = 0, sided: str | None = None,
-                          fubini_probes: int = 40) -> DiagonalReport:
+                          seed: int = 0, fubini_probes: int = 40) -> DiagonalReport:
     """Mass of pairs staying within delta of the diagonal along the window.
 
     Independent pairs (x, y) ~ mu x mu survive window n when every orbit
@@ -360,24 +354,20 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     of the diagonal tube intersected over iterates.  Cross-check: by
     Fubini the same number is the mu-average over centers x of the
     window mass at x, estimated from probe-averaged decay terminals.
+    Windows are two-sided for an invertible f, one-sided otherwise.
     """
     check_samples(pair_samples)
     if fubini_probes < 2:  # the probe spread needs two terminals
         raise ValueError(f"fubini_probes must be >= 2, got {fubini_probes!r}")
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
-    sided = resolve_sided(f, sided)
-    two = sided == TWO_SIDED
+    sided = resolve_sided(f, None)
     counts = np.zeros((1, 1, n_max), dtype=np.int64)
     for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples),
                       sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples)):
-        xb, yb = (f.inverse(xs), f.inverse(ys)) if two else (None, None)
-        dist = geo.distance(f.space, xs, ys)
-        if two:
-            dist = np.maximum(dist, geo.distance(f.space, xb, yb))
-        i = np.flatnonzero(dist <= delta)
-        _advance_pairs(f, np.array([delta], dtype=float), counts, xs, xb, ys, yb,
-                       i, i, np.zeros_like(i), dist[i])
+        i = np.flatnonzero(geo.distance(f.space, xs, ys) <= delta)
+        _advance_pairs(f, np.array([delta]), counts, sided == TWO_SIDED, xs, ys,
+                       i, i, np.zeros_like(i))
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)

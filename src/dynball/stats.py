@@ -9,13 +9,19 @@ Z95 = 1.96
 # generator estimators take; at 100 samples a Wilson interval around 1/2
 # is still about +-0.1 wide
 MIN_SAMPLES = 100
+# largest budget they take: a one-center decay walks about 5M samples in
+# 0.5 s on a 2-vCPU machine, so 10^9 already runs for minutes and a larger
+# budget would only start a block loop that does not finish
+MAX_SAMPLES = 10**9
 
 
 def check_samples(samples: int) -> None:
-    """Refuse a sample budget below MIN_SAMPLES, in the same words for
-    each of those estimators."""
+    """Refuse a sample budget outside [MIN_SAMPLES, MAX_SAMPLES], in the
+    same words for each of those estimators."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples!r}")
 
 
 def wilson_interval(successes, trials):

@@ -295,6 +295,11 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["verdict", "--measure", "dirac:0.2,abc"], "measure 'dirac:0.2,abc' needs"),
     (["decay", "--param", "alpha"], "param must be key=value, got 'alpha'"),
     (["decay", "--config", "x = 0.3,abc\n"], "x must be comma-separated numbers"),
+    # one sample ceiling: a budget this large would only start an endless loop
+    (["decay", "--samples", "1e30", "--nmax", "2"], "need at most 1000000000 samples"),
+    (["verdict", "--samples", "1e30"], "need at most 1000000000 samples"),
+    (["entropy", "--samples", "1e30"], "need at most 1000000000 samples"),
+    (["generator", "--mc-samples", "1e30"], "need at most 1000000000 samples"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

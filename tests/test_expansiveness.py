@@ -10,7 +10,8 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      make_denjoy_minimal, make_dirac, make_doubling, make_identity,
                      make_interval_square, make_lebesgue, make_measure,
                      make_rotation, make_tent, periodic_fraction,
-                     power_consistency_check, product_diagonal_test, torus2)
+                     power_consistency_check, product_diagonal_test, SystemSpec,
+                     torus2)
 from dynball import measures
 from dynball.expansiveness import resolve_sided, survival_counts
 
@@ -124,6 +125,25 @@ def test_decay_series_memory_bounded_in_samples():
                                                 samples=2_000_000, seed=46))
     assert 0.09 <= s.terminal <= 0.11
     assert peak < 8 * 2 ** 20
+
+
+def test_two_sided_decay_inverts_only_forward_candidates():
+    # window 1 needs d(x, y) <= delta, so only the ~10% of samples near the
+    # center may reach the inverse; a whole-block inverse sees all 100,001
+    rot = make_rotation()
+    seen = []
+
+    def counted_inverse(c):
+        seen.append(len(c))
+        return rot.inverse(c)
+
+    spy = SystemSpec(rot.name, rot.space, rot.forward, counted_inverse)
+    mu = make_lebesgue(circle())
+    s = decay_series(spy, mu, (0.3,), 0.05, sided="two_sided", n_max=1,
+                     samples=100_000, seed=51)
+    assert sum(seen) <= 0.2 * 100_000
+    assert s.counts == decay_series(rot, mu, (0.3,), 0.05, sided="two_sided",
+                                    n_max=1, samples=100_000, seed=51).counts
 
 
 def test_kernel_memory_bounded_in_center_count():
