@@ -97,6 +97,17 @@ def test_decay_golden_bytes(tmp_path):
     (["battery", "--cases", "isometry,thD", "--workers", "1"],
      None,
      "15502579d1ccdafcccd5c36b4282d14d1dbfbcb9de85d6cd0eb0ece732c7b0e7"),
+    # --param with the gapped circle, recorded while the system and the
+    # measure still shared one construction: the minimal measure is built
+    # with the system's alpha, and with its N when the system is denjoy
+    (["decay", "--system", "rotation", "--param", "alpha=0.4142135623730951",
+      "--measure", "denjoy-minimal", "--samples", "20000"],
+     "56e9e3cb71c41c6878c62027cca2c5ead4398a9338fffc292310bf51debbf0f2",
+     "135ff4efeb0f6032de70b40982a4e3e55b3b82b51f2af2e78b5bf2dab8a5174f"),
+    (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--param", "N=16",
+      "--param", "alpha=0.7182818284590451", "--samples", "20000"],
+     "93e54485bc57ef4d2ba2b652d8a15d5c053036bc0aa7f7c4c3860bee7c3b90a1",
+     "2220194494d6eaa916d92bd821c72713382437123b1520130b8c1fb94cc3ec91"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     # digests recorded from the dense survival kernel and the dense generator
