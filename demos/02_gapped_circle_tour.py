@@ -7,13 +7,18 @@ circle homeomorphism with the same rotation number as the base rotation
 but with a wandering Cantor-like invariant set; the measure supported
 on that set is the one that witnesses expansiveness.
 
+``build_denjoy`` returns the construction whose knots, gaps and staircase
+are read below; ``make_denjoy`` and ``make_denjoy_minimal`` build the
+system and the measure from the same parameters, alpha and N.
+
 Run: python3 demos/02_gapped_circle_tour.py
 """
 import numpy as np
 
 import dynball as db
 
-c = db.build_denjoy(N=64)
+alpha, N = db.denjoy.GOLDEN_CONJUGATE, 64
+c = db.build_denjoy(alpha, N)
 print(f"construction: alpha = {c.alpha:.9f}, N = {c.N}")
 print(f"  retained gaps: {len(c.gap_lengths)}")
 print(f"  total gap length: {np.sum(c.gap_lengths):.6f}")
@@ -24,7 +29,7 @@ print(f"  affine-piece knots: {len(c.map_x):,} "
 print()
 print("collapsing every gap recovers the rigid rotation (semiconjugacy),")
 print("so the map's rotation number is alpha:")
-f = db.make_denjoy(c)
+f = db.make_denjoy(alpha, N)
 t = np.linspace(0.05, 0.95, 7).reshape(-1, 1)
 for row in t:
     before = c.staircase(row)[0]
@@ -36,7 +41,7 @@ for row in t:
 
 print()
 print("the minimal measure charges arcs by how many orbit points they hold:")
-nu = db.make_denjoy_minimal(c)
+nu = db.make_denjoy_minimal(alpha, N)
 for lo, hi in ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)):
     print(f"  nu([{lo:.2f}, {hi:.2f}]) = {c.arc_mass(lo, hi):.4f}")
 

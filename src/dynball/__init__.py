@@ -25,7 +25,7 @@ from .geometry import (Ball, Point, SpaceDescriptor, circle, distance,
                        interval, lebesgue_number, make_ball_cover, torus2)
 from .measures import (MeasureSpec, ball_mass, make_dirac, make_denjoy_minimal,
                        make_lebesgue, make_measure, measure_names, pushforward)
-from .systems import (GammaZeroReport, LinearMapSpec, SystemSpec, get_system,
+from .systems import (GammaZeroReport, SystemSpec, get_system,
                       iterate, linear_gamma_zero, make_cat, make_denjoy,
                       make_doubling, make_identity, make_interval_square,
                       make_rotation, make_tent, make_zoo, zoo_names)
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "Ball", "Point", "SpaceDescriptor", "circle", "distance", "interval",
     "lebesgue_number", "make_ball_cover", "torus2",
-    "SystemSpec", "LinearMapSpec", "GammaZeroReport", "get_system", "iterate",
+    "SystemSpec", "GammaZeroReport", "get_system", "iterate",
     "linear_gamma_zero", "make_cat", "make_denjoy", "make_doubling",
     "make_identity", "make_interval_square", "make_rotation", "make_tent",
     "make_zoo", "zoo_names",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +32,6 @@ from .systems import (make_cat, make_denjoy, make_doubling, make_identity,
 
 NOT_EXPANSIVE = "evidence_not_expansive"
 EXPANSIVE = "evidence_expansive"
-
-
-@lru_cache(maxsize=2)
-def _denjoy_construction(N: int = 64):
-    return build_denjoy(N=N)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ def _case_reddy(seed: int) -> tuple[str, dict]:
                                         seed=derive_seed(seed, "rotation"), **settings)
     cat = converging_semiorbit_fraction(make_cat(), make_lebesgue(geo.torus2()),
                                         seed=derive_seed(seed, "cat"), **settings)
-    den_c = _denjoy_construction()
-    den = converging_semiorbit_fraction(make_denjoy(den_c), make_denjoy_minimal(den_c),
+    den = converging_semiorbit_fraction(make_denjoy(), make_denjoy_minimal(),
                                         seed=derive_seed(seed, "denjoy"), **settings)
     details = {"interval-square": asdict(sq), "rotation": asdict(rot),
                "cat": asdict(cat), "denjoy": asdict(den)}
@@ -168,10 +161,9 @@ def _case_thD(seed: int) -> tuple[str, dict]:
 
 
 def _case_circle1(seed: int) -> tuple[str, dict]:
-    c = _denjoy_construction()
-    nu = make_denjoy_minimal(c)
-    delta_gap = c.smallest_gap / 2.0
-    den = expansiveness_verdict(make_denjoy(c), nu, delta_gap, n_max=30,
+    nu = make_denjoy_minimal()
+    delta_gap = build_denjoy().smallest_gap / 2.0
+    den = expansiveness_verdict(make_denjoy(), nu, delta_gap, n_max=30,
                                 samples=100_000, x_probes=20,
                                 seed=derive_seed(seed, "denjoy"))
     rot = make_rotation()

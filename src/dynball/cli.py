@@ -38,13 +38,12 @@ from typing import Callable, NamedTuple
 from . import __version__
 from . import geometry as geo
 from .battery import CASE_IDS, case_info, run_battery
-from .denjoy import build_denjoy
 from .entropy import bk_entropy
 from .errors import CapabilityError, DynballError
 from .expansiveness import decay_series, expansiveness_verdict, generator_check
 from .measures import make_measure, measure_names
 from .rng import derive_seed
-from .systems import get_system, make_denjoy, system_params, zoo_names
+from .systems import get_system, system_params, zoo_names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,12 +236,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
     """Shared steps of the data commands; only the table's function is timed."""
     spec = _COMMANDS[command]
     params = system_params(args.system, dict(args.param or ()))
-    # the system and the measure share one gapped-circle construction
-    construction = None
-    if args.system == "denjoy" or args.measure == "denjoy-minimal":
-        construction = build_denjoy(**system_params("denjoy", params))
-    f = make_denjoy(construction) if args.system == "denjoy" else get_system(args.system, params)
-    mu = make_measure(args.measure, f.space, denjoy_construction=construction)
+    f = get_system(args.system, params)
+    # a gapped-circle measure takes the system's alpha, and its N if denjoy
+    mu = make_measure(args.measure, f.space, params)
     t0 = time.perf_counter()
     result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
     runtime = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry as geo
-from .denjoy import DenjoyConstruction, build_denjoy
+from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import SpaceMismatchError
 from .rng import uniform_block
 from .stats import check_samples, wilson_interval
@@ -105,10 +105,12 @@ def make_dirac(point: geo.Point) -> MeasureSpec:
                        space=point.space, transform=transform, ball_oracle=oracle)
 
 
-def make_denjoy_minimal(d: DenjoyConstruction) -> MeasureSpec:
-    """The unique minimal measure of the gapped circle map: push the uniform
-    variable through the insertion map, which never lands inside a gap."""
+def make_denjoy_minimal(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> MeasureSpec:
+    """The unique minimal measure of the gapped circle map with these
+    parameters: push the uniform variable through the insertion map, which
+    never lands inside a gap."""
     space = geo.circle()
+    d = build_denjoy(alpha, N)
 
     def transform(u):
         return d.insertion(u[:, 0])[:, None]
@@ -135,16 +137,19 @@ def pushforward(mu: MeasureSpec, phi: Callable[[np.ndarray], np.ndarray],
 
 
 def make_measure(name: str, space: geo.SpaceDescriptor,
-                 denjoy_construction: DenjoyConstruction | None = None) -> MeasureSpec:
+                 params: dict | None = None) -> MeasureSpec:
     """Name-string lookup used by the CLI.
 
     Accepted: ``lebesgue``, ``denjoy-minimal``, ``dirac:<c1>[,<c2>]``,
     ``pushforward:square`` and ``pushforward:sqrt`` (images of Lebesgue).
+    ``params`` holds the gapped circle's ``alpha`` and ``N``, as
+    ``systems.system_params`` casts them; only ``denjoy-minimal`` reads
+    them, and a missing one takes its ``build_denjoy`` default.
     """
     if name == "lebesgue":
         return make_lebesgue(space)
     if name == "denjoy-minimal":
-        return make_denjoy_minimal(denjoy_construction or build_denjoy())
+        return make_denjoy_minimal(**(params or {}))
     if name.startswith("dirac:"):
         try:
             coords = tuple(float(v) for v in name.split(":", 1)[1].split(","))

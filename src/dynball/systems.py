@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry as geo
-from .denjoy import GOLDEN_CONJUGATE, DenjoyConstruction, build_denjoy
+from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import CapabilityError, SpaceMismatchError
 
 Map = Callable[[np.ndarray], np.ndarray]
@@ -155,8 +155,8 @@ def make_interval_square() -> SystemSpec:
                       forward=fwd, inverse=inv, jacobian=jac)
 
 
-def make_denjoy(construction: DenjoyConstruction | None = None) -> SystemSpec:
-    c = construction or build_denjoy()
+def make_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> SystemSpec:
+    c = build_denjoy(alpha, N)
     return SystemSpec(name="denjoy", space=geo.circle(),
                       forward=c.forward, inverse=c.inverse)
 
@@ -172,9 +172,8 @@ _FACTORIES = {
 }
 
 
-def make_zoo(denjoy_construction: DenjoyConstruction | None = None) -> list[SystemSpec]:
-    return [make(denjoy_construction) if name == "denjoy" else make()
-            for name, make in _FACTORIES.items()]
+def make_zoo() -> list[SystemSpec]:
+    return [make() for make in _FACTORIES.values()]
 
 
 # the parameters each factory takes, with their casts; systems not listed
@@ -217,10 +216,7 @@ def system_params(name: str, params: dict | None = None) -> dict:
 
 def get_system(name: str, params: dict | None = None) -> SystemSpec:
     """Look up a zoo system by name; params feed the matching factory."""
-    kwargs = system_params(name, params)
-    if name == "denjoy":
-        return make_denjoy(build_denjoy(**kwargs))
-    return _FACTORIES[name](**kwargs)
+    return _FACTORIES[name](**system_params(name, params))
 
 
 # ---------------------------------------------------------------------------
@@ -229,68 +225,45 @@ def get_system(name: str, params: dict | None = None) -> SystemSpec:
 # is not a probability measure)
 
 @dataclass(frozen=True)
-class LinearMapSpec:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.size and m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return 0 if self.matrix.size == 0 else self.matrix.shape[0]
-
-    @property
-    def eigen_moduli(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.array([])
-        return np.abs(np.linalg.eigvals(self.matrix))
-
-
-@dataclass(frozen=True)
 class GammaZeroReport:
     classification: str          # trivial | positive_volume | lower_dimensional
     jordan_caveat: bool
     eigen_moduli: tuple[float, ...]
 
 
-def linear_gamma_zero(m: LinearMapSpec, delta: float, tol: float = 1e-9) -> GammaZeroReport:
-    """Classify the set of vectors whose full A-orbit stays inside the
-    delta-ball at the origin.
+def linear_gamma_zero(matrix, *, tol: float = 1e-9) -> GammaZeroReport:
+    """Classify the set of vectors whose full A-orbit stays inside a ball
+    at the origin.
 
-    Any eigenvalue off the unit circle confines that set to a proper
+    A is linear, so that set for radius delta is delta times the set for
+    radius 1: its class does not depend on the radius, and none is taken.
+    Any eigenvalue off the unit circle confines the set to a proper
     subspace (Lebesgue-null, so the map is Leb-expansive); all moduli 1
     with A power-bounded (diagonalizable) leaves a small ball inside it
     (positive volume); modulus-1 Jordan blocks grow polynomially, which
     again forces a proper subspace, flagged separately.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not isinstance(m, LinearMapSpec):
-        m = LinearMapSpec(np.asarray(m, dtype=float))
-    if m.dim == 0:
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.size == 0:
         return GammaZeroReport("trivial", False, ())
-    if abs(np.linalg.det(m.matrix)) < tol:
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if abs(np.linalg.det(m)) < tol:
         raise ValueError("matrix must be invertible")
-    moduli = m.eigen_moduli
-    off_circle = np.any(np.abs(moduli - 1.0) > tol)
-    if off_circle:
+    vals = np.linalg.eigvals(m)
+    moduli = np.abs(vals)
+    if np.any(np.abs(moduli - 1.0) > tol):
         return GammaZeroReport("lower_dimensional", False, tuple(moduli))
     # all moduli 1: diagonalizable iff every eigenvalue's geometric
     # multiplicity matches its algebraic multiplicity
-    vals = np.linalg.eigvals(m.matrix)
-    caveat = False
+    dim = len(m)
     seen: list[complex] = []
     for lam in vals:
         if any(abs(lam - s) <= 1e-7 for s in seen):
             continue
         seen.append(lam)
         alg = int(np.sum(np.abs(vals - lam) <= 1e-7))
-        geom = m.dim - np.linalg.matrix_rank(m.matrix - lam * np.eye(m.dim), tol=1e-9)
+        geom = dim - np.linalg.matrix_rank(m - lam * np.eye(dim), tol=1e-9)
         if geom < alg:
-            caveat = True
-    if caveat:
-        return GammaZeroReport("lower_dimensional", True, tuple(moduli))
+            return GammaZeroReport("lower_dimensional", True, tuple(moduli))
     return GammaZeroReport("positive_volume", False, tuple(moduli))

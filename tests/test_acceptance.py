@@ -94,7 +94,7 @@ def test_criterion_04_variational_upper_bound(entropy_doubling, entropy_cat):
             "rate bounded by the map's growth exponent plus margin", t0)
 
 
-def test_criterion_05_power_laws(denjoy_c):
+def test_criterion_05_power_laws():
     t0 = time.perf_counter()
     f = db.make_doubling()
     mu = db.make_lebesgue(f.space)
@@ -102,7 +102,7 @@ def test_criterion_05_power_laws(denjoy_c):
                              x_probes=20, samples=50_000, seed=7)
     assert rep.holds
     residual = abs(rep.e_power - 2 * rep.e_base)
-    for g in db.make_zoo(denjoy_c):
+    for g in db.make_zoo():
         nu = db.make_lebesgue(g.space)
         agree = db.power_consistency_check(g, nu, 2, (0.1, 0.05), n_max=12,
                                            samples=20_000,
@@ -131,8 +131,8 @@ def test_criterion_06_interval_impossibility():
 
 def test_criterion_07_circle_classification(denjoy_c):
     t0 = time.perf_counter()
-    f = db.make_denjoy(denjoy_c)
-    nu = db.make_denjoy_minimal(denjoy_c)
+    f = db.make_denjoy()
+    nu = db.make_denjoy_minimal()
     delta = denjoy_c.smallest_gap / 2.0
     # the eighth gap endpoint in circle order
     x = np.sort(np.concatenate([denjoy_c.left_endpoints, denjoy_c.right_endpoints]))[7]
@@ -202,7 +202,7 @@ def test_criterion_10_periodic_mass():
             "period <= 6, eps = 1e-4", t0)
 
 
-def test_criterion_11_converging_semiorbits(denjoy_c):
+def test_criterion_11_converging_semiorbits():
     t0 = time.perf_counter()
     sq = db.converging_semiorbit_fraction(db.make_interval_square(),
                                           db.make_lebesgue(db.interval()),
@@ -219,8 +219,8 @@ def test_criterion_11_converging_semiorbits(denjoy_c):
                                            db.make_lebesgue(db.torus2()),
                                            w=8, tol=1e-6, n_max=40,
                                            samples=20_000, seed=7)
-    den = db.converging_semiorbit_fraction(db.make_denjoy(denjoy_c),
-                                           db.make_denjoy_minimal(denjoy_c),
+    den = db.converging_semiorbit_fraction(db.make_denjoy(),
+                                           db.make_denjoy_minimal(),
                                            w=8, tol=1e-6, n_max=40,
                                            samples=20_000, seed=7)
     assert cat.ci_low <= 0.01 and den.ci_low <= 0.01

@@ -68,9 +68,9 @@ _KERNEL_CASES = [
 
 
 @pytest.mark.parametrize("make_f, make_mu, sided", _KERNEL_CASES)
-def test_kernel_matches_dense_reference(denjoy_c, make_f, make_mu, sided):
-    f = make_f(denjoy_c) if make_mu else make_f()
-    mu = make_mu(denjoy_c) if make_mu else make_lebesgue(f.space)
+def test_kernel_matches_dense_reference(make_f, make_mu, sided):
+    f = make_f()
+    mu = make_mu() if make_mu else make_lebesgue(f.space)
     centers = mu.sample_coords(seed=42, count=6)
     deltas = [0.1, 0.02, 0.3, 0.05]  # unsorted on purpose
     want = _dense_counts(f, mu.sample_coords(41, 3000), centers, deltas, sided, 15)
@@ -358,11 +358,11 @@ def test_generator_check_rejects_measure_or_cover_off_space():
                         make_ball_cover(circle(), radius=0.3, step=0.2))
 
 
-def test_generator_counts_independent_of_block_size(denjoy_c, monkeypatch):
+def test_generator_counts_independent_of_block_size(monkeypatch):
     for f, mu, sided in ((make_doubling(), make_lebesgue(circle()), None),
                          (make_rotation(), make_lebesgue(circle()), "two_sided"),
                          (make_cat(), make_lebesgue(torus2()), None),
-                         (make_denjoy(denjoy_c), make_denjoy_minimal(denjoy_c), None)):
+                         (make_denjoy(), make_denjoy_minimal(), None)):
         monkeypatch.undo()  # the reference runs at the module's own block size
         cover = make_ball_cover(f.space, radius=0.3, step=0.2)
         kw = dict(n_max=2, sequence_samples=6, mc_samples=2000, seed=47, sided=sided)
@@ -469,8 +469,8 @@ def test_periodic_fractions():
 
 
 def test_denjoy_expansive_at_gap_scale(denjoy_c):
-    f = make_denjoy(denjoy_c)
-    nu = make_denjoy_minimal(denjoy_c)
+    f = make_denjoy()
+    nu = make_denjoy_minimal()
     v = expansiveness_verdict(f, nu, denjoy_c.smallest_gap / 2.0, n_max=25,
                               samples=30_000, x_probes=20, seed=18)
     assert v.verdict == "evidence_expansive"

@@ -79,7 +79,7 @@ def test_dirac_measure():
 
 
 def test_minimal_measure_lives_on_orbit_closure(denjoy_c):
-    nu = make_denjoy_minimal(denjoy_c)
+    nu = make_denjoy_minimal()
     pts = nu.sample_coords(seed=4, count=5000)[:, 0]
     # sampled points are gap endpoints, so never interior to any gap
     lefts = denjoy_c.left_endpoints
@@ -90,7 +90,7 @@ def test_minimal_measure_lives_on_orbit_closure(denjoy_c):
 
 
 def test_minimal_measure_arc_oracle_matches_empirical(denjoy_c):
-    nu = make_denjoy_minimal(denjoy_c)
+    nu = make_denjoy_minimal()
     rng = np.random.default_rng(17)
     pts = nu.sample_coords(seed=8, count=30_000)[:, 0]
     for _ in range(20):
@@ -107,8 +107,8 @@ def test_minimal_measure_arc_oracle_matches_empirical(denjoy_c):
 
 def test_minimal_measure_invariance(denjoy_c):
     # pushing samples through the map leaves arc masses unchanged
-    nu = make_denjoy_minimal(denjoy_c)
-    f = make_denjoy(denjoy_c)
+    nu = make_denjoy_minimal()
+    f = make_denjoy()
     pts = nu.sample_coords(seed=13, count=30_000)
     moved = f.forward(pts)[:, 0]
     for lo_a, hi_a in ((0.1, 0.4), (0.5, 0.9), (0.8, 0.2)):
@@ -142,26 +142,26 @@ def test_uniform_quarter_arc_fraction():
 
 def test_staircase_pushforward_is_uniform(denjoy_c):
     # collapsing the gaps sends the minimal measure to the uniform one
-    nu = make_denjoy_minimal(denjoy_c)
+    nu = make_denjoy_minimal()
     pts = nu.sample_coords(seed=7, count=100_000)[:, 0]
     collapsed = denjoy_c.staircase(pts)
     for t in (0.25, 0.5, 0.75):
         assert abs(np.mean(collapsed <= t) - t) <= 0.007
 
 
-def test_nonatomic_measures_have_no_atoms(denjoy_c):
+def test_nonatomic_measures_have_no_atoms():
     for mu in (make_lebesgue(circle()), make_lebesgue(torus2()),
-               make_denjoy_minimal(denjoy_c)):
+               make_denjoy_minimal()):
         pts = mu.sample_coords(seed=3, count=100_000)
         _, counts = np.unique(pts[:, 0], return_counts=True)
         assert counts.max() <= 3  # duplicates only from float coincidence
 
 
-def test_oracle_consistency_twenty_random_balls(denjoy_c):
+def test_oracle_consistency_twenty_random_balls():
     from dynball import distance
     rng = np.random.default_rng(29)
     measures = [make_lebesgue(circle()), make_lebesgue(interval()),
-                make_lebesgue(torus2()), make_denjoy_minimal(denjoy_c)]
+                make_lebesgue(torus2()), make_denjoy_minimal()]
     for mu in measures:
         pts = mu.sample_coords(seed=41, count=100_000)
         for _ in range(20):
@@ -176,15 +176,20 @@ def test_oracle_consistency_twenty_random_balls(denjoy_c):
                 (mu.name, r)
 
 
-def test_make_measure_parsing(denjoy_c):
+def test_make_measure_parsing():
     sp = circle()
     assert make_measure("lebesgue", sp).name == "lebesgue"
     d = make_measure("dirac:0.5", sp)
     assert np.all(d.sample_coords(0, 10) == 0.5)
     d2 = make_measure("dirac:0.25,0.75", torus2())
     assert np.allclose(d2.sample_coords(0, 4), [0.25, 0.75])
-    nu = make_measure("denjoy-minimal", sp, denjoy_construction=denjoy_c)
+    nu = make_measure("denjoy-minimal", sp)
     assert not np.array_equal(nu.sample_coords(0, 8), make_measure("lebesgue", sp).sample_coords(0, 8))
+    # the gapped circle's parameters pick the measure, as the system's do
+    nu16 = make_measure("denjoy-minimal", sp, {"alpha": 0.4142135623730951, "N": 16})
+    assert np.array_equal(nu16.sample_coords(0, 8),
+                          make_denjoy_minimal(0.4142135623730951, 16).sample_coords(0, 8))
+    assert not np.array_equal(nu16.sample_coords(0, 8), nu.sample_coords(0, 8))
     ps = make_measure("pushforward:sqrt", interval())
     assert np.array_equal(ps.sample_coords(0, 8),
                           np.sqrt(make_lebesgue(interval()).sample_coords(0, 8)))

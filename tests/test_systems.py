@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dynball import (CapabilityError, ConstructionError, LinearMapSpec,
-                     SystemSpec, build_denjoy, circle, decay_series, distance,
+from dynball import (CapabilityError, ConstructionError, SystemSpec, build_denjoy, circle, decay_series, distance,
                      expansiveness_verdict, get_system, iterate,
                      linear_gamma_zero, make_cat, make_denjoy, make_doubling,
                      make_identity, make_interval_square, make_lebesgue,
@@ -152,7 +151,7 @@ def test_denjoy_breakpoints_increasing(denjoy_c):
 
 
 def _check_monotone_homeomorphism(c):
-    f = make_denjoy(c)
+    f = make_denjoy(c.alpha, c.N)
     t = np.linspace(0.0, 1.0, 4001, endpoint=False).reshape(-1, 1)
     y = f.forward(t)[:, 0]
     # a circle homeomorphism lifts to an increasing map: the image sequence
@@ -170,7 +169,7 @@ def _check_monotone_homeomorphism(c):
 
 
 def _check_gaps_to_gaps(c):
-    f = make_denjoy(c)
+    f = make_denjoy(c.alpha, c.N)
     # arrays are stored in orbit-index order k = -N..N at slot k+N: the
     # gap at index k maps onto the gap at index k+1, endpoint to endpoint
     k_slice = slice(0, 2 * c.N)  # k = -N .. N-1
@@ -187,7 +186,7 @@ def _check_gaps_to_gaps(c):
 
 
 def _check_semiconjugate_to_rotation(c):
-    f = make_denjoy(c)
+    f = make_denjoy(c.alpha, c.N)
     t = np.linspace(0.0, 1.0, 2000, endpoint=False).reshape(-1, 1)
     before = c.staircase(t[:, 0])
     after = c.staircase(f.forward(t)[:, 0])
@@ -229,7 +228,7 @@ def test_denjoy_knots_are_the_affine_pieces(denjoy_c):
     d = np.abs(t[:, None] - breaks[None, :])
     t = t[np.all(np.minimum(d, 1.0 - d) > 2.0 / 2 ** 21, axis=1)][:10_000]
     assert len(t) == 10_000
-    img = make_denjoy(c).forward(c.insertion(t).reshape(-1, 1))[:, 0]
+    img = make_denjoy(c.alpha, c.N).forward(c.insertion(t).reshape(-1, 1))[:, 0]
     err = np.abs(img - c.insertion((t + c.alpha) % 1.0))
     assert np.max(np.minimum(err, 1.0 - err)) < 1e-14
 
@@ -248,19 +247,23 @@ def test_denjoy_construction_rejects_bad_input():
 # bounded-orbit set of a linear map
 
 def test_linear_gamma_zero_classification():
-    assert linear_gamma_zero(np.zeros((0, 0)), 0.1).classification == "trivial"
-    assert linear_gamma_zero([[2.0, 0.0], [0.0, 0.5]], 0.1).classification == "lower_dimensional"
+    assert linear_gamma_zero(np.zeros((0, 0))).classification == "trivial"
+    assert linear_gamma_zero([[2.0, 0.0], [0.0, 0.5]]).classification == "lower_dimensional"
     rot90 = [[0.0, -1.0], [1.0, 0.0]]
-    r = linear_gamma_zero(rot90, 0.1)
+    r = linear_gamma_zero(rot90)
     assert r.classification == "positive_volume" and not r.jordan_caveat
-    shear = linear_gamma_zero([[1.0, 1.0], [0.0, 1.0]], 0.1)
+    shear = linear_gamma_zero([[1.0, 1.0], [0.0, 1.0]])
     assert shear.classification == "lower_dimensional" and shear.jordan_caveat
-    cat = linear_gamma_zero(CAT_MATRIX.astype(float), 0.1)
+    cat = linear_gamma_zero(CAT_MATRIX.astype(float))
     assert cat.classification == "lower_dimensional"
     with pytest.raises(ValueError):
-        linear_gamma_zero([[1.0, 1.0], [1.0, 1.0]], 0.1)
+        linear_gamma_zero([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
-        linear_gamma_zero(LinearMapSpec(np.eye(2)), -0.1)
+        linear_gamma_zero([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    # the radius is gone and tol is keyword-only: a radius passed where
+    # it used to go is refused, not read as tol
+    with pytest.raises(TypeError):
+        linear_gamma_zero(np.eye(2), 0.1)
 
 
 def test_identity_map_trivial_dynamics():
