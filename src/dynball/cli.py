@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -54,12 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integral(text: str) -> int:
-    """20000, or a float spelling of an integer such as 2e4."""
+    """20000, or any other exact spelling of an integer such as 2e4.
+
+    The text is read as a decimal, so no digit is rounded away:
+    9007199254740993e0 stays odd and 2.0000000000000001 is refused.  A
+    value of 10^309 or more (1e400), which float read as inf, is refused
+    before its integer is built.
+    """
     try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-    if not value.is_integer():  # 2.5, inf, nan
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(text) from None
+    if not value.is_finite() or value.adjusted() > 308 \
+            or value != value.to_integral_value():  # inf, nan, 1e999999999, 2.5
         raise ValueError(text)
     return int(value)
 

@@ -32,7 +32,7 @@ from . import geometry as geo
 from .errors import CapabilityError, InsufficientSamplesError, SpaceMismatchError
 from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
-from .stats import check_samples
+from .stats import MAX_PROBES, MAX_WINDOW, check_at_most, check_samples
 from .systems import SystemSpec, compose_power
 from .expansiveness import ONE_SIDED, expansiveness_verdict, survival_counts
 
@@ -127,6 +127,7 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     check_samples(samples)
     if x_probes < 20:
         raise ValueError("x_probes must be >= 20")
+    check_at_most("x_probes", x_probes, MAX_PROBES)
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     grid = sorted((float(d) for d in delta_grid), reverse=True)
@@ -135,6 +136,7 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
+    check_at_most("n_hi", n_hi, MAX_WINDOW)
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)
     counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples, probes,
                              grid, ONE_SIDED, n_hi)

@@ -44,7 +44,7 @@ from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
 from .measures import MeasureSpec, sample_blocks
 from .rng import derive_seed
-from .stats import check_samples, wilson_interval
+from .stats import MAX_PROBES, MAX_WINDOW, check_at_most, check_samples, wilson_interval
 from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
@@ -78,6 +78,7 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    check_at_most("n_max", n_max, MAX_WINDOW)
     deltas_arr = np.asarray(list(deltas), dtype=float)
     if np.any(deltas_arr <= 0):
         raise ValueError("deltas must be positive")
@@ -263,6 +264,7 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
         raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if x_probes < 20:
         raise ValueError("x_probes must be >= 20")
+    check_at_most("x_probes", x_probes, MAX_PROBES)
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, sided)
@@ -359,6 +361,8 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     check_samples(pair_samples)
     if fubini_probes < 2:  # the probe spread needs two terminals
         raise ValueError(f"fubini_probes must be >= 2, got {fubini_probes!r}")
+    check_at_most("fubini_probes", fubini_probes, MAX_PROBES)
+    check_at_most("n_max", n_max, MAX_WINDOW)
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")
     sided = resolve_sided(f, None)
@@ -413,8 +417,10 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     check_samples(mc_samples)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    check_at_most("n_max", n_max, MAX_WINDOW)
     if sequence_samples < 1:
         raise ValueError(f"sequence_samples must be >= 1, got {sequence_samples!r}")
+    check_at_most("sequence_samples", sequence_samples, MAX_PROBES)
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
     if mu.space != f.space:

@@ -13,6 +13,15 @@ MIN_SAMPLES = 100
 # 0.5 s on a 2-vCPU machine, so 10^9 already runs for minutes and a larger
 # budget would only start a block loop that does not finish
 MAX_SAMPLES = 10**9
+# longest orbit window (n_max, entropy's n_hi) they take: the battery,
+# tests and demos use at most 40, a default verdict or generator check
+# 1,000 windows long takes 6 s on a 2-vCPU machine, and the (probe,
+# window) count array at MAX_PROBES probes is 80 MB per radius
+MAX_WINDOW = 1_000
+# most probe centers (x_probes, fubini_probes) or cover sequences they
+# take: a default verdict at 2,000 probes takes 23 s, so one at the
+# ceiling runs for minutes; a memory test walks 8,192 sequences
+MAX_PROBES = 10_000
 
 
 def check_samples(samples: int) -> None:
@@ -22,6 +31,13 @@ def check_samples(samples: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples!r}")
+
+
+def check_at_most(name: str, value: int, ceiling: int) -> None:
+    """Refuse a window length above MAX_WINDOW or a count above MAX_PROBES
+    before anything of that size is allocated."""
+    if value > ceiling:
+        raise ValueError(f"{name} must be <= {ceiling}, got {value!r}")
 
 
 def wilson_interval(successes, trials):

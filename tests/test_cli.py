@@ -311,6 +311,24 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["verdict", "--samples", "1e30"], "need at most 1000000000 samples"),
     (["entropy", "--samples", "1e30"], "need at most 1000000000 samples"),
     (["generator", "--mc-samples", "1e30"], "need at most 1000000000 samples"),
+    # window lengths and probe or sequence counts have ceilings too: each
+    # of these used to allocate terabytes and exit 1 with a traceback
+    (["decay", "--nmax", "1e12"], "n_max must be <= 1000, got 1000000000000"),
+    (["verdict", "--nmax", "1001"], "n_max must be <= 1000, got 1001"),
+    (["entropy", "--n-hi", "1e12"], "n_hi must be <= 1000, got 1000000000000"),
+    (["verdict", "--x-probes", "1e12"], "x_probes must be <= 10000, got 1000000000000"),
+    (["entropy", "--x-probes", "10001"], "x_probes must be <= 10000, got 10001"),
+    (["generator", "--sequences", "1e12"],
+     "sequence_samples must be <= 10000, got 1000000000000"),
+    (["generator", "--nmax", "1e12"], "n_max must be <= 1000, got 1000000000000"),
+    # integer settings are read exactly: no digit is rounded away
+    (["decay", "--nmax", "2.0000000000000001"],
+     "nmax must be an integer, got '2.0000000000000001'"),
+    (["decay", "--samples", "1e30", "--nmax", "2"],
+     "need at most 1000000000 samples, got 1000000000000000000000000000000"),
+    (["decay", "--samples", "1e999999999"], "samples must be an integer, got '1e999999999'"),
+    (["decay", "--seed", "18446744073709551616e0"],
+     "seed must be an integer in [0, 2**64), got '18446744073709551616e0'"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text
@@ -428,6 +446,14 @@ def test_seed_precedence(tmp_path, monkeypatch, capsys):
     code, err = seed()
     assert code == 2 and err.startswith("usage error: ") and bad in err
     assert seed("--seed", "3") == (0, 3)
+
+
+def test_int_setting_read_exactly(tmp_path):
+    # 2**53 + 1 is odd; read through float it became 2**53
+    assert run(["decay", "--seed", "9007199254740993e0", "--samples", "1000",
+                "--nmax", "2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "decay.json").read_text())["seed"] == 9007199254740993
+    assert "# seed: 9007199254740993\n" in (tmp_path / "decay.csv").read_text()
 
 
 def test_config_key_not_taken_is_ignored(tmp_path):

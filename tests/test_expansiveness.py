@@ -14,6 +14,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      torus2)
 from dynball import measures
 from dynball.expansiveness import resolve_sided, survival_counts
+from dynball.stats import MAX_PROBES, MAX_WINDOW
 
 
 def test_resolve_sided():
@@ -429,6 +430,45 @@ def test_sample_floor(estimate):
         with pytest.raises(ValueError, match=f"^need at least 100 samples, got {n}$"):
             estimate(mu, n)
     estimate(mu, 100)
+
+
+@pytest.mark.parametrize("estimate, name, ceiling", [
+    (lambda mu, k: decay_series(make_rotation(), mu, (0.3,), 0.05, n_max=k, samples=100),
+     "n_max", MAX_WINDOW),
+    (lambda mu, k: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=k, samples=100),
+     "n_max", MAX_WINDOW),
+    (lambda mu, k: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=3, samples=100,
+                                         x_probes=k),
+     "x_probes", MAX_PROBES),
+    (lambda mu, k: bk_entropy(make_doubling(), mu, (0.1, 0.05), n_range=(1, k),
+                              samples=100),
+     "n_hi", MAX_WINDOW),
+    (lambda mu, k: bk_entropy(make_doubling(), mu, (0.1, 0.05), n_range=(1, 4),
+                              samples=100, x_probes=k),
+     "x_probes", MAX_PROBES),
+    (lambda mu, k: generator_check(make_doubling(), mu,
+                                   make_ball_cover(circle(), radius=0.3, step=0.2),
+                                   n_max=k, sequence_samples=2, mc_samples=100),
+     "n_max", MAX_WINDOW),
+    (lambda mu, k: generator_check(make_doubling(), mu,
+                                   make_ball_cover(circle(), radius=0.3, step=0.2),
+                                   n_max=2, sequence_samples=k, mc_samples=100),
+     "sequence_samples", MAX_PROBES),
+    (lambda mu, k: product_diagonal_test(make_doubling(), mu, 0.1, n_max=k,
+                                         pair_samples=100),
+     "n_max", MAX_WINDOW),
+    (lambda mu, k: product_diagonal_test(make_doubling(), mu, 0.1, n_max=3,
+                                         pair_samples=100, fubini_probes=k),
+     "fubini_probes", MAX_PROBES),
+    (lambda mu, k: local_entropy(make_doubling(), mu, (0.3,), (0.1,), n_range=(1, k),
+                                 samples=100),
+     "n_max", MAX_WINDOW),
+])
+def test_window_and_probe_ceilings(estimate, name, ceiling):
+    # refused before an array of that length is allocated
+    for k in (ceiling + 1, 10**12):
+        with pytest.raises(ValueError, match=rf"^{name} must be <= {ceiling}, got {k}$"):
+            estimate(make_lebesgue(circle()), k)
 
 
 def test_fractions_reject_measure_off_space():
