@@ -55,13 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integral(text: str) -> int:
-    """20000, or any other exact spelling of an integer such as 2e4.
-
-    The text is read as a decimal, so no digit is rounded away:
-    9007199254740993e0 stays odd and 2.0000000000000001 is refused.  A
-    value of 10^309 or more (1e400), which float read as inf, is refused
-    before its integer is built.
-    """
+    """20000, or any exact spelling of an integer such as 2e4, read as a
+    decimal so no digit is rounded away (9007199254740993e0 stays odd);
+    10^309 or more (1e400) is refused before its integer is built."""
     try:
         value = Decimal(text)
     except InvalidOperation:

@@ -327,8 +327,6 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["decay", "--samples", "1e30", "--nmax", "2"],
      "need at most 1000000000 samples, got 1000000000000000000000000000000"),
     (["decay", "--samples", "1e999999999"], "samples must be an integer, got '1e999999999'"),
-    (["decay", "--seed", "18446744073709551616e0"],
-     "seed must be an integer in [0, 2**64), got '18446744073709551616e0'"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text
