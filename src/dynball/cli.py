@@ -3,7 +3,8 @@
 Every data command writes three files into ``--out``: ``<cmd>.csv`` with
 a commented metadata header (version, config echo, seed) and a plain
 header row, ``<cmd>.json`` with the structured result and the same
-config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime.
+config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime,
+the process's peak RSS and its minor page-fault count.
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
@@ -29,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -236,6 +238,13 @@ _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
 
+def _usage() -> dict:
+    """Peak RSS (Linux reports ru_maxrss in KiB) and minor page faults of
+    this process so far, for the meta sidecar."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt}
+
+
 def _run(command: str, args: argparse.Namespace) -> int:
     """Shared steps of the data commands; only the table's function is timed."""
     spec = _COMMANDS[command]
@@ -260,7 +269,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     payload = {"version": __version__, "command": command,
                "config": echo, "seed": args.seed, "result": result}
     meta = {"version": __version__, "command": command, "seed": args.seed,
-            "runtime_seconds": runtime}
+            "runtime_seconds": runtime, **_usage()}
     _write(args.out, {f"{command}.csv": "\n".join(lines) + "\n",
                       f"{command}.json": payload, f"{command}.meta.json": meta})
     print(f"{command}: {summary} -> {args.out}/{command}.json")
@@ -275,7 +284,7 @@ def _battery(args: argparse.Namespace) -> int:
     report = run_battery(case_filter=case_filter, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
-            "runtime_seconds": runtime, "workers": args.workers}
+            "runtime_seconds": runtime, "workers": args.workers, **_usage()}
     _write(args.out, {"battery.json": report.to_json(),
                       "battery.md": report.to_markdown(),
                       "battery.meta.json": meta})

@@ -73,20 +73,25 @@ def wrap01(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Sum over axes of per-axis distance; broadcasts over leading axes.
 
     Works axis by axis, so ``distance(space, xs[:, None], ys[None])`` gives
-    the (len(xs), len(ys)) matrix without a (P, S, dim) temporary.
+    the (len(xs), len(ys)) matrix without a (P, S, dim) temporary.  With
+    ``out``, a float array of the result's shape that aliases neither
+    input, the first axis is worked out in place there and the result is
+    written there.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    total = None
+    total, buf = None, out
     for ax in range(space.dim):
-        diff = np.abs(a[..., ax] - b[..., ax])
+        diff = np.abs(np.subtract(a[..., ax], b[..., ax], out=buf), out=buf)
         if space.periodic:
-            diff = np.minimum(diff, 1.0 - diff)
-        total = diff if total is None else total + diff
+            diff = np.minimum(diff, 1.0 - diff, out=buf)
+        total = diff if total is None else np.add(total, diff, out=out)
+        buf = None
     return total
 
 

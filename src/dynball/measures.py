@@ -29,7 +29,8 @@ class MeasureSpec:
     space: geo.SpaceDescriptor
     # maps uniform draws (count, dim) on [0,1)^dim to sample coordinates;
     # must act per-row so parallel generation stays order-independent, and
-    # may overwrite u (sample_coords hands it a fresh draw)
+    # may overwrite u (sample_coords hands it a fresh draw); its result is
+    # the caller's to modify (survival_counts sorts it in place)
     transform: Callable[[np.ndarray], np.ndarray]
     ball_oracle: Optional[Callable[[geo.Ball], float]] = None
 
@@ -38,8 +39,9 @@ class MeasureSpec:
         return self.transform(u)
 
 
-# most rows per block: a caller's (width, block) matrix stays within
-# 32 * _BLOCK entries whatever the sample budget
+# most rows per block: a caller's (width, block) matrix, or the window-1
+# (center, sample) candidate pairs of survival_counts, which are at most
+# width * block, stays within 32 * _BLOCK entries whatever the budget
 _BLOCK = 1 << 16
 
 
@@ -149,6 +151,9 @@ def make_measure(name: str, space: geo.SpaceDescriptor,
     if name == "lebesgue":
         return make_lebesgue(space)
     if name == "denjoy-minimal":
+        if space.kind != geo.CIRCLE:
+            raise SpaceMismatchError(
+                f"measure 'denjoy-minimal' lives on the circle, not on the {space.kind}")
         return make_denjoy_minimal(**(params or {}))
     if name.startswith("dirac:"):
         try:

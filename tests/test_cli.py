@@ -227,6 +227,15 @@ def test_battery_subset_cli(tmp_path, capsys):
     assert meta["workers"] == 2
 
 
+@pytest.mark.parametrize("argv", [["decay", "--samples", "1000", "--nmax", "2"],
+                                  ["battery", "--cases", "thA"]])
+def test_meta_records_peak_rss_and_faults(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / f"{argv[0]}.meta.json").read_text())
+    assert meta["peak_rss_mb"] > 0
+    assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] > 0
+
+
 def test_battery_json_stable_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -327,6 +336,9 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["decay", "--samples", "1e30", "--nmax", "2"],
      "need at most 1000000000 samples, got 1000000000000000000000000000000"),
     (["decay", "--samples", "1e999999999"], "samples must be an integer, got '1e999999999'"),
+    # the decay center used to be drawn on the circle and placed on the torus
+    (["decay", "--system", "cat", "--measure", "denjoy-minimal"],
+     "measure 'denjoy-minimal' lives on the circle, not on the torus2"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

@@ -13,7 +13,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      power_consistency_check, product_diagonal_test, SystemSpec,
                      torus2)
 from dynball import measures
-from dynball.expansiveness import resolve_sided, survival_counts
+from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
 from dynball.stats import MAX_PROBES, MAX_WINDOW
 
 
@@ -72,16 +72,51 @@ _KERNEL_CASES = [
 def test_kernel_matches_dense_reference(make_f, make_mu, sided):
     f = make_f()
     mu = make_mu() if make_mu else make_lebesgue(f.space)
-    centers = mu.sample_coords(seed=42, count=6)
-    deltas = [0.1, 0.02, 0.3, 0.05]  # unsorted on purpose
-    want = _dense_counts(f, mu.sample_coords(41, 3000), centers, deltas, sided, 15)
-    assert want[:, :, 0].any()
-    assert np.array_equal(survival_counts(f, mu, 41, 3000, centers, deltas, sided, 15),
-                          want)
-    for samples, c in ((1, centers), (3000, centers[:1]), (0, centers)):
-        got = survival_counts(f, mu, 41, samples, c, deltas, sided, 15)
-        batch = mu.sample_coords(41, samples)
-        assert np.array_equal(got, _dense_counts(f, batch, c, deltas, sided, 15))
+    # a center at 0.0 has its window-1 range cut by the end of axis 0
+    centers = np.vstack([mu.sample_coords(seed=42, count=6), np.zeros(f.space.dim)])
+    # unsorted on purpose; at a largest radius >= 1/2 every pair is a candidate
+    for deltas in ([0.1, 0.02, 0.3, 0.05], [0.05, 0.6]):
+        want = _dense_counts(f, mu.sample_coords(41, 3000), centers, deltas, sided, 15)
+        assert want[:, :, 0].any()
+        assert np.array_equal(
+            survival_counts(f, mu, 41, 3000, centers, deltas, sided, 15), want)
+        for samples, c in ((1, centers), (3000, centers[:1]), (0, centers)):
+            got = survival_counts(f, mu, 41, samples, c, deltas, sided, 15)
+            batch = mu.sample_coords(41, samples)
+            assert np.array_equal(got, _dense_counts(f, batch, c, deltas, sided, 15))
+
+
+def _sorted_block(space, rng, centers, r):
+    """Random points plus every point the axis-0 range of a center can end
+    on (c +- r, wrapped on a periodic axis, and both ends of the axis),
+    sorted on axis 0."""
+    ends = np.concatenate([centers[:, 0] - r, centers[:, 0] + r, [0.0, 1.0]])
+    ends = ends % 1.0 if space.periodic else ends[(ends >= 0) & (ends <= 1)]
+    ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    ys = rng.random((400 + len(ends), space.dim))
+    ys[:len(ends), 0] = ends % 1.0 if space.periodic else ends
+    return ys[np.argsort(ys[:, 0])]
+
+
+@pytest.mark.parametrize("space, axis0", [
+    (circle(), [0.0, 0.5, 1 - 1e-12, 0.3]),
+    (interval(), [0.0, 1.0, 0.5]),
+    (torus2(), [0.0, 0.5, 1 - 1e-12]),
+])
+@pytest.mark.parametrize("r", [1e-9, 0.05, 0.49, 0.5, 0.6])
+def test_near_pairs_hold_every_pair_within_r_once(space, axis0, r):
+    rng = np.random.default_rng(60)
+    centers = rng.random((len(axis0), space.dim))
+    centers[:, 0] = axis0
+    for ys in (_sorted_block(space, rng, centers, r), np.empty((0, space.dim))):
+        xi, yi = _near_pairs(space, centers, ys, r)
+        found = set(zip(xi.tolist(), yi.tolist()))
+        assert len(found) == len(xi)  # no pair twice
+        close = distance(space, centers[:, None], ys[None]) <= r
+        assert set(zip(*(i.tolist() for i in np.nonzero(close)))) <= found
+        # the superset is only the padding wide on axis 0
+        axis0 = circle() if space.periodic else interval()
+        assert np.all(distance(axis0, centers[xi, :1], ys[yi, :1]) <= r + 2e-9)
 
 
 def test_kernel_counts_independent_of_block_size(monkeypatch):
@@ -119,6 +154,16 @@ def test_kernel_memory_bounded_in_batch_size():
     assert peak < 32 * 2 ** 20
 
 
+@pytest.mark.parametrize("f, mu", [(make_rotation(), make_lebesgue(circle())),
+                                   (make_denjoy(), make_denjoy_minimal())])
+def test_default_verdict_memory_bounded(f, mu):
+    # 20 probes, 100k samples, 30 two-sided windows: 30.5 MiB while a
+    # (center, block) distance matrix picked the window-1 pairs
+    v, peak = _traced_peak(lambda: expansiveness_verdict(f, mu, 0.05))
+    assert v.samples == 100_000 and v.sided == "two_sided"
+    assert peak < 20 * 2 ** 20
+
+
 def test_decay_series_memory_bounded_in_samples():
     # the whole estimator at 2M samples: a whole-batch draw alone is 16 MB
     f, mu = make_rotation(), make_lebesgue(circle())
@@ -148,8 +193,9 @@ def test_two_sided_decay_inverts_only_forward_candidates():
 
 
 def test_kernel_memory_bounded_in_center_count():
-    # 256 centers: 65,536-sample blocks would make each window-1 (center,
-    # sample) matrix 128 MiB; narrower blocks keep it at 32 * _BLOCK entries
+    # 256 centers: 65,536-sample blocks would give each block 1.7M window-1
+    # candidate pairs and a 107 MiB peak of pair indices and kernel buffers;
+    # blocks of 32 * _BLOCK / 256 rows keep it at 13 MiB
     f, mu = make_rotation(), make_lebesgue(circle())
     centers = mu.sample_coords(seed=49, count=256)
     counts, peak = _traced_peak(lambda: survival_counts(
