@@ -16,7 +16,8 @@ largest radius; only the points some alive pair references are stepped
 forward or, two-sided, inverted.  No step is dense: ``survival_counts``
 sorts each sample block on axis 0 and ``_near_pairs`` finds the
 candidates by binary search, since every window needs d(x, y) within
-the largest radius.  For a measure-expansive map the alive set shrinks
+the largest radius (on the torus, an axis-0 search cut to the pairs
+within that radius).  For a measure-expansive map the alive set shrinks
 geometrically, and even for an isometry it is about 2*delta of the pairs
 from window 1 on.
 
@@ -25,7 +26,7 @@ Every estimator here draws its sample budget through the block generator
 memory does not grow with the budget and the counts equal a whole-batch
 draw's exactly.  The generator check walks each block through the orbit
 window once (``_window``), ANDing a (sequence, sample) membership mask
-built one cover element at a time.
+filled a chunk of cover elements at a time through one float scratch.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -51,6 +52,12 @@ from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
+
+# float entries in generator_check's membership scratch.  Its blocks hold
+# about 32 * 65,536 / sequences rows and each sequence uses one cover
+# element per iterate, so a window fills its mask in about 32 chunks at
+# most, whatever the cover size or the sequence count.
+_SCRATCH = 1 << 16
 
 
 def resolve_sided(f: SystemSpec, sided: str | None) -> str:
@@ -97,7 +104,7 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
         if yf.shape[1] == 1:
             yf.sort(axis=0)  # a fresh draw, so sorted in place
         else:
-            yf = yf[np.argsort(yf[:, 0])]
+            yf = np.take(yf, np.argsort(yf[:, 0]), axis=0)  # see _compact
         xi, yi = _near_pairs(f.space, centers, yf, dmax)
         _advance_pairs(f, deltas_arr, counts, two, centers, yf, xi, yi, xi)
     return counts
@@ -115,16 +122,24 @@ def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
     can disagree.  A periodic axis searches that range shifted by -1, 0
     and +1, and each range is cut to start where the one before it ends:
     the ranges then never share a sample, even at r >= 1/2, where they
-    would overlap and together hold every sample.
+    would overlap and together hold every sample.  On the torus that
+    axis-0 strip holds about 2r of the block, against the 2r^2 within r,
+    so it is cut to the pairs within r in the full metric: the kernel
+    would otherwise invert every strip row at window 1.
     """
+    r = r + 1e-9
     c, y = centers[:, 0], ys[:, 0]
     mid = c[:, None] + (np.array([-1.0, 0.0, 1.0]) if space.periodic else 0.0)
-    lo, hi = np.searchsorted(y, [mid - (r + 1e-9), mid + (r + 1e-9)])
+    lo, hi = np.searchsorted(y, [mid - r, mid + r])
     lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
     lens = np.maximum(hi - lo, 0).ravel()
     xi = np.repeat(np.arange(len(c)).repeat(lo.shape[1]), lens)
     first = np.cumsum(lens) - lens  # where each range starts among the pairs
     yi = np.arange(len(xi)) + np.repeat(lo.ravel() - first, lens)
+    if space.dim > 1:  # an axis-0 strip: keep its pairs within r in the metric
+        a, b = np.take(centers, xi, axis=0), np.take(ys, yi, axis=0)  # see _compact
+        near = geo.distance(space, a, b) <= r
+        xi, yi = xi[near], yi[near]
     return xi, yi
 
 
@@ -182,14 +197,17 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
 
 
 def _compact(idx: np.ndarray, *rows):
-    """Keep only the rows idx references; return idx renumbered to them."""
+    """Keep only the rows idx references; return idx renumbered to them.
+
+    Rows are gathered with ``np.take``: indexing a (count, 2) array with
+    an index array is 8-10x slower (65,536 rows, numpy 2.4)."""
     mark = np.zeros(len(rows[0]), dtype=bool)
     mark[idx] = True
     live = np.flatnonzero(mark)  # np.unique(idx) sorts and is far slower
     if len(live) == len(mark):
         return idx, rows
     return (np.cumsum(mark)[idx] - 1,
-            tuple(None if r is None else r[live] for r in rows))
+            tuple(None if r is None else np.take(r, live, axis=0) for r in rows))
 
 
 def _window(f: SystemSpec, coords: np.ndarray, n_max: int, two: bool):
@@ -502,12 +520,16 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     per_seq = np.zeros(sequence_samples, dtype=np.int64)
     for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples, sequence_samples):
         alive = np.ones((sequence_samples, len(block)), dtype=bool)
-        # inside[j]: the block's iterates in the j-th cover element in use
+        # inside[j]: the block's iterates in the j-th cover element in use,
+        # filled a chunk of elements at a time through one float scratch
         inside = np.empty((min(len(cover), sequence_samples), len(block)), dtype=bool)
+        scratch = np.empty((min(len(inside), max(1, _SCRATCH // len(block))), len(block)))
         for n, cur in _window(f, block, n_max, two):
             used, remap = np.unique(seq[:, col + n], return_inverse=True)
-            for j, e in enumerate(used):
-                np.less_equal(geo.distance(f.space, centers[e], cur), radii[e], out=inside[j])
+            for j in range(0, len(used), len(scratch)):
+                e = used[j:j + len(scratch)]
+                d = geo.distance(f.space, centers[e, None], cur[None], out=scratch[:len(e)])
+                np.less_equal(d, radii[e, None], out=inside[j:j + len(e)])
             alive &= inside[remap]
         per_seq += alive.sum(axis=1)
     est = per_seq / mc_samples

@@ -12,7 +12,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      make_rotation, make_tent, periodic_fraction,
                      power_consistency_check, product_diagonal_test, SystemSpec,
                      torus2)
-from dynball import measures
+from dynball import expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
 from dynball.stats import MAX_PROBES, MAX_WINDOW
 
@@ -89,12 +89,16 @@ def test_kernel_matches_dense_reference(make_f, make_mu, sided):
 def _sorted_block(space, rng, centers, r):
     """Random points plus every point the axis-0 range of a center can end
     on (c +- r, wrapped on a periodic axis, and both ends of the axis),
+    and on the torus points at metric distance r split over both axes,
     sorted on axis 0."""
     ends = np.concatenate([centers[:, 0] - r, centers[:, 0] + r, [0.0, 1.0]])
     ends = ends % 1.0 if space.periodic else ends[(ends >= 0) & (ends <= 1)]
     ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
     ys = rng.random((400 + len(ends), space.dim))
     ys[:len(ends), 0] = ends % 1.0 if space.periodic else ends
+    if space.dim > 1:
+        split = [(t * r, s * (1 - t) * r) for t in (0.25, 0.5) for s in (-1, 1)]
+        ys = np.concatenate([ys, (centers[:, None] + split).reshape(-1, 2) % 1.0])
     return ys[np.argsort(ys[:, 0])]
 
 
@@ -114,9 +118,8 @@ def test_near_pairs_hold_every_pair_within_r_once(space, axis0, r):
         assert len(found) == len(xi)  # no pair twice
         close = distance(space, centers[:, None], ys[None]) <= r
         assert set(zip(*(i.tolist() for i in np.nonzero(close)))) <= found
-        # the superset is only the padding wide on axis 0
-        axis0 = circle() if space.periodic else interval()
-        assert np.all(distance(axis0, centers[xi, :1], ys[yi, :1]) <= r + 2e-9)
+        # the superset is only the padding wide, on the torus too
+        assert np.all(distance(space, centers[xi], ys[yi]) <= r + 2e-9)
 
 
 def test_kernel_counts_independent_of_block_size(monkeypatch):
@@ -418,6 +421,21 @@ def test_generator_counts_independent_of_block_size(monkeypatch):
         for block in (1, 7, 1999, 2000, 2001):
             monkeypatch.setattr(measures, "_BLOCK", block)
             assert generator_check(f, mu, cover, **kw) == want, (f.name, block)
+
+
+def test_generator_counts_independent_of_scratch_size(monkeypatch):
+    # the membership mask is filled a chunk of cover elements at a time;
+    # one element per chunk, ragged chunks and one chunk must agree
+    for f in (make_rotation(), make_cat()):
+        mu = make_lebesgue(f.space)
+        cover = make_ball_cover(f.space, radius=0.3, step=0.2 if f.space.dim > 1 else 0.05)
+        kw = dict(n_max=3, sequence_samples=64, mc_samples=3000, seed=49)
+        monkeypatch.undo()
+        want = generator_check(f, mu, cover, **kw)
+        assert max(want.per_sequence) > 0
+        for scratch in (1, 7 * 3000, 10 ** 9):
+            monkeypatch.setattr(expansiveness, "_SCRATCH", scratch)
+            assert generator_check(f, mu, cover, **kw) == want, (f.name, scratch)
 
 
 def test_generator_memory_bounded_in_batch_size():
