@@ -152,8 +152,8 @@ def _write(out: str, files: dict) -> None:
 
 
 def _decay(f, mu, s: dict, seed: int):
-    coords = s["x"] or tuple(mu.sample_coords(derive_seed(seed, "x"), 1)[0])
-    series = decay_series(f, mu, geo.Point(f.space, coords), s["delta"],
+    x = s["x"] or mu.sample_coords(derive_seed(seed, "x"), 1)
+    series = decay_series(f, mu, x, s["delta"],
                           sided=s["sided"], n_max=s["nmax"],
                           samples=s["samples"], seed=seed)
     echo = {"delta": s["delta"], "nmax": s["nmax"], "samples": s["samples"],

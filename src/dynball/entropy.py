@@ -85,19 +85,17 @@ def fit_decay_slope(counts: np.ndarray) -> SlopeFit:
                     max_residual=resid)
 
 
-def local_entropy(f: SystemSpec, mu: MeasureSpec, x: geo.Point,
+def local_entropy(f: SystemSpec, mu: MeasureSpec, x,
                   delta_grid: Sequence[float], n_range: tuple[int, int] = (1, 14),
                   samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
     check_samples(samples)
-    if not isinstance(x, geo.Point):
-        x = geo.Point(f.space, x)
-    if x.space != f.space or mu.space != f.space:
-        raise SpaceMismatchError("system, measure, and center must share a space")
+    if mu.space != f.space:
+        raise SpaceMismatchError("system and measure must share a space")
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi:
         raise ValueError("need 1 <= n_lo < n_hi")
-    counts = survival_counts(f, mu, seed, samples, x.array[None, :],
+    counts = survival_counts(f, mu, seed, samples, geo.point_coords(f.space, x),
                              list(delta_grid), ONE_SIDED, n_hi)
     return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:])
             for i, d in enumerate(delta_grid)}

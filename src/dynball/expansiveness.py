@@ -227,29 +227,20 @@ def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
                       sided: str | None = None):
     """Membership of y in the window-n set of radius delta around x.
 
-    y may be a Point or a 1-D coordinate vector (returns a bool) or a
-    (count, dim) array (returns a bool vector).  ``sided`` defaults as in
-    ``resolve_sided``: two-sided windows only for an invertible f."""
+    x is one point and y one point (giving a bool) or a (count, dim) array
+    (a bool vector), both read by ``geometry.coords`` on f's space.
+    ``sided`` defaults as in ``resolve_sided``: two-sided windows only for
+    an invertible f."""
     if delta <= 0 or n < 1:
         raise ValueError("need delta > 0 and n >= 1")
-    if not isinstance(x, geo.Point):
-        x = geo.Point(f.space, x)
-    if x.space != f.space:
-        raise SpaceMismatchError("query center must live on the system's space")
-    single = isinstance(y, geo.Point) or np.asarray(y).ndim == 1
-    if isinstance(y, geo.Point):
-        if y.space != f.space:
-            raise SpaceMismatchError("point must live on the system's space")
-        ys = y.array[None, :]
-    else:
-        ys = np.atleast_2d(np.asarray(y, dtype=float))
+    xs, ys = geo.point_coords(f.space, x), geo.coords(f.space, y)
     two = resolve_sided(f, sided) == TWO_SIDED
     counts = np.zeros((1, len(ys), n), dtype=np.int64)
     pair = np.arange(len(ys))  # the pairs (x, y_j), labelled by j
-    _advance_pairs(f, np.array([delta]), counts, two, x.array[None, :], ys,
+    _advance_pairs(f, np.array([delta]), counts, two, xs, ys,
                    np.zeros_like(pair), pair, pair)
     hits = counts[0, :, -1] == 1
-    return bool(hits[0]) if single else hits
+    return bool(hits[0]) if np.ndim(y) < 2 else hits
 
 
 @dataclass(frozen=True)
@@ -282,19 +273,17 @@ def _series_from_counts(x, delta, sided, counts_1d, samples, seed) -> DecaySerie
         samples=int(samples), seed=int(seed))
 
 
-def decay_series(f: SystemSpec, mu: MeasureSpec, x: geo.Point, delta: float,
+def decay_series(f: SystemSpec, mu: MeasureSpec, x, delta: float,
                  sided: str | None = None, n_max: int = 30,
                  samples: int = 100_000, seed: int = 0) -> DecaySeries:
     """Window-measure estimates at a single center from one sample batch."""
     check_samples(samples)
-    if not isinstance(x, geo.Point):
-        x = geo.Point(f.space, x)
-    if mu.space != f.space or x.space != f.space:
-        raise SpaceMismatchError("system, measure, and center must share a space")
+    if mu.space != f.space:
+        raise SpaceMismatchError("system and measure must share a space")
+    xs = geo.point_coords(f.space, x)
     sided = resolve_sided(f, sided)
-    counts = survival_counts(f, mu, seed, samples, x.array[None, :], [delta],
-                             sided, n_max)
-    return _series_from_counts(x.coords, delta, sided, counts[0, 0], samples, seed)
+    counts = survival_counts(f, mu, seed, samples, xs, [delta], sided, n_max)
+    return _series_from_counts(xs[0].tolist(), delta, sided, counts[0, 0], samples, seed)
 
 
 @dataclass(frozen=True)
@@ -432,6 +421,8 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     if fubini_probes < 2:  # the probe spread needs two terminals
         raise ValueError(f"fubini_probes must be >= 2, got {fubini_probes!r}")
     check_at_most("fubini_probes", fubini_probes, MAX_PROBES)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     check_at_most("n_max", n_max, MAX_WINDOW)
     if mu.space != f.space:
         raise SpaceMismatchError("system and measure must share a space")

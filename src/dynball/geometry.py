@@ -4,7 +4,7 @@ A space is its kind: the circle R/Z, the unit interval [0, 1] or the
 2-torus R^2/Z^2, every axis of unit length.  Periodic axes use the
 quotient metric min(|a-b|, 1-|a-b|); the torus sums its per-axis
 distances, so its balls are L1 diamonds.  All ball membership tests are
-closed (<=).
+closed (<=).  Raw coordinates enter the package through ``coords``.
 """
 from __future__ import annotations
 
@@ -75,13 +75,14 @@ def wrap01(x: np.ndarray) -> np.ndarray:
 
 def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over axes of per-axis distance; broadcasts over leading axes.
+    """Sum over axes of per-axis distance between in-space coordinates, as
+    ``coords`` returns them (the fold min(d, 1 - d) is wrong for d > 1).
 
-    Works axis by axis, so ``distance(space, xs[:, None], ys[None])`` gives
-    the (len(xs), len(ys)) matrix without a (P, S, dim) temporary.  With
-    ``out``, a float array of the result's shape that aliases neither
-    input, the first axis is worked out in place there and the result is
-    written there.
+    Broadcasts over leading axes, axis by axis, so ``distance(space,
+    xs[:, None], ys[None])`` gives the (len(xs), len(ys)) matrix without a
+    (P, S, dim) temporary.  With ``out``, a float array of the result's
+    shape that aliases neither input, the first axis is worked out in
+    place there and the result is written there.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -95,28 +96,49 @@ def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
     return total
 
 
+def coords(space: SpaceDescriptor, values) -> np.ndarray:
+    """The one reader of points from outside the package: a Point of
+    ``space``, one point's coordinates or a (count, dim) array, returned as
+    a fresh (count, dim) float array.  Coordinates must be finite; periodic
+    ones are folded with ``wrap01`` (the caller's array never is) and the
+    interval's must lie in [0, 1].  Anything else raises SpaceMismatchError.
+    """
+    if isinstance(values, Point):
+        if values.space != space:
+            raise SpaceMismatchError(f"point on {values.space.kind}, expected {space.kind}")
+        return np.array([values.coords])  # already read
+    arr = np.array(values, dtype=float, ndmin=1)  # a copy, never the caller's array
+    if arr.ndim > 2 or arr.shape[-1] != space.dim:
+        raise SpaceMismatchError(
+            f"coords of shape {arr.shape} on a {space.dim}-dimensional space")
+    arr = arr.reshape(-1, space.dim)
+    bad = ~(np.isfinite(arr) if space.periodic else (arr >= 0.0) & (arr <= 1.0)).all(axis=1)
+    if bad.any():
+        row = arr[bad.argmax()]
+        problem = "outside interval bounds" if np.isfinite(row).all() else "must be finite"
+        raise SpaceMismatchError(f"coords {tuple(row.tolist())} {problem}")
+    return wrap01(arr) if space.periodic else arr
+
+
+def point_coords(space: SpaceDescriptor, values) -> np.ndarray:
+    """``coords`` of exactly one point, shape (1, dim)."""
+    arr = coords(space, values)
+    if len(arr) != 1:
+        raise SpaceMismatchError(f"expected one point, got {len(arr)}")
+    return arr
+
+
 @dataclass(frozen=True)
 class Point:
-    """A point of a space, folded with ``wrap01`` on periodic spaces and
-    checked to lie in [0, 1] on the interval."""
+    """One point of a space, its coords read, folded and checked by
+    ``point_coords``."""
 
     space: SpaceDescriptor
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if arr.shape != (self.space.dim,):
-            raise SpaceMismatchError(
-                f"point has {arr.shape} coords, space is {self.space.dim}-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise SpaceMismatchError(
-                f"coords {tuple(float(v) for v in arr)} must be finite")
-        if self.space.periodic:
-            arr = wrap01(arr.copy())  # arr may alias the caller's array
-        elif not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise SpaceMismatchError(
-                f"coords {tuple(float(v) for v in arr)} outside interval bounds")
-        object.__setattr__(self, "coords", tuple(float(v) for v in arr))
+        object.__setattr__(self, "coords",
+                           tuple(point_coords(self.space, self.coords)[0].tolist()))
 
     @property
     def array(self) -> np.ndarray:
@@ -139,10 +161,9 @@ class Ball:
         return self.center.space
 
 
-def ball_contains(ball: Ball, coords: np.ndarray) -> np.ndarray:
-    """Membership test, vectorized over rows of ``coords``."""
-    d = distance(ball.space, ball.center.array, np.asarray(coords, dtype=float))
-    return d <= ball.radius
+def ball_contains(ball: Ball, points) -> np.ndarray:
+    """Membership test, vectorized over the rows ``coords`` reads from ``points``."""
+    return distance(ball.space, ball.center.array, coords(ball.space, points)) <= ball.radius
 
 
 def probe_grid(space: SpaceDescriptor, count: int) -> np.ndarray:

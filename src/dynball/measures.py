@@ -95,16 +95,10 @@ def make_lebesgue(space: geo.SpaceDescriptor) -> MeasureSpec:
 
 
 def make_dirac(point: geo.Point) -> MeasureSpec:
-    coords = point.array
-
-    def transform(u):
-        return np.broadcast_to(coords, (len(u), len(coords))).copy()
-
-    def oracle(b: geo.Ball) -> float:
-        return 1.0 if bool(geo.ball_contains(b, coords)) else 0.0
-
     return MeasureSpec(name=f"dirac:{','.join(repr(c) for c in point.coords)}",
-                       space=point.space, transform=transform, ball_oracle=oracle)
+                       space=point.space,
+                       transform=lambda u: np.repeat(point.array[None], len(u), axis=0),
+                       ball_oracle=lambda b: float(geo.ball_contains(b, point)[0]))
 
 
 def make_denjoy_minimal(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> MeasureSpec:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from .denjoy import GOLDEN_CONJUGATE, build_denjoy
-from .errors import CapabilityError, SpaceMismatchError
+from .errors import CapabilityError
 
 Map = Callable[[np.ndarray], np.ndarray]
 
@@ -35,24 +35,25 @@ class SystemSpec:
         return self.inverse is not None
 
 
+def _power(step: Map, k: int) -> Map:
+    """step applied k times, with no check of its input."""
+    def run(c):
+        for _ in range(k):
+            c = step(c)
+        return c
+    return run
+
+
 def iterate(f: SystemSpec, x, n: int):
     """f^n(x); negative n walks the inverse.
 
-    Accepts a Point (returned as a Point) or a (count, dim) coordinate
-    array (returned as an array)."""
-    as_point = isinstance(x, geo.Point)
-    if as_point:
-        if x.space != f.space:
-            raise SpaceMismatchError(f"point on {x.space.kind}, system on {f.space.kind}")
-        coords = x.array.reshape(1, -1)
-    else:
-        coords = np.asarray(x, dtype=float)
+    x is read by ``geometry.coords`` on f's space: a Point comes back as a
+    Point, anything else as a (count, dim) array."""
+    c = geo.coords(f.space, x)
     if n < 0 and not f.invertible:
         raise CapabilityError(f"{f.name} is not invertible; cannot iterate n={n}")
-    step = f.forward if n >= 0 else f.inverse
-    for _ in range(abs(n)):
-        coords = step(coords)
-    return geo.Point(f.space, tuple(coords[0])) if as_point else coords
+    c = _power(f.forward if n >= 0 else f.inverse, abs(n))(c)
+    return geo.Point(f.space, c[0]) if isinstance(x, geo.Point) else c
 
 
 def compose_power(f: SystemSpec, k: int) -> SystemSpec:
@@ -61,14 +62,8 @@ def compose_power(f: SystemSpec, k: int) -> SystemSpec:
         raise ValueError("k must be >= 1")
     if k == 1:
         return f
-
-    def fwd(c):
-        return iterate(f, c, k)
-
-    inv = None
-    if f.inverse is not None:
-        def inv(c):
-            return iterate(f, c, -k)
+    fwd = _power(f.forward, k)
+    inv = None if f.inverse is None else _power(f.inverse, k)
 
     jac = None
     if f.jacobian is not None:

@@ -1,8 +1,10 @@
+import json
 from dataclasses import asdict
 
 import pytest
 
-from dynball import CASE_IDS, case_info, consistency_matrix, run_battery
+from dynball import CASE_IDS, battery, case_info, consistency_matrix, run_battery
+from dynball.cli import main
 
 SUBSET = ["isometry", "thA", "exxx1"]
 
@@ -57,3 +59,18 @@ def test_consistency_matrix_agrees():
     assert set(m["rows"]) == {"doubling", "identity", "rotation"}
     assert m["rows"]["doubling"]["verdict"] == "evidence_expansive"
     assert m["rows"]["identity"]["verdict"] == "evidence_not_expansive"
+
+
+def test_failing_cases_exit_1_and_record_the_error(tmp_path, monkeypatch, capsys):
+    def boom(seed):
+        raise RuntimeError("boom")
+
+    runners = {"thA": boom, "exxx1": lambda seed: ("fail", {})}
+    monkeypatch.setattr(battery, "_CASES",
+                        [(*e[:4], runners.get(e[0], e[4])) for e in battery._CASES])
+    assert main(["battery", "--cases", "thA,exxx1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "failing cases: thA, exxx1" in err
+    cases = {c["id"]: c for c in json.loads((tmp_path / "battery.json").read_text())["cases"]}
+    assert cases["thA"]["error"] == "RuntimeError: boom"
+    assert cases["exxx1"]["outcome"] == "fail" and cases["exxx1"]["error"] is None

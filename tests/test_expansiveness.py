@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass,
+from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass, iterate,
                      bk_entropy, circle, local_entropy, converging_semiorbit_fraction, decay_series, distance,
                      dyn_ball_contains, expansiveness_verdict, generator_check,
                      interval, make_ball_cover, make_cat, make_denjoy,
@@ -588,3 +588,49 @@ def test_conjugacy_sensitivity_of_verdicts():
     v = expansiveness_verdict(make_doubling(), mu, 0.05, n_max=16,
                               samples=20_000, x_probes=20, seed=19)
     assert v.verdict == "evidence_expansive"
+
+
+def test_dyn_ball_contains_reads_coords_like_point():
+    f, x = make_rotation(), (0.3,)
+    # 2.9 is the circle point 0.9, outside the ball around 0.3; 2.32 is 0.32
+    for y, want in (([2.9], False), ([0.9], False), ([2.32], True), ([-0.68], True)):
+        assert dyn_ball_contains(f, x, y, 0.05, 1, sided="one_sided") is want
+    assert dyn_ball_contains(f, x, [[2.9], [2.32]], 0.05, 5).tolist() == [False, True]
+    assert dyn_ball_contains(f, (2.3,), Point(circle(), (0.32,)), 0.05, 5) is True
+    with pytest.raises(SpaceMismatchError, match="1-dimensional"):
+        dyn_ball_contains(f, x, [0.3, 0.9], 0.05, 1, sided="one_sided")
+    with pytest.raises(SpaceMismatchError, match="must be finite"):
+        dyn_ball_contains(f, x, [[np.nan]], 0.05, 1, sided="one_sided")
+    with pytest.raises(SpaceMismatchError, match="expected one point"):
+        dyn_ball_contains(f, [[0.3], [0.5]], x, 0.05, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, mu, p: decay_series(f, mu, p, 0.05, n_max=2, samples=1000),
+    lambda f, mu, p: local_entropy(f, mu, p, (0.1,), n_range=(1, 3), samples=1000),
+    lambda f, mu, p: dyn_ball_contains(f, p, (0.3,), 0.05, 2),
+    lambda f, mu, p: dyn_ball_contains(f, (0.3,), p, 0.05, 2),
+    lambda f, mu, p: iterate(f, p, 1),
+], ids=["decay_series", "local_entropy", "dyn_ball_contains-x", "dyn_ball_contains-y",
+        "iterate"])
+def test_point_on_another_space_refused(call):
+    with pytest.raises(SpaceMismatchError, match="point on torus2, expected circle"):
+        call(make_doubling(), make_lebesgue(circle()), Point(torus2(), (0.3, 0.1)))
+
+
+def test_decay_series_same_for_point_and_raw_coords():
+    f, mu = make_rotation(), make_lebesgue(circle())
+    for raw in ((0.3,), (2.3,), np.array([-0.7])):
+        a = decay_series(f, mu, Point(circle(), raw), 0.05, n_max=6, samples=5000, seed=3)
+        b = decay_series(f, mu, raw, 0.05, n_max=6, samples=5000, seed=3)
+        assert a == b and type(b.x[0]) is float
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_diagonal_refuses_empty_window_before_drawing(n_max, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(expansiveness, "sample_blocks", no_draws)
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        product_diagonal_test(make_doubling(), make_lebesgue(circle()), 0.1,
+                              n_max=n_max, pair_samples=1000)

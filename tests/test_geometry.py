@@ -153,3 +153,48 @@ def test_point_rejects_non_finite_coords(space, bad):
     coords = (bad,) + (0.5,) * (space.dim - 1)
     with pytest.raises(SpaceMismatchError, match="must be finite"):
         Point(space, coords)
+
+
+@pytest.mark.parametrize("space", [circle(), torus2()])
+def test_coords_folds_like_point_and_leaves_caller_array(space):
+    rng = np.random.default_rng(16)
+    raw = rng.uniform(-3.0, 3.0, (500, space.dim))
+    raw[:4] = np.array([-0.0, -1e-20, 3.0, -3.0])[:, None]  # edges of the fold
+    before = raw.copy()
+    got = geo.coords(space, raw)
+    want = np.array([Point(space, row).coords for row in raw])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.array_equal(raw.view(np.int64), before.view(np.int64))
+    assert not np.shares_memory(got, raw)
+    # one point, a Point and a batch all come back as (count, dim)
+    assert geo.coords(space, raw[0]).shape == (1, space.dim)
+    assert np.array_equal(geo.coords(space, Point(space, raw[0])), got[:1])
+
+
+def test_coords_refuses_in_the_package_terms():
+    with pytest.raises(SpaceMismatchError, match="point on torus2"):
+        geo.coords(circle(), Point(torus2(), (0.1, 0.2)))
+    for space, bad in ((circle(), [0.3, 0.9]), (torus2(), [[[0.1, 0.2]]]),
+                       (torus2(), [[0.1], [0.2]])):
+        with pytest.raises(SpaceMismatchError, match="dimensional space"):
+            geo.coords(space, bad)
+    with pytest.raises(SpaceMismatchError, match=r"coords \(1.5,\) outside interval bounds"):
+        geo.coords(interval(), [[0.5], [1.5], [np.nan]])
+    with pytest.raises(SpaceMismatchError, match=r"coords \(nan,\) must be finite"):
+        geo.coords(interval(), [[0.5], [np.nan], [1.5]])
+    with pytest.raises(SpaceMismatchError, match=r"coords \(0.5, inf\) must be finite"):
+        geo.coords(torus2(), [[0.1, 0.2], [0.5, np.inf]])
+    with pytest.raises(SpaceMismatchError, match="expected one point, got 2"):
+        Point(circle(), [[0.1], [0.2]])
+    ok = np.array([[0.0], [1.0]])
+    assert not np.shares_memory(geo.coords(interval(), ok), ok)
+
+
+def test_ball_contains_folds_raw_coords():
+    ball = Ball(Point(circle(), (0.3,)), 0.05)
+    assert geo.ball_contains(ball, [[2.9]]).tolist() == [False]
+    assert geo.ball_contains(ball, [[0.9], [2.32], [-0.72]]).tolist() == [False, True, True]
+    with pytest.raises(SpaceMismatchError, match="must be finite"):
+        geo.ball_contains(ball, [[np.nan]])
+    # distance itself takes in-space coordinates only, and stays as fast as that
+    assert distance(circle(), [[0.3]], [[2.9]])[0] == pytest.approx(-1.6)

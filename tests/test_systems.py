@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dynball import (CapabilityError, ConstructionError, SystemSpec, build_denjoy, circle, decay_series, distance,
+from dynball import (CapabilityError, ConstructionError, Point, SpaceMismatchError,
+                     SystemSpec, build_denjoy, circle, decay_series, distance,
                      expansiveness_verdict, get_system, iterate,
                      linear_gamma_zero, make_cat, make_denjoy, make_doubling,
                      make_identity, make_interval_square, make_lebesgue,
-                     make_rotation, make_tent, make_zoo, zoo_names)
+                     make_rotation, make_tent, make_zoo, torus2, zoo_names)
 from dynball.denjoy import SQUEEZE
 from dynball.expansiveness import ONE_SIDED, TWO_SIDED, resolve_sided
 from dynball.systems import CAT_INVERSE, CAT_MATRIX, compose_power
@@ -68,11 +69,13 @@ def test_interval_square_endpoints_fixed():
 
 
 def test_compose_power_matches_repeated_application():
-    for base in (make_doubling(), make_cat()):
+    for base in (make_doubling(), make_cat(), make_denjoy(N=8)):
         f2 = compose_power(base, 3)
         rng = np.random.default_rng(7)
         x = rng.random((100, base.space.dim))
-        assert np.allclose(f2.forward(x), iterate(base, x, 3))
+        assert np.array_equal(f2.forward(x), iterate(base, x, 3))  # bit for bit
+        if base.invertible:
+            assert np.array_equal(f2.inverse(x), iterate(base, x, -3))
     c = make_cat()
     c2 = compose_power(c, 2)
     x = np.random.default_rng(8).random((50, 2))
@@ -309,3 +312,19 @@ def test_circle_and_torus_maps_match_remainder_formulas_bit_for_bit(denjoy_c):
         assert np.array_equal(x, before)  # the caller's array is not folded
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_iterate_reads_coords():
+    with pytest.raises(SpaceMismatchError, match=r"coords \(1.5,\) outside interval bounds"):
+        iterate(make_tent(), [[1.5]], 1)
+    f = make_rotation()
+    raw = np.array([[2.3], [-0.7]])
+    out = iterate(f, raw, 3)
+    assert np.array_equal(out, iterate(f, raw % 1.0, 3))
+    assert raw.tolist() == [[2.3], [-0.7]]  # the caller's array is not folded
+    assert iterate(f, [0.3], 0).shape == (1, 1)
+    p = iterate(f, Point(circle(), (2.3,)), 2)
+    assert isinstance(p, Point) and p.coords == tuple(iterate(f, [[2.3]], 2)[0])
+    with pytest.raises(SpaceMismatchError, match="point on torus2"):
+        iterate(f, Point(torus2(), (0.1, 0.2)), 1)
+
