@@ -16,8 +16,6 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
 from . import geometry as geo
 from .denjoy import build_denjoy
@@ -25,8 +23,9 @@ from .entropy import entropy_implies_expansive_check, volume_expanding_check
 from .expansiveness import (converging_semiorbit_fraction, expansiveness_verdict,
                             generator_check, periodic_fraction,
                             power_consistency_check, product_diagonal_test)
-from .measures import make_denjoy_minimal, make_lebesgue, pushforward
+from .measures import make_denjoy_minimal, make_lebesgue, make_measure
 from .rng import derive_seed
+from .stats import check_count
 from .systems import (make_cat, make_denjoy, make_doubling, make_identity,
                       make_interval_square, make_rotation, make_tent)
 
@@ -113,7 +112,6 @@ def _case_pp0(seed: int) -> tuple[str, dict]:
 
 def _case_reddy(seed: int) -> tuple[str, dict]:
     settings = dict(w=8, tol=1e-6, n_max=40, samples=20_000)
-    details = {}
     sq = converging_semiorbit_fraction(make_interval_square(), make_lebesgue(geo.interval()),
                                        seed=derive_seed(seed, "interval-square"), **settings)
     rot = converging_semiorbit_fraction(make_rotation(), make_lebesgue(geo.circle()),
@@ -144,13 +142,10 @@ def _case_thA(seed: int) -> tuple[str, dict]:
 
 def _case_thD(seed: int) -> tuple[str, dict]:
     f = make_interval_square()
-    leb = make_lebesgue(f.space)
-    measures = [leb,
-                pushforward(leb, np.square, name="pushforward:square"),
-                pushforward(leb, np.sqrt, name="pushforward:sqrt")]
     details = {}
     ok = True
-    for mu in measures:
+    for name in ("lebesgue", "pushforward:square", "pushforward:sqrt"):
+        mu = make_measure(name, f.space)
         for delta in (0.2, 0.1, 0.05):
             v = expansiveness_verdict(f, mu, delta, n_max=20, samples=30_000,
                                       x_probes=20,
@@ -385,17 +380,15 @@ def run_battery(case_filter: list[str] | None = None, seed: int = 7,
     Per-case seeds depend only on (seed, case id), and assembly order is
     the registry order, so the report is identical for any worker count.
     """
+    check_count("workers", workers, 1)
     entries = _CASES
     if case_filter is not None:
         unknown = set(case_filter) - set(CASE_IDS)
         if unknown:
             raise KeyError(f"unknown case ids: {', '.join(sorted(unknown))}")
         entries = [e for e in _CASES if e[0] in case_filter]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(lambda e: _run_case(e, seed), entries))
-    else:
-        cases = [_run_case(e, seed) for e in entries]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cases = list(pool.map(lambda e: _run_case(e, seed), entries))
     tally = {"pass": 0, "fail": 0, "vacuous": 0, "inconclusive": 0}
     for c in cases:
         tally[c.outcome] += 1

@@ -99,7 +99,9 @@ _TYPES = {"delta": (_length, "finite and positive"),
           "threshold": (float, "a number"),
           "seed": (_checked(_integral, lambda v: 0 <= v < 2 ** 64),
                    "an integer in [0, 2**64)"),
-          "param": (_key_value, "key=value")}
+          "param": (_key_value, "key=value"),
+          "cases": (_checked(lambda t: [c.strip() for c in t.split(",")], all),
+                    "comma-separated case ids")}
 
 
 def _converter(key: str, default=None):
@@ -277,11 +279,8 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
 
 def _battery(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
-    case_filter = [c.strip() for c in args.cases.split(",")] if args.cases else None
     t0 = time.perf_counter()
-    report = run_battery(case_filter=case_filter, seed=args.seed, workers=args.workers)
+    report = run_battery(case_filter=args.cases, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
             "runtime_seconds": runtime, "workers": args.workers, **_usage()}

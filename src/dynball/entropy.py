@@ -29,12 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry as geo
-from .errors import CapabilityError, InsufficientSamplesError, SpaceMismatchError
+from .errors import CapabilityError, InsufficientSamplesError
 from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
-from .stats import MAX_PROBES, MAX_WINDOW, check_at_most, check_samples
+from .stats import MAX_PROBES, MAX_WINDOW, check_count, check_length, check_samples
 from .systems import SystemSpec, compose_power
-from .expansiveness import ONE_SIDED, expansiveness_verdict, survival_counts
+from .expansiveness import ONE_SIDED, expansiveness_verdict, sided_for, survival_counts
 
 # weight floor for exactly-equal consecutive counts (observed exit
 # probability zero); keeps identity-like series at slope exactly 0
@@ -90,13 +90,14 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x,
                   samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
     check_samples(samples)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
+    for d in delta_grid:
+        check_length("delta", d)
     n_lo, n_hi = n_range
-    if not 1 <= n_lo < n_hi:
-        raise ValueError("need 1 <= n_lo < n_hi")
+    check_count("n_lo", n_lo, 1)
+    check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
+    sided = sided_for(f, mu, ONE_SIDED)
     counts = survival_counts(f, mu, seed, samples, geo.point_coords(f.space, x),
-                             list(delta_grid), ONE_SIDED, n_hi)
+                             list(delta_grid), sided, n_hi)
     return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:])
             for i, d in enumerate(delta_grid)}
 
@@ -123,21 +124,19 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     """Entropy rate: min over probes of per-center slopes, per radius,
     then the plateau value across the radius grid."""
     check_samples(samples)
-    if x_probes < 20:
-        raise ValueError("x_probes must be >= 20")
-    check_at_most("x_probes", x_probes, MAX_PROBES)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
-    grid = sorted((float(d) for d in delta_grid), reverse=True)
-    if len(grid) < 2:
-        raise ValueError("delta_grid needs at least two radii for the plateau check")
+    for d in delta_grid:
+        check_length("delta", d)
     n_lo, n_hi = n_range
-    if not 1 <= n_lo < n_hi:
-        raise ValueError("need 1 <= n_lo < n_hi")
-    check_at_most("n_hi", n_hi, MAX_WINDOW)
+    check_count("n_lo", n_lo, 1)
+    check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
+    grid = sorted((float(d) for d in delta_grid), reverse=True)
+    # the plateau check compares the two smallest radii, so they must differ
+    check_count("distinct radii in delta_grid", len(set(grid)), max(2, len(grid)))
+    check_count("x_probes", x_probes, 20, MAX_PROBES)
+    sided = sided_for(f, mu, ONE_SIDED)
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)
     counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples, probes,
-                             grid, ONE_SIDED, n_hi)
+                             grid, sided, n_hi)
 
     e, se, rates, diags = [], [], [], []
     for i in range(len(grid)):
@@ -187,8 +186,7 @@ def power_law_check(f: SystemSpec, mu: MeasureSpec, k: int,
                     seed: int = 0) -> PowerLawReport:
     """Checks that the rate of f^k is k times the rate of f, within
     2*(se_power + k*se_base) + 0.05."""
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
+    check_count("k", k, 2, 3)
     base = bk_entropy(f, mu, delta_grid, n_range, x_probes, samples, seed)
     power = bk_entropy(compose_power(f, k), mu, delta_grid, n_range,
                        x_probes, samples, seed)
@@ -255,8 +253,8 @@ def volume_expanding_check(f: SystemSpec, horizon: int = 10, probes: int = 100,
     bar at every probe and horizon step."""
     if f.jacobian is None:
         raise CapabilityError(f"{f.name} carries no jacobian; volume check unavailable")
-    if horizon < 1 or probes < 1:
-        raise ValueError("need horizon >= 1 and probes >= 1")
+    check_count("horizon", horizon, 1, MAX_WINDOW)
+    check_count("probes", probes, 1, MAX_PROBES)
     pts = make_lebesgue(f.space).sample_coords(derive_seed(seed, "volume-probes"),
                                                probes)
     det_prods = []  # |det Df^n| at each probe, n = 1..horizon

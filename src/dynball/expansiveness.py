@@ -47,7 +47,8 @@ from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
 from .measures import MeasureSpec, sample_blocks
 from .rng import derive_seed
-from .stats import MAX_PROBES, MAX_WINDOW, check_at_most, check_samples, wilson_interval
+from .stats import (MAX_PROBES, MAX_WINDOW, check_count, check_length, check_samples,
+                    check_threshold, wilson_interval)
 from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
@@ -73,6 +74,13 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     return sided
 
 
+def sided_for(f: SystemSpec, mu: MeasureSpec, sided: str | None = None) -> str:
+    """``resolve_sided``, after refusing a measure mu that is not on f's space."""
+    if mu.space != f.space:
+        raise SpaceMismatchError("system and measure must share a space")
+    return resolve_sided(f, sided)
+
+
 def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
                     centers: np.ndarray, deltas: Sequence[float], sided: str,
                     n_max: int) -> np.ndarray:
@@ -89,14 +97,9 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     a circle homeomorphism keeps the rows in cyclic order, which the
     kernel's row compaction preserves, so every later map evaluation on
     them (the gapped circle's ``np.interp``) finds each point's knot next
-    to the last one's.
+    to the last one's.  Callers check n_max and the radii.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    check_at_most("n_max", n_max, MAX_WINDOW)
     deltas_arr = np.asarray(list(deltas), dtype=float)
-    if np.any(deltas_arr <= 0):
-        raise ValueError("deltas must be positive")
     two = resolve_sided(f, sided) == TWO_SIDED
     counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
     dmax = deltas_arr.max(initial=0.0)
@@ -231,8 +234,8 @@ def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
     (a bool vector), both read by ``geometry.coords`` on f's space.
     ``sided`` defaults as in ``resolve_sided``: two-sided windows only for
     an invertible f."""
-    if delta <= 0 or n < 1:
-        raise ValueError("need delta > 0 and n >= 1")
+    check_length("delta", delta)
+    check_count("n", n, 1, MAX_WINDOW)
     xs, ys = geo.point_coords(f.space, x), geo.coords(f.space, y)
     two = resolve_sided(f, sided) == TWO_SIDED
     counts = np.zeros((1, len(ys), n), dtype=np.int64)
@@ -278,10 +281,10 @@ def decay_series(f: SystemSpec, mu: MeasureSpec, x, delta: float,
                  samples: int = 100_000, seed: int = 0) -> DecaySeries:
     """Window-measure estimates at a single center from one sample batch."""
     check_samples(samples)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
+    check_length("delta", delta)
+    check_count("n_max", n_max, 1, MAX_WINDOW)
+    sided = sided_for(f, mu, sided)
     xs = geo.point_coords(f.space, x)
-    sided = resolve_sided(f, sided)
     counts = survival_counts(f, mu, seed, samples, xs, [delta], sided, n_max)
     return _series_from_counts(xs[0].tolist(), delta, sided, counts[0, 0], samples, seed)
 
@@ -319,14 +322,11 @@ def expansiveness_verdict(f: SystemSpec, mu: MeasureSpec, delta: float,
     default 20 probes when every probe mass sits just under the threshold.
     """
     check_samples(samples)
-    if not 0 < threshold < 1:  # a window mass is at most 1
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
-    if x_probes < 20:
-        raise ValueError("x_probes must be >= 20")
-    check_at_most("x_probes", x_probes, MAX_PROBES)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
-    sided = resolve_sided(f, sided)
+    check_length("delta", delta)
+    check_count("n_max", n_max, 1, MAX_WINDOW)
+    check_count("x_probes", x_probes, 20, MAX_PROBES)
+    check_threshold(threshold)
+    sided = sided_for(f, mu, sided)
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)
     counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples, probes,
                              [delta], sided, n_max)
@@ -372,8 +372,9 @@ def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
     short of that is consistent with expansiveness transferring between
     f and its powers at adjusted radii.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_count("k", k, 2, MAX_WINDOW)
+    for d in delta_grid:
+        check_length("delta", d)
     fk = compose_power(f, k)
     vb, vp = [], []
     for d in delta_grid:
@@ -418,15 +419,10 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     Windows are two-sided for an invertible f, one-sided otherwise.
     """
     check_samples(pair_samples)
-    if fubini_probes < 2:  # the probe spread needs two terminals
-        raise ValueError(f"fubini_probes must be >= 2, got {fubini_probes!r}")
-    check_at_most("fubini_probes", fubini_probes, MAX_PROBES)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    check_at_most("n_max", n_max, MAX_WINDOW)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
-    sided = resolve_sided(f, None)
+    check_length("delta", delta)
+    check_count("n_max", n_max, 1, MAX_WINDOW)
+    check_count("fubini_probes", fubini_probes, 2, MAX_PROBES)  # a spread needs two
+    sided = sided_for(f, mu)
     counts = np.zeros((1, 1, n_max), dtype=np.int64)
     for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples),
                       sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples)):
@@ -476,17 +472,10 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     stays at or below the threshold.
     """
     check_samples(mc_samples)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
-    check_at_most("n_max", n_max, MAX_WINDOW)
-    if sequence_samples < 1:
-        raise ValueError(f"sequence_samples must be >= 1, got {sequence_samples!r}")
-    check_at_most("sequence_samples", sequence_samples, MAX_PROBES)
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
-    sided = resolve_sided(f, sided)
+    check_count("n_max", n_max, 0, MAX_WINDOW)
+    check_count("sequence_samples", sequence_samples, 1, MAX_PROBES)
+    check_threshold(threshold)
+    sided = sided_for(f, mu, sided)
     two = sided == TWO_SIDED
     leb_delta = geo.lebesgue_number(cover, f.space)  # checks cover and space
     centers = np.stack([b.center.array for b in cover])
@@ -546,12 +535,8 @@ class FractionEstimate:
     seed: int
 
 
-def _fraction(f: SystemSpec, mu: MeasureSpec, samples: int, seed: int,
-              hit) -> FractionEstimate:
+def _fraction(mu: MeasureSpec, samples: int, seed: int, hit) -> FractionEstimate:
     """Fraction of mu's samples where the row mask hit(block) holds."""
-    check_samples(samples)
-    if mu.space != f.space:
-        raise SpaceMismatchError("system and measure must share a space")
     hits = sum(int(np.count_nonzero(hit(b))) for b in sample_blocks(mu, seed, samples))
     lo, hi = wilson_interval(hits, samples)
     return FractionEstimate(fraction=hits / samples, ci_low=lo, ci_high=hi,
@@ -568,12 +553,11 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
     estimate is biased toward detection; it is used as a one-sided
     consistency check.
     """
-    if not f.invertible:
-        raise CapabilityError(f"{f.name} has no inverse; backward limit sets unavailable")
-    if w < 2 or n_max <= w:
-        raise ValueError("need w >= 2 and n_max > w")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_samples(samples)
+    check_count("w", w, 2)
+    check_count("n_max", n_max, w + 1, MAX_WINDOW)
+    check_length("tol", tol)
+    sided_for(f, mu, TWO_SIDED)  # backward orbits need an inverse
 
     def converged(batch):  # every pair of same-side tail iterates within tol
         tail = [(n > 0, cur) for n, cur in _window(f, batch, n_max, True)
@@ -584,15 +568,17 @@ def converging_semiorbit_fraction(f: SystemSpec, mu: MeasureSpec, w: int = 8,
                 ok &= geo.distance(f.space, a, b) <= tol
         return ok
 
-    return _fraction(f, mu, samples, seed, converged)
+    return _fraction(mu, samples, seed, converged)
 
 
 def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
                       eps: float = 1e-4, samples: int = 100_000,
                       seed: int = 0) -> FractionEstimate:
     """Fraction of samples within eps of closing up at some period <= max_period."""
-    if max_period < 1 or eps <= 0:
-        raise ValueError("need max_period >= 1 and eps > 0")
+    check_samples(samples)
+    check_count("max_period", max_period, 1, MAX_WINDOW)
+    check_length("eps", eps)
+    sided_for(f, mu, ONE_SIDED)
 
     def near(batch):
         cur, close = batch, np.zeros(len(batch), dtype=bool)
@@ -601,4 +587,4 @@ def periodic_fraction(f: SystemSpec, mu: MeasureSpec, max_period: int = 6,
             close |= geo.distance(f.space, cur, batch) <= eps
         return close
 
-    return _fraction(f, mu, samples, seed, near)
+    return _fraction(mu, samples, seed, near)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotACoverError, SpaceMismatchError
+from .stats import check_count, check_length
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -153,8 +154,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        check_length("radius", self.radius)
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -171,8 +171,7 @@ def probe_grid(space: SpaceDescriptor, count: int) -> np.ndarray:
 
     Periodic axes drop the right endpoint, closed axes keep both.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    check_count("count", count, 1)
     d = space.dim
     per_axis = int(np.ceil(count ** (1.0 / d)))
     if space.periodic:
@@ -191,6 +190,7 @@ def make_ball_cover(space: SpaceDescriptor, radius: float, step: float) -> list[
     building anything, when the cover would have more than
     ``_MAX_COVER_SIZE`` elements.
     """
+    check_length("step", step)
     with np.errstate(over="ignore"):  # a subnormal step gives inf, refused below
         per_axis = max(np.ceil(1.0 / step), 1.0)
         size = per_axis ** space.dim

@@ -1,4 +1,16 @@
-"""Small statistical helpers used by the estimators."""
+"""Small statistical helpers, and the input contract of the estimators.
+
+Every public estimator checks its inputs through these before it draws a
+sample or sizes an array by them, each rule in one wording that ends in
+", got {value!r}":
+
+- ``check_samples``: a sample budget in [MIN_SAMPLES, MAX_SAMPLES];
+- ``check_count``: a count in [floor, ceiling], the ceiling MAX_WINDOW for
+  orbit windows and MAX_PROBES for probe centers and cover sequences;
+- ``check_length``: a finite positive radius, tolerance or step;
+- ``check_threshold``: a mass threshold in (0, 1);
+- ``expansiveness.sided_for``: a system and a measure on one space.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -25,19 +37,31 @@ MAX_PROBES = 10_000
 
 
 def check_samples(samples: int) -> None:
-    """Refuse a sample budget outside [MIN_SAMPLES, MAX_SAMPLES], in the
-    same words for each of those estimators."""
-    if samples < MIN_SAMPLES:
+    """Refuse a sample budget outside [MIN_SAMPLES, MAX_SAMPLES]."""
+    if not samples >= MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples!r}")
 
 
-def check_at_most(name: str, value: int, ceiling: int) -> None:
-    """Refuse a window length above MAX_WINDOW or a count above MAX_PROBES
-    before anything of that size is allocated."""
-    if value > ceiling:
+def check_count(name: str, value: int, floor: int, ceiling: int | None = None) -> None:
+    """Refuse a count outside [floor, ceiling], or NaN."""
+    if not value >= floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+    if ceiling is not None and not value <= ceiling:
         raise ValueError(f"{name} must be <= {ceiling}, got {value!r}")
+
+
+def check_length(name: str, value: float) -> None:
+    """Refuse a length that is NaN, infinite, zero or negative."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_threshold(threshold: float) -> None:
+    """A window mass is at most 1, so a threshold lies in (0, 1)."""
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
 
 
 def wilson_interval(successes, trials):
@@ -48,10 +72,9 @@ def wilson_interval(successes, trials):
     which matters here because dynamical-ball survival counts routinely
     hit zero.
     """
+    check_count("trials", trials, 1)
     k = np.asarray(successes, dtype=float)
     n = float(trials)
-    if n <= 0:
-        raise ValueError("trials must be positive")
     p = k / n
     z = Z95
     denom = 1.0 + z * z / n

@@ -18,6 +18,7 @@ import numpy as np
 from . import geometry as geo
 from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import CapabilityError
+from .stats import check_count
 
 Map = Callable[[np.ndarray], np.ndarray]
 
@@ -58,8 +59,7 @@ def iterate(f: SystemSpec, x, n: int):
 
 def compose_power(f: SystemSpec, k: int) -> SystemSpec:
     """The power system f^k, with inverse and Jacobian chained when present."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k, 1)
     if k == 1:
         return f
     fwd = _power(f.forward, k)

@@ -339,6 +339,14 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     # the decay center used to be drawn on the circle and placed on the torus
     (["decay", "--system", "cat", "--measure", "denjoy-minimal"],
      "measure 'denjoy-minimal' lives on the circle, not on the torus2"),
+    # a repeated radius used to pass the plateau check against itself
+    (["entropy", "--delta-grid", "0.1,0.1"],
+     "distinct radii in delta_grid must be >= 2, got 1"),
+    (["entropy", "--delta-grid", "0.1,0.05,0.05"],
+     "distinct radii in delta_grid must be >= 3, got 2"),
+    # an empty case id used to give "unknown case ids: " and name nothing
+    (["battery", "--cases", ","], "cases must be comma-separated case ids, got ','"),
+    (["battery", "--cases", "thA,"], "cases must be comma-separated case ids, got 'thA,'"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

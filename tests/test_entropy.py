@@ -8,6 +8,7 @@ from dynball import (CapabilityError, InsufficientSamplesError, bk_entropy,
                      local_entropy, make_cat, make_denjoy, make_doubling,
                      make_identity, make_lebesgue, make_rotation, make_tent,
                      power_law_check, torus2, volume_expanding_check)
+from dynball import measures
 
 
 def test_fit_decay_slope_exact_halving():
@@ -65,6 +66,20 @@ def test_bk_entropy_requires_enough_probes_and_radii():
         bk_entropy(f, mu, (0.1, 0.05), x_probes=5, samples=5_000)
     with pytest.raises(ValueError):
         bk_entropy(f, mu, (0.1,), x_probes=20, samples=5_000)
+
+
+def test_bk_entropy_refuses_repeated_radii(monkeypatch):
+    # the plateau check used to compare a radius with itself: converged=True
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(measures, "uniform_block", no_draws)
+    f = make_doubling()
+    mu = make_lebesgue(f.space)
+    for grid, want, got in (((0.1, 0.1), 2, 1), ((0.1, 0.05, 0.05), 3, 2),
+                            ((0.05, 0.1, 0.05), 3, 2)):
+        with pytest.raises(ValueError,
+                           match=f"^distinct radii in delta_grid must be >= {want}, got {got}$"):
+            bk_entropy(f, mu, grid, x_probes=20, samples=5_000)
 
 
 def test_bk_entropy_seed_stability():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      make_interval_square, make_lebesgue, make_measure,
                      make_rotation, make_tent, periodic_fraction,
                      power_consistency_check, product_diagonal_test, SystemSpec,
-                     torus2)
+                     torus2, volume_expanding_check)
 from dynball import expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
 from dynball.stats import MAX_PROBES, MAX_WINDOW
@@ -292,8 +293,10 @@ def test_dyn_ball_contains_default_sided():
     assert not dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 4)  # 8*0.01 > 0.05
     with pytest.raises(CapabilityError):
         dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 3, sided="two")
-    for delta, n in ((0.0, 2), (-0.1, 2), (0.05, 0)):
-        with pytest.raises(ValueError, match="need delta > 0 and n >= 1"):
+    for delta, n, message in ((0.0, 2, "delta must be finite and positive, got 0.0"),
+                              (-0.1, 2, "delta must be finite and positive, got -0.1"),
+                              (0.05, 0, "n must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=message):
             dyn_ball_contains(make_rotation(), (0.2,), (0.21,), delta, n)
 
 
@@ -524,9 +527,10 @@ def test_sample_floor(estimate):
     (lambda mu, k: product_diagonal_test(make_doubling(), mu, 0.1, n_max=3,
                                          pair_samples=100, fubini_probes=k),
      "fubini_probes", MAX_PROBES),
-    (lambda mu, k: local_entropy(make_doubling(), mu, (0.3,), (0.1,), n_range=(1, k),
-                                 samples=100),
-     "n_max", MAX_WINDOW),
+    # its own id, so bk_entropy's n_hi row keeps its id
+    pytest.param(lambda mu, k: local_entropy(make_doubling(), mu, (0.3,), (0.1,),
+                                             n_range=(1, k), samples=100),
+                 "n_hi", MAX_WINDOW, id="local_entropy-n_hi-1000"),
 ])
 def test_window_and_probe_ceilings(estimate, name, ceiling):
     # refused before an array of that length is allocated
@@ -631,6 +635,61 @@ def test_diagonal_refuses_empty_window_before_drawing(n_max, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew samples")
     monkeypatch.setattr(expansiveness, "sample_blocks", no_draws)
-    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
         product_diagonal_test(make_doubling(), make_lebesgue(circle()), 0.1,
                               n_max=n_max, pair_samples=1000)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if anything draws a sample."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(measures, "uniform_block", refuse)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f, mu, v: decay_series(f, mu, (0.3,), v, n_max=3, samples=1000), "delta"),
+    (lambda f, mu, v: expansiveness_verdict(f, mu, v, n_max=3, samples=1000), "delta"),
+    (lambda f, mu, v: power_consistency_check(f, mu, 2, (0.1, v), n_max=3, samples=1000),
+     "delta"),
+    (lambda f, mu, v: product_diagonal_test(f, mu, v, n_max=3, pair_samples=1000), "delta"),
+    (lambda f, mu, v: dyn_ball_contains(f, (0.3,), (0.31,), v, 3), "delta"),
+    (lambda f, mu, v: converging_semiorbit_fraction(f, mu, tol=v, samples=1000), "tol"),
+    (lambda f, mu, v: periodic_fraction(f, mu, eps=v, samples=1000), "eps"),
+    (lambda f, mu, v: local_entropy(f, mu, (0.3,), (0.1, v), n_range=(1, 3), samples=1000),
+     "delta"),
+    (lambda f, mu, v: bk_entropy(f, mu, (0.1, v), n_range=(1, 3), samples=1000), "delta"),
+    (lambda f, mu, v: Ball(Point(circle(), (0.3,)), v), "radius"),
+    (lambda f, mu, v: make_ball_cover(circle(), 0.1, v), "step"),
+], ids=["decay_series", "expansiveness_verdict", "power_consistency_check",
+        "product_diagonal_test", "dyn_ball_contains", "converging_semiorbit_fraction",
+        "periodic_fraction", "local_entropy", "bk_entropy", "Ball", "make_ball_cover"])
+def test_lengths_finite_and_positive(call, name, no_draws):
+    # a NaN radius used to give an isometry evidence_expansive
+    for v in (float("nan"), float("inf"), 0, -1):
+        message = f"^{name} must be finite and positive, got {re.escape(repr(v))}$"
+        with pytest.raises(ValueError, match=message):
+            call(make_rotation(), make_lebesgue(circle()), v)
+
+
+@pytest.mark.parametrize("call, name, ceiling", [
+    (lambda k: converging_semiorbit_fraction(make_rotation(), make_lebesgue(circle()),
+                                             n_max=k, samples=1000),
+     "n_max", MAX_WINDOW),
+    (lambda k: periodic_fraction(make_rotation(), make_lebesgue(circle()), max_period=k,
+                                 samples=1000),
+     "max_period", MAX_WINDOW),
+    (lambda k: volume_expanding_check(make_doubling(), horizon=k), "horizon", MAX_WINDOW),
+    (lambda k: volume_expanding_check(make_doubling(), probes=k), "probes", MAX_PROBES),
+    (lambda k: power_consistency_check(make_rotation(), make_lebesgue(circle()), k,
+                                       (0.1,), n_max=3, samples=1000),
+     "k", MAX_WINDOW),
+    (lambda k: dyn_ball_contains(make_rotation(), (0.3,), (0.31,), 0.05, k), "n", MAX_WINDOW),
+], ids=["converging_semiorbit_fraction", "periodic_fraction", "volume_expanding_check-horizon",
+        "volume_expanding_check-probes", "power_consistency_check", "dyn_ball_contains"])
+def test_api_counts_have_ceilings(call, name, ceiling, no_draws):
+    # these windows and counts were unbounded: max_period=10**12 looped 10**12 times
+    for k in (ceiling + 1, 10**12):
+        with pytest.raises(ValueError, match=rf"^{name} must be <= {ceiling}, got {k}$"):
+            call(k)
