@@ -12,7 +12,6 @@ Case ids are the short anchors the CLI exposes via ``explain``.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -334,9 +333,6 @@ class BatteryReport:
 
     def failing_ids(self) -> list[str]:
         return [c.id for c in self.cases if c.outcome in ("fail", "inconclusive")]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_markdown(self) -> str:
         lines = [

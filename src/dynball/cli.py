@@ -12,10 +12,11 @@ The four data commands are rows of one table, ``_COMMANDS``.  A row holds
 the command's flags with their defaults (flag ``--a-b`` sets ``a_b``), the
 CSV header, and a function ``(f, mu, settings, seed)`` returning the
 result, the command's own config-echo fields, the CSV rows and a one-line
-summary.  The parser is generated from the table, and its types read each
+summary.  The parser is generated from the table, and its types parse each
 setting once, whatever the source: a flag, a config-file line (made a flag
 placed before the command line's own, which win) or ``DYNBALL_SEED`` (the
-text default of ``--seed``).  ``_run`` does the shared steps once.
+text default of ``--seed``); every rule on a value is the library's.
+``_run`` does the shared steps once.
 ``runtime_seconds`` times the row's function: the estimator plus decay's
 center draw and generator's cover build, not the system and measure
 construction or the file writes.  ``battery`` takes its flags from the
@@ -28,13 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import resource
 import sys
 import time
 from dataclasses import asdict
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -43,9 +42,10 @@ from . import geometry as geo
 from .battery import CASE_IDS, case_info, run_battery
 from .entropy import bk_entropy
 from .errors import CapabilityError, DynballError
-from .expansiveness import decay_series, expansiveness_verdict, generator_check
+from .expansiveness import SIDED, decay_series, expansiveness_verdict, generator_check
 from .measures import make_measure, measure_names
 from .rng import derive_seed
+from .stats import read_integer
 from .systems import get_system, system_params, zoo_names
 
 
@@ -56,31 +56,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _integral(text: str) -> int:
-    """20000, or any exact spelling of an integer such as 2e4, read as a
-    decimal so no digit is rounded away (9007199254740993e0 stays odd);
-    10^309 or more (1e400) is refused before its integer is built."""
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise ValueError(text) from None
-    if not value.is_finite() or value.adjusted() > 308 \
-            or value != value.to_integral_value():  # inf, nan, 1e999999999, 2.5
-        raise ValueError(text)
-    return int(value)
-
-
-def _checked(read, ok):
-    """Reader that refuses a value ``ok`` rejects."""
-    def check(text: str):
-        value = read(text)
-        if not ok(value):
-            raise ValueError(text)
-        return value
-    return check
-
-
-_length = _checked(float, lambda v: math.isfinite(v) and v > 0)
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split(",")))
 
 
 def _key_value(text: str) -> tuple[str, str]:
@@ -88,28 +65,30 @@ def _key_value(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-# setting -> (reader of its text, what the text must be).  Any other
-# setting is read by _integral if its default is an int, else kept as text;
-# a --param value stays text until systems.system_params casts it.
-_TYPES = {"delta": (_length, "finite and positive"),
-          "radius": (_length, "finite and positive"),
-          "step": (_length, "finite and positive"),
-          "delta_grid": (lambda t: tuple(map(_length, t.split(","))), "finite and positive"),
-          "x": (lambda t: tuple(map(float, t.split(","))), "comma-separated numbers"),
-          "threshold": (float, "a number"),
-          "seed": (_checked(_integral, lambda v: 0 <= v < 2 ** 64),
-                   "an integer in [0, 2**64)"),
+def _case_ids(text: str) -> list[str]:
+    ids = [c.strip() for c in text.split(",")]
+    if not all(ids):
+        raise ValueError(text)
+    return ids
+
+
+# setting -> (reader of its text, what the text must be); any other setting
+# is read as its default's type (_BY_DEFAULT) or kept as text.  Readers only
+# parse: systems.system_params casts --param, and the library checks values.
+_TYPES = {"x": (_numbers, "comma-separated numbers"),
+          "delta_grid": (_numbers, "comma-separated numbers"),
+          "seed": (read_integer, "an integer"),
           "param": (_key_value, "key=value"),
-          "cases": (_checked(lambda t: [c.strip() for c in t.split(",")], all),
-                    "comma-separated case ids")}
+          "cases": (_case_ids, "comma-separated case ids")}
+_BY_DEFAULT = {int: (read_integer, "an integer"), float: (float, "a number")}
 
 
 def _converter(key: str, default=None):
     """The argparse type of setting ``key``: a usage error names the
     setting and its text when the reader refuses the text."""
-    if key not in _TYPES and not isinstance(default, int):
+    read, want = _TYPES.get(key) or _BY_DEFAULT.get(type(default), (None, None))
+    if read is None:
         return None
-    read, want = _TYPES.get(key, (_integral, "an integer"))
 
     def convert(text: str):
         try:
@@ -235,7 +214,6 @@ _COMMANDS = {
         _generator),
     "battery": _Command("run the theorem battery", {"cases": None, "workers": 1}),
 }
-_SIDED = ["one", "two", "one_sided", "two_sided"]
 _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
@@ -284,7 +262,7 @@ def _battery(args: argparse.Namespace) -> int:
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
             "runtime_seconds": runtime, "workers": args.workers, **_usage()}
-    _write(args.out, {"battery.json": report.to_json(),
+    _write(args.out, {"battery.json": asdict(report),
                       "battery.md": report.to_markdown(),
                       "battery.meta.json": meta})
     tally = ", ".join(f"{n} {outcome}" for outcome, n in report.summary.items())
@@ -324,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in spec.flags.items():
             p.add_argument("--" + key.replace("_", "-"), default=default,
                            type=_converter(key, default), help=_HELP.get(key),
-                           choices=_SIDED if key == "sided" else None)
+                           choices=SIDED if key == "sided" else None)
         if "system" in spec.flags:
             p.add_argument("--param", action="append", metavar="KEY=VALUE",
                            type=_converter("param"))

@@ -32,7 +32,7 @@ from . import geometry as geo
 from .errors import CapabilityError, InsufficientSamplesError
 from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
-from .stats import MAX_PROBES, MAX_WINDOW, check_count, check_length, check_samples
+from .stats import MAX_PROBES, MAX_WINDOW, check_count, check_grid, check_samples
 from .systems import SystemSpec, compose_power
 from .expansiveness import ONE_SIDED, expansiveness_verdict, sided_for, survival_counts
 
@@ -90,8 +90,7 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x,
                   samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
     """Per-radius decay slope at a single center."""
     check_samples(samples)
-    for d in delta_grid:
-        check_length("delta", d)
+    check_grid(delta_grid)
     n_lo, n_hi = n_range
     check_count("n_lo", n_lo, 1)
     check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
@@ -124,14 +123,11 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
     """Entropy rate: min over probes of per-center slopes, per radius,
     then the plateau value across the radius grid."""
     check_samples(samples)
-    for d in delta_grid:
-        check_length("delta", d)
+    check_grid(delta_grid, 2)  # the plateau check compares the two smallest radii
     n_lo, n_hi = n_range
     check_count("n_lo", n_lo, 1)
     check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
     grid = sorted((float(d) for d in delta_grid), reverse=True)
-    # the plateau check compares the two smallest radii, so they must differ
-    check_count("distinct radii in delta_grid", len(set(grid)), max(2, len(grid)))
     check_count("x_probes", x_probes, 20, MAX_PROBES)
     sided = sided_for(f, mu, ONE_SIDED)
     probes = mu.sample_coords(derive_seed(seed, "probes"), x_probes)

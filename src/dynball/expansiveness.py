@@ -47,12 +47,14 @@ from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
 from .measures import MeasureSpec, sample_blocks
 from .rng import derive_seed
-from .stats import (MAX_PROBES, MAX_WINDOW, check_count, check_length, check_samples,
-                    check_threshold, wilson_interval)
+from .stats import (MAX_PROBES, MAX_WINDOW, check_cells, check_count, check_grid,
+                    check_length, check_samples, check_threshold, wilson_interval)
 from .systems import SystemSpec, compose_power
 
 ONE_SIDED = "one_sided"
 TWO_SIDED = "two_sided"
+# every spelling of a window's sides that resolve_sided takes
+SIDED = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TWO_SIDED}
 
 # float entries in generator_check's membership scratch.  Its blocks hold
 # about 32 * 65,536 / sequences rows and each sequence uses one cover
@@ -65,10 +67,9 @@ def resolve_sided(f: SystemSpec, sided: str | None) -> str:
     """Default: bi-infinite windows for invertible systems, forward otherwise."""
     if sided is None:
         return TWO_SIDED if f.invertible else ONE_SIDED
-    alias = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TWO_SIDED}
-    if sided not in alias:
+    if sided not in SIDED:
         raise ValueError(f"sided must be one_sided or two_sided, got {sided!r}")
-    sided = alias[sided]
+    sided = SIDED[sided]
     if sided == TWO_SIDED and not f.invertible:
         raise CapabilityError(f"{f.name} has no inverse; two_sided windows unavailable")
     return sided
@@ -97,10 +98,12 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     a circle homeomorphism keeps the rows in cyclic order, which the
     kernel's row compaction preserves, so every later map evaluation on
     them (the gapped circle's ``np.interp``) finds each point's knot next
-    to the last one's.  Callers check n_max and the radii.
+    to the last one's.  Callers check n_max and the radii; the count array
+    is refused before it is allocated if it exceeds ``stats.MAX_CELLS``.
     """
     deltas_arr = np.asarray(list(deltas), dtype=float)
     two = resolve_sided(f, sided) == TWO_SIDED
+    check_cells(len(deltas_arr), len(centers), n_max)
     counts = np.zeros((len(deltas_arr), len(centers), n_max), dtype=np.int64)
     dmax = deltas_arr.max(initial=0.0)
     for yf in sample_blocks(mu, key, samples, len(centers)):
@@ -236,6 +239,8 @@ def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
     an invertible f."""
     check_length("delta", delta)
     check_count("n", n, 1, MAX_WINDOW)
+    many = np.ndim(y) == 2
+    check_cells(1, len(y) if many else 1, n)  # before y is copied
     xs, ys = geo.point_coords(f.space, x), geo.coords(f.space, y)
     two = resolve_sided(f, sided) == TWO_SIDED
     counts = np.zeros((1, len(ys), n), dtype=np.int64)
@@ -243,7 +248,7 @@ def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
     _advance_pairs(f, np.array([delta]), counts, two, xs, ys,
                    np.zeros_like(pair), pair, pair)
     hits = counts[0, :, -1] == 1
-    return bool(hits[0]) if np.ndim(y) < 2 else hits
+    return hits if many else bool(hits[0])
 
 
 @dataclass(frozen=True)
@@ -373,17 +378,14 @@ def power_consistency_check(f: SystemSpec, mu: MeasureSpec, k: int,
     f and its powers at adjusted radii.
     """
     check_count("k", k, 2, MAX_WINDOW)
-    for d in delta_grid:
-        check_length("delta", d)
-    fk = compose_power(f, k)
-    vb, vp = [], []
-    for d in delta_grid:
-        vb.append(expansiveness_verdict(
-            f, mu, d, n_max=n_max, samples=samples,
-            seed=derive_seed(seed, "base", repr(d))).verdict)
-        vp.append(expansiveness_verdict(
-            fk, mu, d, n_max=n_max, samples=samples,
-            seed=derive_seed(seed, "power", repr(d))).verdict)
+    check_grid(delta_grid)
+
+    def verdicts(g, tag):
+        return [expansiveness_verdict(g, mu, d, n_max=n_max, samples=samples,
+                                      seed=derive_seed(seed, tag, repr(d))).verdict
+                for d in delta_grid]
+
+    vb, vp = verdicts(f, "base"), verdicts(compose_power(f, k), "power")
     matched = tuple(
         (db, dp)
         for db, b in zip(delta_grid, vb) if b == "evidence_expansive"

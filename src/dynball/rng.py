@@ -15,6 +15,8 @@ import hashlib
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .stats import check_count
+
 # Philox-4x64 emits 4 uint64 words per counter increment, and
 # Generator.random consumes one word per float64.
 BLOCK_DOUBLES = 4
@@ -31,6 +33,7 @@ def derive_seed(root: int, *tags) -> int:
     adjacent roots, and the tag path makes seeds stable under
     reordering of the calling code.
     """
+    check_count("seed", root, 0, 2**64 - 1)
     h = hashlib.sha256(str(int(root)).encode())
     for tag in tags:
         h.update(b"\x1f")
@@ -44,10 +47,10 @@ def uniform_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
     Returns shape (count, dims), dims <= 4.  The row for absolute index
     ``i`` is identical no matter how the index range is partitioned.
     """
-    if not 1 <= dims <= BLOCK_DOUBLES:
-        raise ValueError(f"dims must be in 1..{BLOCK_DOUBLES}, got {dims}")
-    if count < 0 or start < 0:
-        raise ValueError("start and count must be non-negative")
+    check_count("seed", seed, 0, 2**64 - 1)
+    check_count("dims", dims, 1, BLOCK_DOUBLES)
+    check_count("start", start, 0)
+    check_count("count", count, 0)
     out = np.empty((count, dims))
     bg = Philox(key=seed)
     bg.advance(start)

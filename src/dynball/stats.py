@@ -2,16 +2,23 @@
 
 Every public estimator checks its inputs through these before it draws a
 sample or sizes an array by them, each rule in one wording that ends in
-", got {value!r}":
+", got {value!r}" with the value as a Python number:
 
-- ``check_samples``: a sample budget in [MIN_SAMPLES, MAX_SAMPLES];
-- ``check_count``: a count in [floor, ceiling], the ceiling MAX_WINDOW for
-  orbit windows and MAX_PROBES for probe centers and cover sequences;
+- ``check_samples``: an integer sample budget in [MIN_SAMPLES, MAX_SAMPLES];
+- ``check_count``: an integer in [floor, ceiling], the ceiling MAX_WINDOW
+  for orbit windows, MAX_PROBES for probe centers and cover sequences and
+  2**64 - 1 for a seed (``rng``);
+- ``check_cells``: a count array of at most MAX_CELLS cells;
 - ``check_length``: a finite positive radius, tolerance or step;
+- ``check_grid``: finite positive radii, none repeated, at least ``floor``;
 - ``check_threshold``: a mass threshold in (0, 1);
-- ``expansiveness.sided_for``: a system and a measure on one space.
+- ``expansiveness.sided_for``: a system and a measure on one space;
+- ``read_integer``: integer text, for the CLI and ``systems.system_params``.
 """
 from __future__ import annotations
+
+import math
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -27,41 +34,80 @@ MIN_SAMPLES = 100
 MAX_SAMPLES = 10**9
 # longest orbit window (n_max, entropy's n_hi) they take: the battery,
 # tests and demos use at most 40, a default verdict or generator check
-# 1,000 windows long takes 6 s on a 2-vCPU machine, and the (probe,
-# window) count array at MAX_PROBES probes is 80 MB per radius
+# 1,000 windows long takes 6 s on a 2-vCPU machine
 MAX_WINDOW = 1_000
 # most probe centers (x_probes, fubini_probes) or cover sequences they
 # take: a default verdict at 2,000 probes takes 23 s, so one at the
 # ceiling runs for minutes; a memory test walks 8,192 sequences
 MAX_PROBES = 10_000
+# most cells in a (radius, center, window) count array: a verdict at
+# MAX_PROBES probes and MAX_WINDOW windows holds this many, 80 MB of int64
+MAX_CELLS = MAX_PROBES * MAX_WINDOW
+
+
+def _py(value):  # a numpy scalar echoes as np.float64(nan); its item as nan
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {_py(value)!r}")
 
 
 def check_samples(samples: int) -> None:
     """Refuse a sample budget outside [MIN_SAMPLES, MAX_SAMPLES]."""
-    if not samples >= MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples!r}")
+    _check_integer("samples", samples)
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {_py(samples)!r}")
     if samples > MAX_SAMPLES:
-        raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples!r}")
+        raise ValueError(f"need at most {MAX_SAMPLES} samples, got {_py(samples)!r}")
 
 
 def check_count(name: str, value: int, floor: int, ceiling: int | None = None) -> None:
-    """Refuse a count outside [floor, ceiling], or NaN."""
-    if not value >= floor:
-        raise ValueError(f"{name} must be >= {floor}, got {value!r}")
-    if ceiling is not None and not value <= ceiling:
-        raise ValueError(f"{name} must be <= {ceiling}, got {value!r}")
+    """Refuse a count that is not an integer or lies outside [floor, ceiling]."""
+    _check_integer(name, value)
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {_py(value)!r}")
+    if ceiling is not None and value > ceiling:
+        raise ValueError(f"{name} must be <= {ceiling}, got {_py(value)!r}")
+
+
+def check_cells(*shape: int) -> None:
+    """Refuse a count array of more than MAX_CELLS cells, before it is allocated."""
+    shape = tuple(map(int, shape))  # echoed as (1, 2, 3), not with np.int64(3)
+    check_count(f"cells in a {shape} count array", math.prod(shape), 0, MAX_CELLS)
 
 
 def check_length(name: str, value: float) -> None:
     """Refuse a length that is NaN, infinite, zero or negative."""
     if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise ValueError(f"{name} must be finite and positive, got {_py(value)!r}")
+
+
+def check_grid(grid, floor: int = 1) -> None:
+    """Refuse a grid of fewer than ``floor`` distinct, finite, positive radii."""
+    for radius in grid:
+        check_length("delta", radius)
+    check_count("distinct radii in delta_grid", len(set(grid)), max(floor, len(grid)))
 
 
 def check_threshold(threshold: float) -> None:
     """A window mass is at most 1, so a threshold lies in (0, 1)."""
     if not 0 < threshold < 1:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
+        raise ValueError(f"threshold must lie in (0, 1), got {_py(threshold)!r}")
+
+
+def read_integer(text: str) -> int:
+    """Integer text such as 20000 or 2e4, read as a decimal so no digit is
+    rounded away; ValueError on other text and on 10^309 or more (1e400)."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(text) from None
+    if not value.is_finite() or value.adjusted() > 308 \
+            or value != value.to_integral_value():  # inf, nan, 1e999999999, 2.5
+        raise ValueError(text)
+    return int(value)
 
 
 def wilson_interval(successes, trials):

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry as geo
 from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import CapabilityError
-from .stats import check_count
+from .stats import check_count, read_integer
 
 Map = Callable[[np.ndarray], np.ndarray]
 
@@ -185,11 +185,11 @@ def zoo_names() -> list[str]:
 
 def system_params(name: str, params: dict | None = None) -> dict:
     """Check ``params`` against the keys system ``name`` takes and cast each
-    value, a number or its text, through float (``N = "1e2"`` is 100).
+    value, a number or its text; an int key's is read by ``stats.read_integer``.
 
     Raises KeyError, listing the known keys, on an unknown system or key,
     and ValueError on a value that is not finite or, for an int key, not
-    integral.
+    exactly an integer.
     """
     if name not in _FACTORIES:
         raise KeyError(f"unknown system {name!r}; known: {', '.join(_FACTORIES)}")
@@ -200,10 +200,10 @@ def system_params(name: str, params: dict | None = None) -> dict:
             raise KeyError(f"unknown parameter {key!r} for system {name!r}; "
                            f"known: {', '.join(casts) or 'none'}")
         try:
-            out[key] = casts[key](float(value))
-            if not math.isfinite(out[key]) or out[key] != float(value):  # N=8.5
+            out[key] = read_integer(str(value)) if casts[key] is int else float(value)
+            if not math.isfinite(out[key]):
                 raise ValueError
-        except (ValueError, OverflowError):  # e.g. float('abc'), int(inf)
+        except (ValueError, OverflowError):  # e.g. float('abc'), N=8.5, N=1e400
             raise ValueError(f"parameter {key} = {value} for system {name!r} "
                              f"is not a finite {casts[key].__name__}") from None
     return out

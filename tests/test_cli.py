@@ -1,8 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from dynball import circle, decay_series, make_lebesgue, make_rotation
 from dynball.cli import main
 
 
@@ -263,15 +265,15 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["decay", "--delta", "nan"], "delta must be finite and positive"),
     (["decay", "--delta", "inf"], "delta must be finite and positive"),
     (["verdict", "--delta", "0"], "delta must be finite and positive"),
-    (["entropy", "--delta-grid", "0.1,nan"], "delta-grid must be finite and positive"),
+    (["entropy", "--delta-grid", "0.1,nan"], "delta must be finite and positive, got nan"),
     (["generator", "--step", "0"], "step must be finite and positive"),
     (["generator", "--step", "-0.05"], "step must be finite and positive"),
     (["generator", "--step", "inf"], "step must be finite and positive"),
     (["generator", "--radius", "0"], "radius must be finite and positive"),
     (["generator", "--radius", "-0.1"], "radius must be finite and positive"),
     (["generator", "--radius", "nan"], "radius must be finite and positive"),
-    (["decay", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
-    (["decay", "--seed", str(2 ** 64)], "seed must be an integer in [0, 2**64)"),
+    (["decay", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["decay", "--seed", str(2 ** 64)], f"seed must be <= {2 ** 64 - 1}, got {2 ** 64}"),
     (["battery", "--workers", "0"], "workers must be >= 1"),
     (["battery", "--workers", "-3"], "workers must be >= 1"),
     (["generator", "--step", "1e-9"], "above the limit of 100000"),
@@ -311,7 +313,7 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     # a bad setting is named with its text, whatever its source
     (["decay", "--x", "0.3,abc"], "x must be comma-separated numbers, got '0.3,abc'"),
     (["entropy", "--delta-grid", "0.1,abc"],
-     "delta-grid must be finite and positive, got '0.1,abc'"),
+     "argument --delta-grid: delta-grid must be comma-separated numbers, got '0.1,abc'"),
     (["verdict", "--measure", "dirac:0.2,abc"], "measure 'dirac:0.2,abc' needs"),
     (["decay", "--param", "alpha"], "param must be key=value, got 'alpha'"),
     (["decay", "--config", "x = 0.3,abc\n"], "x must be comma-separated numbers"),
@@ -347,6 +349,10 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     # an empty case id used to give "unknown case ids: " and name nothing
     (["battery", "--cases", ","], "cases must be comma-separated case ids, got ','"),
     (["battery", "--cases", "thA,"], "cases must be comma-separated case ids, got 'thA,'"),
+    # an int parameter is read exactly: this one used to run as N = 16
+    (["decay", "--system", "denjoy", "--param", "N=16.0000000000000001"],
+     "parameter N = 16.0000000000000001 for system 'denjoy' is not a finite int"),
+    (["decay", "--seed", "2.5"], "seed must be an integer, got '2.5'"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text
@@ -358,6 +364,31 @@ def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, messa
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
     assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_value_refused_in_the_library_words(tmp_path, capsys):
+    # the CLI used to refuse nan as text, in words of its own
+    with pytest.raises(ValueError) as exc:
+        decay_series(make_rotation(), make_lebesgue(circle()), (0.3,), float("nan"))
+    assert run(["decay", "--delta", "nan", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {exc.value}\n"
+
+
+def test_count_array_ceiling_from_cli(tmp_path, capsys):
+    # a (1000, 10000, 1000) int64 count array is 74.5 GiB: it used to exit 1
+    # with numpy's _ArrayMemoryError
+    grid = ",".join(repr(0.1 + i * 1e-4) for i in range(1000))
+    tracemalloc.start()
+    try:
+        code = run(["entropy", "--samples", "100", "--x-probes", "10000", "--n-hi", "1000",
+                    "--delta-grid", grid, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 8 * 2**20
+    assert capsys.readouterr().err == ("usage error: cells in a (1000, 10000, 1000) count "
+                                       "array must be <= 10000000, got 10000000000\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -458,12 +489,15 @@ def test_seed_precedence(tmp_path, monkeypatch, capsys):
     assert seed() == (0, 5)
     assert seed(cfg="seed = 4\n") == (0, 4)
     assert seed("--seed", "3", cfg="seed = 4\n") == (0, 3)
-    bad = "seed must be an integer in [0, 2**64), got 'abc'"
+    bad = "seed must be an integer, got 'abc'"
     assert bad in seed(cfg="seed = abc\n")[1]
     monkeypatch.setenv("DYNBALL_SEED", "abc")
     code, err = seed()
     assert code == 2 and err.startswith("usage error: ") and bad in err
     assert seed("--seed", "3") == (0, 3)
+    # a seed that parses meets the library's one seed rule, from any source
+    monkeypatch.setenv("DYNBALL_SEED", "-1")
+    assert seed() == (2, "usage error: seed must be >= 0, got -1\n")
 
 
 def test_int_setting_read_exactly(tmp_path):

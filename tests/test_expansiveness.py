@@ -533,9 +533,11 @@ def test_sample_floor(estimate):
                  "n_hi", MAX_WINDOW, id="local_entropy-n_hi-1000"),
 ])
 def test_window_and_probe_ceilings(estimate, name, ceiling):
-    # refused before an array of that length is allocated
-    for k in (ceiling + 1, 10**12):
-        with pytest.raises(ValueError, match=rf"^{name} must be <= {ceiling}, got {k}$"):
+    # refused before an array of that length is allocated; 2.5 used to end
+    # in numpy's TypeError
+    for k, rule in ((ceiling + 1, f"<= {ceiling}"), (10**12, f"<= {ceiling}"),
+                    (2.5, "an integer")):
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got {k}$"):
             estimate(make_lebesgue(circle()), k)
 
 
@@ -690,6 +692,91 @@ def test_lengths_finite_and_positive(call, name, no_draws):
         "volume_expanding_check-probes", "power_consistency_check", "dyn_ball_contains"])
 def test_api_counts_have_ceilings(call, name, ceiling, no_draws):
     # these windows and counts were unbounded: max_period=10**12 looped 10**12 times
-    for k in (ceiling + 1, 10**12):
-        with pytest.raises(ValueError, match=rf"^{name} must be <= {ceiling}, got {k}$"):
+    for k, rule in ((ceiling + 1, f"<= {ceiling}"), (10**12, f"<= {ceiling}"),
+                    (2.5, "an integer")):
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got {k}$"):
             call(k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, mu, s: decay_series(f, mu, (0.3,), 0.05, n_max=3, samples=1000, seed=s),
+    lambda f, mu, s: expansiveness_verdict(f, mu, 0.05, n_max=3, samples=1000, seed=s),
+    lambda f, mu, s: bk_entropy(f, mu, (0.1, 0.05), n_range=(1, 3), samples=1000, seed=s),
+    lambda f, mu, s: generator_check(f, mu, make_ball_cover(circle(), 0.3, 0.2), n_max=2,
+                                     sequence_samples=2, mc_samples=1000, seed=s),
+    lambda f, mu, s: periodic_fraction(f, mu, samples=1000, seed=s),
+], ids=["decay_series", "expansiveness_verdict", "bk_entropy", "generator_check",
+        "periodic_fraction"])
+def test_one_seed_rule(call):
+    # decay_series used to fail in numpy's words and the others to hash -1
+    for seed, message in ((-1, "seed must be >= 0, got -1"),
+                          (2**64, f"seed must be <= {2**64 - 1}, got {2**64}"),
+                          (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(make_rotation(), make_lebesgue(circle()), seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, mu, grid: local_entropy(f, mu, (0.3,), grid, n_range=(1, 3), samples=1000),
+    lambda f, mu, grid: power_consistency_check(f, mu, 2, grid, n_max=3, samples=1000),
+], ids=["local_entropy", "power_consistency_check"])
+def test_grid_needs_distinct_radii(call, no_draws):
+    # power_consistency_check used to report consistent=False from no radii
+    for grid, want, got in (((), 1, 0), ((0.1, 0.1), 2, 1), ((0.1, 0.05, 0.1), 3, 2)):
+        with pytest.raises(ValueError,
+                           match=f"^distinct radii in delta_grid must be >= {want}, got {got}$"):
+            call(make_rotation(), make_lebesgue(circle()), grid)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=2.5, samples=1000),
+     "n_max must be an integer, got 2.5"),
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=3, samples=1e4),
+     "samples must be an integer, got 10000.0"),
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, 0.05, n_max=3, samples=1000,
+                                      x_probes=20.5),
+     "x_probes must be an integer, got 20.5"),
+    (lambda mu: decay_series(make_rotation(), mu, (0.3,), 0.05, n_max=True, samples=1000),
+     "n_max must be an integer, got True"),
+    (lambda mu: generator_check(make_doubling(), mu, make_ball_cover(circle(), 0.3, 0.2),
+                                n_max=2.5, mc_samples=1000),
+     "n_max must be an integer, got 2.5"),
+    (lambda mu: ball_mass(make_measure("pushforward:square", circle()),
+                          Ball(Point(circle(), (0.3,)), 0.1), samples=1e3),
+     "samples must be an integer, got 1000.0"),
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, np.float64("nan")),
+     "delta must be finite and positive, got nan"),
+    (lambda mu: bk_entropy(make_doubling(), mu, np.array([0.1, 0.0]), samples=1000),
+     "delta must be finite and positive, got 0.0"),
+    (lambda mu: decay_series(make_rotation(), mu, (0.3,), 0.05, samples=np.int64(10)),
+     "need at least 100 samples, got 10"),
+], ids=["verdict-n_max", "verdict-samples", "verdict-x_probes", "decay-n_max-bool",
+        "generator-n_max", "ball_mass-samples", "verdict-numpy-nan", "entropy-numpy-grid",
+        "decay-numpy-samples"])
+def test_counts_are_integers_and_echoed_as_python(call, message, no_draws):
+    # a float count used to end in numpy's TypeError, a bool ran as 1, and
+    # a numpy scalar was echoed as np.float64(nan)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(make_lebesgue(circle()))
+
+
+def test_count_arrays_refused_before_allocation():
+    # a (1, 10**6, 1000) int64 array is 7.45 GiB: numpy's MemoryError
+    ys = np.zeros((10**6, 1))
+    f, mu = make_rotation(), make_lebesgue(circle())
+    for call, shape in (
+            (lambda: dyn_ball_contains(f, (0.3,), ys, 0.05, 1000), (1, 10**6, 1000)),
+            (lambda: survival_counts(f, mu, 1, 100, np.zeros((10_000, 1)),
+                                     np.linspace(0.1, 0.2, 11), "one_sided", 1000),
+             (11, 10_000, 1000))):
+        message = (f"cells in a {shape} count array must be <= {MAX_PROBES * MAX_WINDOW}, "
+                   f"got {np.prod(shape)}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 8 * 2**20
+        finally:
+            tracemalloc.stop()
+    # the largest array allowed is what a verdict at both ceilings holds
+    assert dyn_ball_contains(f, (0.3,), ys[:10_000], 0.05, 1000).shape == (10_000,)
