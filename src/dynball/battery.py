@@ -375,6 +375,9 @@ def run_battery(case_filter: list[str] | None = None, seed: int = 7,
 
     Per-case seeds depend only on (seed, case id), and assembly order is
     the registry order, so the report is identical for any worker count.
+    One worker runs the cases on the caller's thread; more run them in a
+    thread pool, where each kernel call takes one share
+    (``expansiveness.survival_counts``), so pools never nest.
     """
     check_count("workers", workers, 1)
     entries = _CASES
@@ -383,8 +386,11 @@ def run_battery(case_filter: list[str] | None = None, seed: int = 7,
         if unknown:
             raise KeyError(f"unknown case ids: {', '.join(sorted(unknown))}")
         entries = [e for e in _CASES if e[0] in case_filter]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cases = list(pool.map(lambda e: _run_case(e, seed), entries))
+    if workers == 1:  # on this thread, whose kernel calls may use every CPU
+        cases = [_run_case(e, seed) for e in entries]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            cases = list(pool.map(lambda e: _run_case(e, seed), entries))
     tally = {"pass": 0, "fail": 0, "vacuous": 0, "inconclusive": 0}
     for c in cases:
         tally[c.outcome] += 1

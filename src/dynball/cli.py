@@ -4,7 +4,9 @@ Every data command writes three files into ``--out``: ``<cmd>.csv`` with
 a commented metadata header (version, config echo, seed) and a plain
 header row, ``<cmd>.json`` with the structured result and the same
 config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime,
-the process's peak RSS and its minor page-fault count.
+the process's peak RSS and its minor page-fault count, the usable CPUs
+(``nproc``) and the most sample shares any kernel call of the run used
+(``kernel_shares``, 0 when it made none).
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
@@ -42,7 +44,8 @@ from . import geometry as geo
 from .battery import CASE_IDS, case_info, run_battery
 from .entropy import bk_entropy
 from .errors import CapabilityError, DynballError
-from .expansiveness import SIDED, decay_series, expansiveness_verdict, generator_check
+from .expansiveness import (SIDED, decay_series, expansiveness_verdict, generator_check,
+                            recording_shares, usable_cpus)
 from .measures import make_measure, measure_names
 from .rng import derive_seed
 from .stats import read_integer
@@ -218,11 +221,14 @@ _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
 
-def _usage() -> dict:
+def _usage(shares: list) -> dict:
     """Peak RSS (Linux reports ru_maxrss in KiB) and minor page faults of
-    this process so far, for the meta sidecar."""
+    this process so far, the usable CPUs, and the most shares a kernel
+    call of the run used (``shares``, from ``recording_shares``), for the
+    meta sidecar."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt}
+    return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt,
+            "nproc": usable_cpus(), "kernel_shares": shares[0]}
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
@@ -233,7 +239,8 @@ def _run(command: str, args: argparse.Namespace) -> int:
     # a gapped-circle measure takes the system's alpha, and its N if denjoy
     mu = make_measure(args.measure, f.space, params)
     t0 = time.perf_counter()
-    result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
+    with recording_shares() as shares:
+        result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
     runtime = time.perf_counter() - t0
     echo = {"system": {"name": f.name, "params": params},
             "measure": {"name": mu.name}, **fields, "seed": args.seed}
@@ -249,7 +256,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     payload = {"version": __version__, "command": command,
                "config": echo, "seed": args.seed, "result": result}
     meta = {"version": __version__, "command": command, "seed": args.seed,
-            "runtime_seconds": runtime, **_usage()}
+            "runtime_seconds": runtime, **_usage(shares)}
     _write(args.out, {f"{command}.csv": "\n".join(lines) + "\n",
                       f"{command}.json": payload, f"{command}.meta.json": meta})
     print(f"{command}: {summary} -> {args.out}/{command}.json")
@@ -258,10 +265,11 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
 def _battery(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    report = run_battery(case_filter=args.cases, seed=args.seed, workers=args.workers)
+    with recording_shares() as shares:
+        report = run_battery(case_filter=args.cases, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
-            "runtime_seconds": runtime, "workers": args.workers, **_usage()}
+            "runtime_seconds": runtime, "workers": args.workers, **_usage(shares)}
     _write(args.out, {"battery.json": asdict(report),
                       "battery.md": report.to_markdown(),
                       "battery.meta.json": meta})

@@ -45,12 +45,21 @@ class MeasureSpec:
 _BLOCK = 1 << 16
 
 
-def sample_blocks(mu: MeasureSpec, key: int, samples: int, width: int = 1):
-    """Yield mu.sample_coords(key, samples) in consecutive blocks of
-    min(_BLOCK, 32 * _BLOCK // width) rows, at least one; draws are
-    counter-based, so the rows equal the one-shot draw."""
-    rows = max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)))
-    for lo in range(0, samples, rows):
+def block_rows(width: int = 1, shares: int = 1) -> int:
+    """Rows per block of ``sample_blocks``: min(_BLOCK, 32 * _BLOCK // width)
+    split ``shares`` ways, at least one."""
+    return max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)) // shares)
+
+
+def sample_blocks(mu: MeasureSpec, key: int, samples: int, width: int = 1,
+                  start: int = 0, shares: int = 1):
+    """Yield rows start..samples of mu.sample_coords(key, samples) in
+    consecutive blocks of ``block_rows(width, shares)`` rows; draws are
+    counter-based, so the rows equal the one-shot draw.  ``shares``
+    callers drawing disjoint ranges at once hold, all together, the rows
+    of one caller's block."""
+    rows = block_rows(width, shares)
+    for lo in range(start, samples, rows):
         yield mu.sample_coords(key, min(rows, samples - lo), start=lo)
 
 

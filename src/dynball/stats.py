@@ -9,15 +9,19 @@ sample or sizes an array by them, each rule in one wording that ends in
   for orbit windows, MAX_PROBES for probe centers and cover sequences and
   2**64 - 1 for a seed (``rng``);
 - ``check_cells``: a count array of at most MAX_CELLS cells;
-- ``check_length``: a finite positive radius, tolerance or step;
-- ``check_grid``: finite positive radii, none repeated, at least ``floor``;
-- ``check_threshold``: a mass threshold in (0, 1);
+- ``check_length``: a finite positive radius, tolerance or step, where a
+  value that is not a real number (the text ``'0.1'``) is refused as
+  "must be a number" before any arithmetic on it;
+- ``check_grid``: a sequence of such radii, none repeated, at least
+  ``floor``;
+- ``check_threshold``: a number, a mass threshold in (0, 1);
 - ``expansiveness.sided_for``: a system and a measure on one space;
 - ``read_integer``: integer text, for the CLI and ``systems.system_params``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -78,21 +82,32 @@ def check_cells(*shape: int) -> None:
     check_count(f"cells in a {shape} count array", math.prod(shape), 0, MAX_CELLS)
 
 
+def _check_number(name: str, value) -> None:
+    if not isinstance(value, numbers.Real):  # numpy's scalars are registered too
+        raise ValueError(f"{name} must be a number, got {_py(value)!r}")
+
+
 def check_length(name: str, value: float) -> None:
-    """Refuse a length that is NaN, infinite, zero or negative."""
+    """Refuse a length that is not a number, or is NaN, infinite, zero or negative."""
+    _check_number(name, value)
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {_py(value)!r}")
 
 
 def check_grid(grid, floor: int = 1) -> None:
     """Refuse a grid of fewer than ``floor`` distinct, finite, positive radii."""
-    for radius in grid:
+    try:
+        radii = list(grid)
+    except TypeError:  # one radius, not a sequence of them
+        raise ValueError(f"delta_grid must be a sequence of radii, got {_py(grid)!r}") from None
+    for radius in radii:
         check_length("delta", radius)
-    check_count("distinct radii in delta_grid", len(set(grid)), max(floor, len(grid)))
+    check_count("distinct radii in delta_grid", len(set(radii)), max(floor, len(radii)))
 
 
 def check_threshold(threshold: float) -> None:
     """A window mass is at most 1, so a threshold lies in (0, 1)."""
+    _check_number("threshold", threshold)
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {_py(threshold)!r}")
 

@@ -6,6 +6,7 @@ import pytest
 
 from dynball import circle, decay_series, make_lebesgue, make_rotation
 from dynball.cli import main
+from dynball.expansiveness import usable_cpus
 
 
 def run(argv):
@@ -230,12 +231,18 @@ def test_battery_subset_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["decay", "--samples", "1000", "--nmax", "2"],
-                                  ["battery", "--cases", "thA"]])
+                                  ["battery", "--cases", "thA"],
+                                  ["generator", "--mc-samples", "1000", "--nmax", "2"]])
 def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / f"{argv[0]}.meta.json").read_text())
     assert meta["peak_rss_mb"] > 0
     assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] > 0
+    # a one-center decay takes one share, the generator makes no kernel
+    # call, and the battery's consistency matrix runs verdicts on this thread
+    assert meta["nproc"] == usable_cpus() >= 1
+    shares = {"decay": {1}, "generator": {0}}.get(argv[0], range(1, meta["nproc"] + 1))
+    assert meta["kernel_shares"] in shares
 
 
 def test_battery_json_stable_across_runs(tmp_path):

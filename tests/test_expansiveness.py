@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,9 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      make_rotation, make_tent, periodic_fraction,
                      power_consistency_check, product_diagonal_test, SystemSpec,
                      torus2, volume_expanding_check)
-from dynball import expansiveness, measures
+from dynball import cli, expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
-from dynball.stats import MAX_PROBES, MAX_WINDOW
+from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW
 
 
 def test_resolve_sided():
@@ -135,6 +136,92 @@ def test_kernel_counts_independent_of_block_size(monkeypatch):
             monkeypatch.setattr(measures, "_BLOCK", int(block))
             got = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
             assert np.array_equal(got, want), (f.name, block)
+
+
+def _force_shares(monkeypatch, cpus):
+    """Make survival_counts split its samples over ``cpus`` threads on the
+    main thread, however few pairs its blocks hold."""
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 0)
+
+
+@pytest.mark.parametrize("make_f, make_mu, sided, deltas", [
+    (make_rotation, None, "two_sided", [0.05]),
+    (make_denjoy, make_denjoy_minimal, "two_sided", [0.05]),
+    (make_tent, None, "one_sided", [0.05]),
+    (make_cat, None, "two_sided", [0.1]),
+    (make_doubling, None, "one_sided", [0.1, 0.05, 0.02]),
+], ids=["rotation", "denjoy", "tent", "cat", "radius-grid"])
+def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch):
+    # 100,003 is no multiple of a block, and splits unevenly in two and three
+    f = make_f()
+    mu = make_mu() if make_mu else make_lebesgue(f.space)
+    centers = mu.sample_coords(seed=61, count=5)
+    got = {}
+    for cpus in (1, 2, 3):
+        _force_shares(monkeypatch, cpus)
+        with expansiveness.recording_shares() as seen:
+            got[cpus] = survival_counts(f, mu, 62, 100_003, centers, deltas, sided, 12)
+        assert seen == [cpus]
+    assert got[1][:, :, 0].any()
+    assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
+
+
+def test_share_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    # a share on a pool thread raises; its exception is the caller's, with
+    # its type, and the CLI exits 3 for a capability error as it always has
+    rot = make_rotation()
+
+    def forward(x):
+        if threading.current_thread() is not threading.main_thread():
+            raise CapabilityError("no forward map off the main thread")
+        return rot.forward(x)
+
+    spy = SystemSpec(rot.name, rot.space, forward, rot.inverse)
+    _force_shares(monkeypatch, 2)
+    mu = make_lebesgue(circle())
+    with pytest.raises(CapabilityError, match="off the main thread"):
+        survival_counts(spy, mu, 1, 10_000, mu.sample_coords(2, 5), [0.05], "two_sided", 3)
+    monkeypatch.setattr(cli, "get_system", lambda name, params: spy)
+    assert cli.main(["verdict", "--samples", "10000", "--out", str(tmp_path)]) == 3
+    assert "capability error: no forward map off the main thread" in capsys.readouterr().err
+
+
+def test_shares_chosen_from_the_input(monkeypatch):
+    # a one-center decay's blocks are too narrow for threads, a default
+    # verdict's are wide enough; W count arrays must fit under MAX_CELLS
+    f, mu = make_rotation(), make_lebesgue(circle())
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
+    with expansiveness.recording_shares() as seen:
+        decay_series(f, mu, (0.3,), 0.05, samples=100_000)
+    assert seen == [1]
+    with expansiveness.recording_shares() as seen:
+        expansiveness_verdict(f, mu, 0.05, n_max=3)
+    assert seen == [2]
+    assert expansiveness._shares(circle(), 100_000, 20, 0.05, 20 * 30) == 2
+    assert expansiveness._shares(circle(), 100_000, 20, 0.05, MAX_CELLS) == 1
+
+
+def test_thread_caller_takes_one_share(monkeypatch):
+    # no pool inside a pool: the battery's workers run their kernels serially
+    _force_shares(monkeypatch, 2)
+    f, mu = make_rotation(), make_lebesgue(circle())
+    out = {}
+
+    def call():
+        with expansiveness.recording_shares() as seen:
+            out["counts"] = survival_counts(f, mu, 3, 20_000, mu.sample_coords(4, 5),
+                                            [0.05], "two_sided", 3)
+        out["seen"] = seen
+
+    worker = threading.Thread(target=call)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out["seen"] == [1]
+    assert np.array_equal(out["counts"], survival_counts(f, mu, 3, 20_000,
+                                                         mu.sample_coords(4, 5),
+                                                         [0.05], "two_sided", 3))
 
 
 def _traced_peak(call):
@@ -750,12 +837,20 @@ def test_grid_needs_distinct_radii(call, no_draws):
      "delta must be finite and positive, got 0.0"),
     (lambda mu: decay_series(make_rotation(), mu, (0.3,), 0.05, samples=np.int64(10)),
      "need at least 100 samples, got 10"),
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, '0.1'),
+     "delta must be a number, got '0.1'"),
+    (lambda mu: expansiveness_verdict(make_rotation(), mu, 0.1, threshold='x'),
+     "threshold must be a number, got 'x'"),
+    (lambda mu: bk_entropy(make_doubling(), mu, 0.1),
+     "delta_grid must be a sequence of radii, got 0.1"),
 ], ids=["verdict-n_max", "verdict-samples", "verdict-x_probes", "decay-n_max-bool",
         "generator-n_max", "ball_mass-samples", "verdict-numpy-nan", "entropy-numpy-grid",
-        "decay-numpy-samples"])
+        "decay-numpy-samples", "verdict-text-delta", "verdict-text-threshold",
+        "entropy-one-radius"])
 def test_counts_are_integers_and_echoed_as_python(call, message, no_draws):
     # a float count used to end in numpy's TypeError, a bool ran as 1, and
-    # a numpy scalar was echoed as np.float64(nan)
+    # a numpy scalar was echoed as np.float64(nan); a radius or threshold
+    # that is no number, or a grid that is one radius, also ended in a TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(make_lebesgue(circle()))
 
