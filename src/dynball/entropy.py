@@ -95,7 +95,8 @@ def local_entropy(f: SystemSpec, mu: MeasureSpec, x,
     check_count("n_lo", n_lo, 1)
     check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
     sided = sided_for(f, mu, ONE_SIDED)
-    counts = survival_counts(f, mu, seed, samples, geo.point_coords(f.space, x),
+    counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples,
+                             geo.point_coords(f.space, x),
                              list(delta_grid), sided, n_hi)
     return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:])
             for i, d in enumerate(delta_grid)}

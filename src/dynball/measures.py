@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as geo
 from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import SpaceMismatchError
-from .rng import uniform_block
+from .rng import derive_seed, uniform_block
 from .stats import check_samples, wilson_interval
 
 
@@ -73,7 +73,7 @@ def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
         return v, v, v
     check_samples(samples)
     hits = sum(int(np.count_nonzero(geo.ball_contains(ball, pts)))
-               for pts in sample_blocks(mu, seed, samples))
+               for pts in sample_blocks(mu, derive_seed(seed, "batch"), samples))
     lo, hi = wilson_interval(hits, samples)
     return hits / samples, lo, hi
 

@@ -1,12 +1,13 @@
 """Counter-based randomness with per-sample-index addressing.
 
 Every Monte-Carlo routine in this package draws its randomness through
-:func:`uniform_block`, which hands sample index ``i`` its own Philox
-counter block.  One block yields four float64 draws, enough for any
-space dimension used here, so the value of sample ``i`` depends only on
-``(seed, i)``.  A worker that owns indices ``[lo, hi)`` can generate
-exactly the bytes a serial run would produce for that range, which is
-what makes parallel batches order-independent.
+:func:`uniform_block`.  The row of sample index ``i`` in a ``dims``-wide
+space is doubles ``dims*i .. dims*i + dims - 1`` of the Philox stream
+keyed by the seed, so one counter block of four doubles serves
+``4 // dims`` samples and the row depends only on ``(seed, i)``.  Philox
+jumps to any counter, so a worker that owns indices ``[lo, hi)`` can
+generate exactly the bytes a serial run would produce for that range,
+which is what makes parallel batches order-independent.
 """
 from __future__ import annotations
 
@@ -18,12 +19,9 @@ from numpy.random import Generator, Philox
 from .stats import check_count
 
 # Philox-4x64 emits 4 uint64 words per counter increment, and
-# Generator.random consumes one word per float64.
+# Generator.random consumes one word per float64, so a dims-wide row i is
+# doubles dims*i .. dims*i + dims - 1 and a counter holds 4 // dims rows.
 BLOCK_DOUBLES = 4
-
-# Sample rows drawn per Generator call in uniform_block; bounds its
-# temporary at _ROWS * BLOCK_DOUBLES doubles whatever the count.
-_ROWS = 1 << 16
 
 
 def derive_seed(root: int, *tags) -> int:
@@ -44,22 +42,21 @@ def derive_seed(root: int, *tags) -> int:
 def uniform_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
     """Uniform draws on [0, 1) for sample indices start..start+count.
 
-    Returns shape (count, dims), dims <= 4.  The row for absolute index
-    ``i`` is identical no matter how the index range is partitioned.
+    Returns shape (count, dims), dims 1, 2 or 4: the rows start..start+count
+    of ``Generator(Philox(key=seed)).random(n * dims).reshape(n, dims)``
+    for any n past them, so the row for absolute index ``i`` is identical
+    no matter how the index range is partitioned.
     """
     check_count("seed", seed, 0, 2**64 - 1)
     check_count("dims", dims, 1, BLOCK_DOUBLES)
+    if BLOCK_DOUBLES % dims:
+        raise ValueError(f"dims must divide {BLOCK_DOUBLES}, got {dims}")
     check_count("start", start, 0)
     check_count("count", count, 0)
-    out = np.empty((count, dims))
+    per = BLOCK_DOUBLES // dims
+    first, skip = divmod(start, per)
     bg = Philox(key=seed)
-    bg.advance(start)
-    gen = Generator(bg)
-    buf = np.empty((min(count, _ROWS), BLOCK_DOUBLES))
-    # each call consumes whole counter blocks, so consecutive calls continue
-    # the single-call stream exactly
-    for lo in range(0, count, _ROWS):
-        rows = buf[:count - lo]
-        gen.random(out=rows)
-        out[lo:lo + len(rows)] = rows[:, :dims]
-    return out
+    bg.advance(first)
+    words = np.empty((-(-(skip + count) // per), BLOCK_DOUBLES))
+    Generator(bg).random(out=words)
+    return words.reshape(-1, dims)[skip:skip + count]

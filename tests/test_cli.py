@@ -56,67 +56,65 @@ def test_decay_golden_bytes(tmp_path):
 
 @pytest.mark.parametrize("argv, csv_sha, json_sha", [
     (["decay", "--samples", "20000"],
-     "612d318bf119a0b940e2c03eeca556c28f0ab2fe4e3d833b19ef2da9231da5e6",
-     "98f7f82bb34508454bbc81e59e3ada01a69842a9c29d35eeb363127dfc890277"),
+     "d8a9a18ebb3d9f2990b59e002ff6d66b6f426ba33afa2ce67d6e072fa420d409",
+     "b8254e4238b4ab9a5bc1a80c358a9e9b938fbaaefcda24ccb7748703eba650bb"),
     (["decay", "--system", "cat", "--samples", "20000"],
-     "2377fe0d0cff2369bdf98cee2aaee71ecb8be5d36b6d4596e0d3a7883cc56131",
-     "3557e5efa0505dfda2ca566fd1ae9d54e224285779ed336559b21f2f745f8bb7"),
+     "4ef3fc4258067ec247e16a60970b8ce5fd5f94251216916431ab74403595661c",
+     "ea918077a45ca370d41a448ddce9c1f5339c34c6e50ee65fe2d4a2f7e8f611ab"),
     (["verdict", "--samples", "20000"],
-     "47c8bca1c83cc89c9f419625d6970eabe0e98550a74b7e90103da177a544fe27",
-     "fa036c7831e2706646fd80ef29082fb0614a1672bf292afbafd0b8ca0dfac100"),
+     "0fced341c856684bf46e259602524b1fa061d7aeaf68fd5a75323a053b441cd7",
+     "b1d83f996517e33aae267d349930fb5ba1c570266c48747baa8ae1ce43fc4bea"),
     (["entropy", "--samples", "20000"],
-     "970801aa95d16efe78939400e5cf999464837eb8dd8fc0f8eb18f6ec4c467b75",
-     "040662dd242af3e05f508bdebffe158c3996936141df45904a44c606358eebfd"),
+     "e3b96039083390f4535c8106094a9dc1a3533bcb18dda8d692569d3686ec2791",
+     "bfd3a686b9d35db8b8e0ac48052caa1048d9b634ae69c8514a99dedb0c380c37"),
     (["generator", "--mc-samples", "20000"],
-     "d465598a92d4c86a7fda911ae6bb4d9acdb4fe615d6ecc1e8087ec1584617e1b",
-     "9d58cd988cf7be33b68cf6f6ffb3b7255607b880f87fb84f03ce0f1fa18983f7"),
+     "e87627195a485e0358f73a36cd00bc860a46d93e8de97b580b0e519bcf818a76",
+     "0939eca1301b5e48852ab8a36b5d668362938a01aee2ec220f2336a195c73425"),
     (["generator", "--system", "rotation", "--mc-samples", "20000"],
-     "099a11327d83e8887cae9c1eec9187a19483f6138287f9936a7dfddc8cf08af2",
-     "4af742b4b01bd47c18ebc9869826d8cd88f207ee5b7964cb25c733c90f061b17"),
+     "31973bab1d6685c5debedb236e2803603105bf49ffaeca00450920b632875b9e",
+     "185a88136699ebff96ac8362896b11dd1e8c4a163930a2c5e2550ae9d87ee52e"),
     (["decay", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
-     "6455420c0d07d7d12af60fe5240c54e13def34044c0f1ff3cf8ab782c591deb4",
-     "9f876d7e1fcecc9ecf97e827d386a3b4001e5330a72861730e4444a9e78bb064"),
+     "1bb85f853f128270477cc30e8b4850d51db2d892dda0681afe461e7d3f1cd5be",
+     "1ca8cbb33188d6a8b63c26de7f395dc16158dc165c7c2f2d31d312e4a2aab5bb"),
     (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
-     "c77db51e1899e5b2ed6cd20450eb63cf57a4b0fd7bf12719675a6677fdc66cbc",
-     "fcb514a65495cffc24309cc8836eb8abf1c02ee6080f389125eaa5ef076e8170"),
+     "177da7a2736088c78f51e8af4430b25faaf1177ede60ced5f8f7fd5c08465ece",
+     "76d812c5936b137e4c3057975832ecf3dabf17353e4fc7e3ca167ec25d13bc11"),
     # the battery writes no csv
     (["battery", "--cases", "circle1,reddy", "--workers", "1"],
      None,
-     "f400a0baf6e034721ec1f2afc1ce27a4f65cd275ad7495e48133ccd730d4f2f5"),
+     "9de14184b57f394c3e5a48ba1a93c859b029521224dbb0f4f88b4d841dc79406"),
     # the power, diagonal, generator, fraction, entropy-expansive and volume
-    # records, recorded while each result type still had a hand-written
-    # to_dict: a field's name is its json key
+    # records: a field's name is its json key
     (["battery", "--cases", "pp2,diagonal,pp0,thA,emu-positive,exxx1", "--workers", "1"],
      None,
-     "ce53d134bd889acd678bc18762edea7d1c7836d399023fd67055225f4be93497"),
-    # interval spaces, recorded while spaces still carried per-axis bounds
+     "3752ad43a989e5c342f38da7706d0082e48f0c051df7f8932a20c907acf185d1"),
+    # interval spaces
     (["decay", "--system", "tent", "--samples", "20000"],
-     "3c3ec60afdb0862ce1c4c779d7d4a3c7a52348546b4b896e3758672908606c95",
-     "89cca7583cdd76ea4cbc5af472faf433a88be5e0ac943b28a3710117b83f733d"),
+     "3abd71c5849d616445cde990472da245d33a4f081c41055ac743b16bd3100cdf",
+     "a5da25b3104e11611892d13c1ad6c1367eb33cf5c537af9ea0884e13b0a7f33a"),
     (["verdict", "--system", "interval-square", "--measure", "pushforward:sqrt",
       "--samples", "20000"],
-     "da24e65aabb65eb8545889ca54c15afdb12e05390cda9ab6f2a35a92e2e7ed9c",
-     "c24295f25d58647ef89da98ed68a113c3a48ad675cc0a202f527818bae5ce14a"),
+     "7fd04651fdad58cdc4618979cec42ccb49e2952d21011eaf606bb44031f8223b",
+     "f827192cea3a043b4440278a3356287191a0ffb665f80d001feaee678979bcaf"),
     (["battery", "--cases", "isometry,thD", "--workers", "1"],
      None,
-     "15502579d1ccdafcccd5c36b4282d14d1dbfbcb9de85d6cd0eb0ece732c7b0e7"),
-    # --param with the gapped circle, recorded while the system and the
-    # measure still shared one construction: the minimal measure is built
+     "194c552f78f085008565e78c5ce2687bbded6ef8621703f724de66f211c73c67"),
+    # --param with the gapped circle: the minimal measure is built
     # with the system's alpha, and with its N when the system is denjoy
     (["decay", "--system", "rotation", "--param", "alpha=0.4142135623730951",
       "--measure", "denjoy-minimal", "--samples", "20000"],
-     "56e9e3cb71c41c6878c62027cca2c5ead4398a9338fffc292310bf51debbf0f2",
-     "135ff4efeb0f6032de70b40982a4e3e55b3b82b51f2af2e78b5bf2dab8a5174f"),
+     "a1eef212cd6d9b696affa3c8d1e36a29fabc5b711833168a92279f24fff9b4b2",
+     "dc568753c102d91faa20da51ee2486e79103a613752cf095681b5ad0dd3fc45d"),
     (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--param", "N=16",
       "--param", "alpha=0.7182818284590451", "--samples", "20000"],
-     "93e54485bc57ef4d2ba2b652d8a15d5c053036bc0aa7f7c4c3860bee7c3b90a1",
-     "2220194494d6eaa916d92bd821c72713382437123b1520130b8c1fb94cc3ec91"),
+     "56048ce87d2e2c72c9c365ba6619bb1bd43b52aa04ef325c9e36bdd0eb74aa92",
+     "0feb1f5c5d546afe90ceded6db5fef9df4ab3e4bc2648db0e82cf24a6f7a9b1a"),
 ])
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
-    # digests recorded from the dense survival kernel and the dense generator
-    # mask, the denjoy and battery rows before the spec types were trimmed,
-    # the interval rows before spaces lost their bounds: speed and
-    # simplicity work must leave every csv/json byte as it was
+    # digests re-recorded once, when a sample row became `dims` consecutive
+    # doubles of the keyed stream and every estimator's batch took a
+    # derived key: speed and simplicity work must leave every csv/json byte
+    # as it was
     assert run(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     cmd = argv[0]
     if csv_sha is not None:

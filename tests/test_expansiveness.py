@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass, iterate,
                      bk_entropy, circle, local_entropy, converging_semiorbit_fraction, decay_series, distance,
@@ -16,6 +17,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass
                      torus2, volume_expanding_check)
 from dynball import cli, expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
+from dynball.rng import BLOCK_DOUBLES, uniform_block
 from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW
 
 
@@ -153,16 +155,34 @@ def _force_shares(monkeypatch, cpus):
     (make_doubling, None, "one_sided", [0.1, 0.05, 0.02]),
 ], ids=["rotation", "denjoy", "tent", "cat", "radius-grid"])
 def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch):
-    # 100,003 is no multiple of a block, and splits unevenly in two and three
+    # 100,003 is no multiple of a block, and splits unevenly in two and
+    # three; some share starts inside a counter block: 33,334 is 2 mod 4
+    # rows on one axis, 50,001 is odd with two rows a counter on the torus
     f = make_f()
     mu = make_mu() if make_mu else make_lebesgue(f.space)
+    dims, samples = f.space.dim, 100_003
+    per = BLOCK_DOUBLES // dims
+    assert any(samples * w // cpus % per for cpus in (2, 3) for w in range(1, cpus))
+    stream = Generator(Philox(key=62)).random(samples * dims).reshape(samples, dims)
     centers = mu.sample_coords(seed=61, count=5)
+    drawn = []
+
+    def spy(key, start, count, width):
+        u = uniform_block(key, start, count, width)
+        drawn.append((start, u.copy()))  # the kernel sorts its block in place
+        return u
+
+    monkeypatch.setattr(measures, "uniform_block", spy)
     got = {}
     for cpus in (1, 2, 3):
         _force_shares(monkeypatch, cpus)
+        drawn.clear()
         with expansiveness.recording_shares() as seen:
-            got[cpus] = survival_counts(f, mu, 62, 100_003, centers, deltas, sided, 12)
+            got[cpus] = survival_counts(f, mu, 62, samples, centers, deltas, sided, 12)
         assert seen == [cpus]
+        # every share's rows, in index order, are the keyed stream's rows
+        assert np.array_equal(np.concatenate([u for _, u in sorted(drawn, key=lambda d: d[0])]),
+                              stream)
     assert got[1][:, :, 0].any()
     assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
 

@@ -21,19 +21,31 @@ def test_sampling_deterministic_and_splittable():
     assert np.all((a >= 0) & (a < 1))
 
 
-def test_uniform_block_fill_matches_one_draw(monkeypatch):
-    # reference: the whole range drawn in one Generator call and sliced
-    def one_draw(seed, start, count, dims):
-        bg = Philox(key=seed)
-        bg.advance(start)
-        return Generator(bg).random(count * 4).reshape(count, 4)[:, :dims]
+def _stream_rows(seed, start, count, dims):
+    # reference: the keyed stream drawn whole in one Generator call, cut
+    # into dims-wide rows and sliced
+    n = start + count
+    return Generator(Philox(key=seed)).random(n * dims).reshape(n, dims)[start:n]
 
-    for seed, start, count, dims in ((3, 0, 70_000, 1), (4, 11, 65_536, 2), (5, 2, 0, 3)):
-        assert np.array_equal(rng.uniform_block(seed, start, count, dims),
-                              one_draw(seed, start, count, dims))
-    for rows in (1, 3, 64):
-        monkeypatch.setattr(rng, "_ROWS", rows)
-        assert np.array_equal(rng.uniform_block(6, 5, 200, 4), one_draw(6, 5, 200, 4))
+
+def test_uniform_block_fill_matches_one_draw():
+    # row i is doubles dims*i .. dims*i + dims - 1 of the keyed stream, so a
+    # counter block of 4 doubles holds 4 // dims rows; starts and counts off
+    # that grid, empty ranges and ranges across 65,536 rows all cut the same
+    for dims in (1, 2, 4):
+        per = 4 // dims
+        for start, count in ((0, 0), (per + 1, 0), (0, 1), (1, 1), (3, 2 * per + 1),
+                             (5, 7), (65_533, 10), (3, 70_000)):
+            got = rng.uniform_block(6, start, count, dims)
+            assert got.shape == (count, dims) and got.flags.c_contiguous
+            assert np.array_equal(got, _stream_rows(6, start, count, dims)), (dims, start)
+        whole = rng.uniform_block(7, 0, 1001, dims)
+        for cut in (1, 2, 3, 501):
+            assert np.array_equal(np.concatenate([rng.uniform_block(7, 0, cut, dims),
+                                                  rng.uniform_block(7, cut, 1001 - cut, dims)]),
+                                  whole)
+    with pytest.raises(ValueError, match="dims must divide 4, got 3"):
+        rng.uniform_block(6, 0, 10, 3)
 
 
 def test_lebesgue_ball_oracles_exact():
