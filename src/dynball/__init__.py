@@ -12,21 +12,19 @@ __version__ = "0.1.0"
 
 from .denjoy import DenjoyConstruction, build_denjoy
 from .entropy import (EntropyEstimate, bk_entropy, entropy_implies_expansive_check,
-                      fit_decay_slope, local_entropy, power_law_check,
-                      volume_expanding_check)
+                      power_law_check, volume_expanding_check)
 from .errors import (CapabilityError, ConstructionError, DynballError,
                      InsufficientSamplesError, NotACoverError, SpaceMismatchError)
 from .expansiveness import (DecaySeries, ExpansivenessVerdict,
                             converging_semiorbit_fraction, decay_series,
-                            dyn_ball_contains, expansiveness_verdict,
-                            generator_check, periodic_fraction,
-                            power_consistency_check, product_diagonal_test)
+                            expansiveness_verdict, generator_check,
+                            periodic_fraction, power_consistency_check,
+                            product_diagonal_test)
 from .geometry import (Ball, Point, SpaceDescriptor, circle, distance,
                        interval, lebesgue_number, make_ball_cover, torus2)
-from .measures import (MeasureSpec, ball_mass, make_dirac, make_denjoy_minimal,
+from .measures import (MeasureSpec, make_dirac, make_denjoy_minimal,
                        make_lebesgue, make_measure, measure_names, pushforward)
-from .systems import (GammaZeroReport, SystemSpec, get_system,
-                      iterate, linear_gamma_zero, make_cat, make_denjoy,
+from .systems import (SystemSpec, get_system, make_cat, make_denjoy,
                       make_doubling, make_identity, make_interval_square,
                       make_rotation, make_tent, make_zoo, zoo_names)
 from .battery import (BatteryReport, TheoremCase, case_info,
@@ -36,20 +34,17 @@ __all__ = [
     "__version__",
     "Ball", "Point", "SpaceDescriptor", "circle", "distance", "interval",
     "lebesgue_number", "make_ball_cover", "torus2",
-    "SystemSpec", "GammaZeroReport", "get_system", "iterate",
-    "linear_gamma_zero", "make_cat", "make_denjoy", "make_doubling",
+    "SystemSpec", "get_system", "make_cat", "make_denjoy", "make_doubling",
     "make_identity", "make_interval_square", "make_rotation", "make_tent",
     "make_zoo", "zoo_names",
     "DenjoyConstruction", "build_denjoy",
-    "MeasureSpec", "ball_mass", "make_dirac", "make_denjoy_minimal",
+    "MeasureSpec", "make_dirac", "make_denjoy_minimal",
     "make_lebesgue", "make_measure", "measure_names", "pushforward",
     "DecaySeries", "ExpansivenessVerdict", "converging_semiorbit_fraction",
-    "decay_series", "dyn_ball_contains", "expansiveness_verdict",
-    "generator_check", "periodic_fraction", "power_consistency_check",
-    "product_diagonal_test",
+    "decay_series", "expansiveness_verdict", "generator_check",
+    "periodic_fraction", "power_consistency_check", "product_diagonal_test",
     "EntropyEstimate", "bk_entropy", "entropy_implies_expansive_check",
-    "fit_decay_slope", "local_entropy", "power_law_check",
-    "volume_expanding_check",
+    "power_law_check", "volume_expanding_check",
     "BatteryReport", "TheoremCase", "CASE_IDS", "case_info",
     "consistency_matrix", "run_battery",
     "DynballError", "CapabilityError", "ConstructionError",

@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import CapabilityError, InsufficientSamplesError
 from .measures import MeasureSpec, make_lebesgue
 from .rng import derive_seed
@@ -85,23 +84,6 @@ def fit_decay_slope(counts: np.ndarray) -> SlopeFit:
                     max_residual=resid)
 
 
-def local_entropy(f: SystemSpec, mu: MeasureSpec, x,
-                  delta_grid: Sequence[float], n_range: tuple[int, int] = (1, 14),
-                  samples: int = 100_000, seed: int = 0) -> dict[float, SlopeFit]:
-    """Per-radius decay slope at a single center."""
-    check_samples(samples)
-    check_grid(delta_grid)
-    n_lo, n_hi = n_range
-    check_count("n_lo", n_lo, 1)
-    check_count("n_hi", n_hi, n_lo + 1, MAX_WINDOW)
-    sided = sided_for(f, mu, ONE_SIDED)
-    counts = survival_counts(f, mu, derive_seed(seed, "batch"), samples,
-                             geo.point_coords(f.space, x),
-                             list(delta_grid), sided, n_hi)
-    return {float(d): fit_decay_slope(counts[i, 0, n_lo - 1:])
-            for i, d in enumerate(delta_grid)}
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     delta_grid: tuple[float, ...]
@@ -137,6 +119,13 @@ def bk_entropy(f: SystemSpec, mu: MeasureSpec, delta_grid: Sequence[float],
 
     e, se, rates, diags = [], [], [], []
     for i in range(len(grid)):
+        # a probe with nothing left at window n_lo has no decay to fit;
+        # leaving it out would fit flat tails of a few survivors instead
+        empty = int(np.count_nonzero(counts[i, :, n_lo - 1] == 0))
+        if empty:
+            raise InsufficientSamplesError(
+                f"no sample survived window {n_lo} at delta={grid[i]} for {empty} of "
+                f"{x_probes} probes; radius too small or n_lo too large for the budget")
         fits = [fit_decay_slope(row) for row in counts[i, :, n_lo - 1:]]
         slopes = np.array([ft.slope for ft in fits])
         ses = np.array([ft.se for ft in fits])

@@ -7,13 +7,13 @@ nested, so survival counts from a single sample batch are exactly
 nonincreasing in n, and the terminal count estimates the measure of the
 infinite-window set (the liminf of the window measures).
 
-``survival_counts``, ``product_diagonal_test`` and ``dyn_ball_contains``
-hand their candidate pairs to one pair kernel, ``_advance_pairs``, whose
-single loop walks every window, window 1 included.  It keeps only the
-pairs still alive, each with its running maximum distance, so all radii
-are read from one array and a pair is dropped once it exceeds the
-largest radius; only the points some alive pair references are stepped
-forward or, two-sided, inverted.  No step is dense: ``survival_counts``
+``survival_counts`` and ``product_diagonal_test`` hand their candidate
+pairs to one pair kernel, ``_advance_pairs``, whose single loop walks
+every window, window 1 included.  It keeps only the pairs still alive,
+each with its running maximum distance, so all radii are read from one
+array and a pair is dropped once it exceeds the largest radius; only the
+points some alive pair references are stepped forward or, two-sided,
+inverted.  No step is dense: ``survival_counts``
 sorts each sample block on axis 0 and ``_near_pairs`` finds the
 candidates by binary search, since every window needs d(x, y) within
 the largest radius (on the torus, an axis-0 search cut to the pairs
@@ -343,28 +343,6 @@ def _window(f: SystemSpec, coords: np.ndarray, n_max: int, two: bool):
         if two:
             bwd = f.inverse(bwd)
             yield -n, bwd
-
-
-def dyn_ball_contains(f: SystemSpec, x, y, delta: float, n: int,
-                      sided: str | None = None):
-    """Membership of y in the window-n set of radius delta around x.
-
-    x is one point and y one point (giving a bool) or a (count, dim) array
-    (a bool vector), both read by ``geometry.coords`` on f's space.
-    ``sided`` defaults as in ``resolve_sided``: two-sided windows only for
-    an invertible f."""
-    check_length("delta", delta)
-    check_count("n", n, 1, MAX_WINDOW)
-    many = np.ndim(y) == 2
-    check_cells(1, len(y) if many else 1, n)  # before y is copied
-    xs, ys = geo.point_coords(f.space, x), geo.coords(f.space, y)
-    two = resolve_sided(f, sided) == TWO_SIDED
-    counts = np.zeros((1, len(ys), n), dtype=np.int64)
-    pair = np.arange(len(ys))  # the pairs (x, y_j), labelled by j
-    _advance_pairs(f, np.array([delta]), counts, two, xs, ys,
-                   np.zeros_like(pair), pair, pair)
-    hits = counts[0, :, -1] == 1
-    return hits if many else bool(hits[0])
 
 
 @dataclass(frozen=True)

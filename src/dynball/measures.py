@@ -3,11 +3,14 @@
 A measure is its space, a transform from uniform draws to sample
 coordinates and, when it has one, a ball oracle; nothing else is stored.
 Masses of dynamically defined sets are always estimated as sample
-frequencies with Wilson intervals; the oracle, when a measure has one,
-gives the exact mass of plain metric balls and backs the calibration
-tests.  Sampling is counter-based: the point at index i depends only on
-(seed, i), so batches are identical no matter how index ranges are
-split across workers.
+frequencies with Wilson intervals.  The oracle, when a measure has one,
+gives the exact mass of a plain metric ball.  No estimator reads a
+measure's oracle: it is the exact reference that the calibration tests
+and the benchmark check sample frequencies against, and
+``expansiveness`` sizes its thread shares from the Lebesgue formula
+whatever the measure.  Sampling is counter-based: the point at index i
+depends only on (seed, i), so batches are identical no matter how index
+ranges are split across workers.
 """
 from __future__ import annotations
 
@@ -19,8 +22,7 @@ import numpy as np
 from . import geometry as geo
 from .denjoy import GOLDEN_CONJUGATE, build_denjoy
 from .errors import SpaceMismatchError
-from .rng import derive_seed, uniform_block
-from .stats import check_samples, wilson_interval
+from .rng import uniform_block
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,6 @@ def sample_blocks(mu: MeasureSpec, key: int, samples: int, width: int = 1,
     rows = block_rows(width, shares)
     for lo in range(start, samples, rows):
         yield mu.sample_coords(key, min(rows, samples - lo), start=lo)
-
-
-def ball_mass(mu: MeasureSpec, ball: geo.Ball, samples: int = 100_000,
-              seed: int = 0) -> tuple[float, float, float]:
-    """(estimate, ci_low, ci_high); exact point interval when an oracle exists."""
-    if ball.space != mu.space:
-        raise SpaceMismatchError("ball and measure live on different spaces")
-    if mu.ball_oracle is not None:
-        v = float(mu.ball_oracle(ball))
-        return v, v, v
-    check_samples(samples)
-    hits = sum(int(np.count_nonzero(geo.ball_contains(ball, pts)))
-               for pts in sample_blocks(mu, derive_seed(seed, "batch"), samples))
-    lo, hi = wilson_interval(hits, samples)
-    return hits / samples, lo, hi
 
 
 def _lebesgue_ball_oracle(space: geo.SpaceDescriptor) -> Callable[[geo.Ball], float]:

@@ -1,4 +1,4 @@
-"""The dynamical-system zoo and the analytic linear-map classifier.
+"""The dynamical-system zoo.
 
 A system is its space, its forward map and, when it has them, an inverse
 and a Jacobian; nothing else is stored.  Maps operate on coordinate
@@ -213,52 +213,3 @@ def get_system(name: str, params: dict | None = None) -> SystemSpec:
     """Look up a zoo system by name; params feed the matching factory."""
     return _FACTORIES[name](**system_params(name, params))
 
-
-# ---------------------------------------------------------------------------
-# linear maps on R^n: the bounded-orbit set {y : sup_n |A^n y| <= delta}
-# is analyzed from the eigenstructure, never by sampling (Lebesgue on R^n
-# is not a probability measure)
-
-@dataclass(frozen=True)
-class GammaZeroReport:
-    classification: str          # trivial | positive_volume | lower_dimensional
-    jordan_caveat: bool
-    eigen_moduli: tuple[float, ...]
-
-
-def linear_gamma_zero(matrix, *, tol: float = 1e-9) -> GammaZeroReport:
-    """Classify the set of vectors whose full A-orbit stays inside a ball
-    at the origin.
-
-    A is linear, so that set for radius delta is delta times the set for
-    radius 1: its class does not depend on the radius, and none is taken.
-    Any eigenvalue off the unit circle confines the set to a proper
-    subspace (Lebesgue-null, so the map is Leb-expansive); all moduli 1
-    with A power-bounded (diagonalizable) leaves a small ball inside it
-    (positive volume); modulus-1 Jordan blocks grow polynomially, which
-    again forces a proper subspace, flagged separately.
-    """
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if m.size == 0:
-        return GammaZeroReport("trivial", False, ())
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if abs(np.linalg.det(m)) < tol:
-        raise ValueError("matrix must be invertible")
-    vals = np.linalg.eigvals(m)
-    moduli = np.abs(vals)
-    if np.any(np.abs(moduli - 1.0) > tol):
-        return GammaZeroReport("lower_dimensional", False, tuple(moduli))
-    # all moduli 1: diagonalizable iff every eigenvalue's geometric
-    # multiplicity matches its algebraic multiplicity
-    dim = len(m)
-    seen: list[complex] = []
-    for lam in vals:
-        if any(abs(lam - s) <= 1e-7 for s in seen):
-            continue
-        seen.append(lam)
-        alg = int(np.sum(np.abs(vals - lam) <= 1e-7))
-        geom = dim - np.linalg.matrix_rank(m - lam * np.eye(dim), tol=1e-9)
-        if geom < alg:
-            return GammaZeroReport("lower_dimensional", True, tuple(moduli))
-    return GammaZeroReport("positive_volume", False, tuple(moduli))

@@ -395,6 +395,9 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     (["decay", "--system", "denjoy", "--param", "N=16.0000000000000001"],
      "parameter N = 16.0000000000000001 for system 'denjoy' is not a finite int"),
     (["decay", "--seed", "2.5"], "seed must be an integer, got '2.5'"),
+    # a probe empty at the first fitted window is named with its window
+    (["entropy", "--n-lo", "11", "--n-hi", "14"],
+     "no sample survived window 11 at delta=0.02 for 1 of 30 probes"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

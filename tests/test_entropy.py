@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dynball import (CapabilityError, InsufficientSamplesError, bk_entropy,
-                     circle, entropy_implies_expansive_check, fit_decay_slope,
-                     local_entropy, make_cat, make_denjoy, make_doubling,
-                     make_identity, make_lebesgue, make_rotation, make_tent,
-                     power_law_check, torus2, volume_expanding_check)
+                     entropy_implies_expansive_check, make_cat, make_denjoy,
+                     make_doubling, make_identity, make_lebesgue, make_rotation,
+                     make_tent, power_law_check, volume_expanding_check)
 from dynball import measures
+from dynball.entropy import fit_decay_slope
 
 
 def test_fit_decay_slope_exact_halving():
@@ -42,15 +43,6 @@ def test_fit_ignores_starved_tail():
     assert fit.slope == pytest.approx(math.log(2.0), abs=0.05)
 
 
-def test_local_entropy_doubling():
-    f = make_doubling()
-    mu = make_lebesgue(f.space)
-    fits = local_entropy(f, mu, (0.123,), (0.1, 0.05), n_range=(1, 12),
-                         samples=50_000, seed=3)
-    for d, fit in fits.items():
-        assert abs(fit.slope - math.log(2.0)) < 0.1
-
-
 def test_bk_entropy_identity_exact_zero():
     f = make_identity()
     est = bk_entropy(f, make_lebesgue(f.space), (0.1, 0.05), n_range=(1, 10),
@@ -80,6 +72,17 @@ def test_bk_entropy_refuses_repeated_radii(monkeypatch):
         with pytest.raises(ValueError,
                            match=f"^distinct radii in delta_grid must be >= {want}, got {got}$"):
             bk_entropy(f, mu, grid, x_probes=20, samples=5_000)
+
+
+def test_bk_entropy_names_the_empty_window():
+    # a probe with no survivors at window n_lo used to be reported as "no
+    # sample survived the first window"; dropping it instead fits flat
+    # tails of a few survivors and reads a rate near 0 for the doubling map
+    f = make_doubling()
+    message = ("no sample survived window 14 at delta=0.1 for 5 of 30 probes; "
+               "radius too small or n_lo too large for the budget")
+    with pytest.raises(InsufficientSamplesError, match=f"^{re.escape(message)}$"):
+        bk_entropy(f, make_lebesgue(f.space), (0.1, 0.05, 0.02), n_range=(14, 20), seed=7)
 
 
 def test_bk_entropy_seed_stability():

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, ball_mass, iterate,
-                     bk_entropy, circle, local_entropy, converging_semiorbit_fraction, decay_series, distance,
-                     dyn_ball_contains, expansiveness_verdict, generator_check,
-                     interval, make_ball_cover, make_cat, make_denjoy,
-                     make_denjoy_minimal, make_dirac, make_doubling, make_identity,
-                     make_interval_square, make_lebesgue, make_measure,
+from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, bk_entropy, circle,
+                     converging_semiorbit_fraction, decay_series, distance,
+                     expansiveness_verdict, generator_check, interval, make_ball_cover,
+                     make_cat, make_denjoy, make_denjoy_minimal, make_dirac, make_doubling,
+                     make_identity, make_interval_square, make_lebesgue,
                      make_rotation, make_tent, periodic_fraction,
                      power_consistency_check, product_diagonal_test, SystemSpec,
                      torus2, volume_expanding_check)
 from dynball import cli, expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
-from dynball.rng import BLOCK_DOUBLES, uniform_block
-from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW
+from dynball.rng import BLOCK_DOUBLES, derive_seed, uniform_block
+from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells
+from dynball.systems import iterate
 
 
 def test_resolve_sided():
@@ -326,9 +326,6 @@ _BATCH_ESTIMATORS = {
     "diagonal": lambda n: product_diagonal_test(
         make_doubling(), make_lebesgue(circle()), 0.1, n_max=4, pair_samples=n,
         seed=53, fubini_probes=2),
-    "ball_mass": lambda n: ball_mass(
-        make_measure("pushforward:sqrt", interval()),
-        Ball(Point(interval(), (0.3,)), 0.1), samples=n, seed=54),
 }
 
 
@@ -377,41 +374,38 @@ def test_decay_series_seed_behavior():
     assert abs(a.estimate[0] - c.estimate[0]) < 0.02
 
 
-def test_dyn_ball_contains_hand_example():
+def _dirac_counts(f, x, y, delta, n_max, sided=None):
+    # every sample of a Dirac measure is y, so each count is 100 or 0: the
+    # exact membership of y in the window-n set around x
+    mu = make_dirac(Point(f.space, y))
+    return decay_series(f, mu, x, delta, sided=sided, n_max=n_max, samples=100).counts
+
+
+def test_decay_series_hand_example():
     f = make_doubling()
-    y = np.array([[0.304]])
-    assert dyn_ball_contains(f, (0.3,), y, 0.01, 2, sided="one_sided")[0]
     # 8*0.004 > 0.01 at i=2
-    assert not dyn_ball_contains(f, (0.3,), y, 0.01, 3, sided="one_sided")[0]
+    assert _dirac_counts(f, (0.3,), (0.304,), 0.01, 3, "one_sided") == (100, 100, 0)
     # separation doubles past delta already at i=1
-    third = (1.0 / 3.0,)
-    assert not dyn_ball_contains(f, third, (1.0 / 3.0 + 0.04,), 0.05, 2,
-                                 sided="one_sided")
-    assert dyn_ball_contains(f, third, third, 0.05, 2, sided="one_sided")
-    # an isometry never separates points that start together
-    assert dyn_ball_contains(make_rotation(), (0.2,), (0.24,), 0.05, 40)
+    third = 1.0 / 3.0
+    assert _dirac_counts(f, (third,), (third + 0.04,), 0.05, 2, "one_sided") == (100, 0)
+    assert _dirac_counts(f, (third,), (third,), 0.05, 2, "one_sided") == (100, 100)
+    # an isometry never separates points that start together; two-sided
+    # by default, since the rotation is invertible
+    rot = decay_series(make_rotation(), make_dirac(Point(circle(), (0.24,))), (0.2,), 0.05,
+                       n_max=40, samples=100)
+    assert rot.sided == "two_sided" and rot.counts[39] == 100
 
 
-def test_dyn_ball_contains_default_sided():
+def test_decay_series_default_sided():
     # a non-invertible map gets one-sided windows by default, as in every
     # other estimator; two-sided ones must be asked for and are refused
     f = make_doubling()
-    assert dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 3)
-    assert not dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 4)  # 8*0.01 > 0.05
+    s = decay_series(f, make_dirac(Point(circle(), (0.21,))), (0.2,), 0.05, n_max=4,
+                     samples=100)
+    assert s.sided == "one_sided"
+    assert s.counts == (100, 100, 100, 0)  # 8*0.01 > 0.05 at window 4
     with pytest.raises(CapabilityError):
-        dyn_ball_contains(f, (0.2,), (0.21,), 0.05, 3, sided="two")
-    for delta, n, message in ((0.0, 2, "delta must be finite and positive, got 0.0"),
-                              (-0.1, 2, "delta must be finite and positive, got -0.1"),
-                              (0.05, 0, "n must be >= 1, got 0")):
-        with pytest.raises(ValueError, match=message):
-            dyn_ball_contains(make_rotation(), (0.2,), (0.21,), delta, n)
-
-
-def test_dyn_ball_contains_rejects_raw_center_off_space():
-    f = make_interval_square()
-    for x in ((1.5,), (0.2, 0.3)):
-        with pytest.raises(SpaceMismatchError):
-            dyn_ball_contains(f, x, (0.5,), 0.05, 2, sided="one_sided")
+        _dirac_counts(f, (0.2,), (0.21,), 0.05, 3, sided="two")
 
 
 def test_verdict_trichotomy():
@@ -463,14 +457,15 @@ def test_verdict_monotone_in_delta():
 
 
 def test_isometry_ball_identity_random_trials():
-    # for an isometry, window membership at any n reduces to the plain ball test
-    rot = make_rotation()
-    ys = make_lebesgue(circle()).sample_coords(seed=31, count=1000)
+    # for an isometry, window membership at any n reduces to the plain ball
+    # test, so every window keeps the plain ball's hits
+    rot, mu = make_rotation(), make_lebesgue(circle())
     x = Point(circle(), (0.37,))
-    plain = distance(circle(), ys, x.array) <= 0.08
-    assert plain.any() and not plain.all()
-    for n in (1, 6, 25):
-        assert np.array_equal(dyn_ball_contains(rot, x, ys, 0.08, n), plain)
+    ys = mu.sample_coords(derive_seed(31, "batch"), 1000)
+    plain = int(np.count_nonzero(distance(circle(), ys, x.array) <= 0.08))
+    assert 0 < plain < 1000
+    s = decay_series(rot, mu, x, 0.08, n_max=25, samples=1000, seed=31)
+    assert s.counts == (plain,) * 25
 
 
 def test_power_consistency():
@@ -590,14 +585,8 @@ def test_diagonal_rejects_single_fubini_probe():
                                         pair_samples=n, fubini_probes=2),
     lambda mu, n: converging_semiorbit_fraction(make_rotation(), mu, samples=n),
     lambda mu, n: periodic_fraction(make_rotation(), mu, samples=n),
-    # a measure without a ball oracle: an oracle draws no samples
-    lambda mu, n: ball_mass(measures.pushforward(mu, lambda c: c),
-                            Ball(Point(circle(), (0.3,)), 0.1), samples=n),
-    lambda mu, n: local_entropy(make_doubling(), mu, (0.3,), (0.1,), n_range=(1, 3),
-                                samples=n),
 ], ids=["decay_series", "expansiveness_verdict", "bk_entropy", "generator_check",
-        "product_diagonal_test", "converging_semiorbit_fraction", "periodic_fraction",
-        "ball_mass", "local_entropy"])
+        "product_diagonal_test", "converging_semiorbit_fraction", "periodic_fraction"])
 def test_sample_floor(estimate):
     mu = make_lebesgue(circle())
     for n in (0, 1, 99):
@@ -634,10 +623,6 @@ def test_sample_floor(estimate):
     (lambda mu, k: product_diagonal_test(make_doubling(), mu, 0.1, n_max=3,
                                          pair_samples=100, fubini_probes=k),
      "fubini_probes", MAX_PROBES),
-    # its own id, so bk_entropy's n_hi row keeps its id
-    pytest.param(lambda mu, k: local_entropy(make_doubling(), mu, (0.3,), (0.1,),
-                                             n_range=(1, k), samples=100),
-                 "n_hi", MAX_WINDOW, id="local_entropy-n_hi-1000"),
 ])
 def test_window_and_probe_ceilings(estimate, name, ceiling):
     # refused before an array of that length is allocated; 2.5 used to end
@@ -703,29 +688,10 @@ def test_conjugacy_sensitivity_of_verdicts():
     assert v.verdict == "evidence_expansive"
 
 
-def test_dyn_ball_contains_reads_coords_like_point():
-    f, x = make_rotation(), (0.3,)
-    # 2.9 is the circle point 0.9, outside the ball around 0.3; 2.32 is 0.32
-    for y, want in (([2.9], False), ([0.9], False), ([2.32], True), ([-0.68], True)):
-        assert dyn_ball_contains(f, x, y, 0.05, 1, sided="one_sided") is want
-    assert dyn_ball_contains(f, x, [[2.9], [2.32]], 0.05, 5).tolist() == [False, True]
-    assert dyn_ball_contains(f, (2.3,), Point(circle(), (0.32,)), 0.05, 5) is True
-    with pytest.raises(SpaceMismatchError, match="1-dimensional"):
-        dyn_ball_contains(f, x, [0.3, 0.9], 0.05, 1, sided="one_sided")
-    with pytest.raises(SpaceMismatchError, match="must be finite"):
-        dyn_ball_contains(f, x, [[np.nan]], 0.05, 1, sided="one_sided")
-    with pytest.raises(SpaceMismatchError, match="expected one point"):
-        dyn_ball_contains(f, [[0.3], [0.5]], x, 0.05, 1)
-
-
 @pytest.mark.parametrize("call", [
     lambda f, mu, p: decay_series(f, mu, p, 0.05, n_max=2, samples=1000),
-    lambda f, mu, p: local_entropy(f, mu, p, (0.1,), n_range=(1, 3), samples=1000),
-    lambda f, mu, p: dyn_ball_contains(f, p, (0.3,), 0.05, 2),
-    lambda f, mu, p: dyn_ball_contains(f, (0.3,), p, 0.05, 2),
     lambda f, mu, p: iterate(f, p, 1),
-], ids=["decay_series", "local_entropy", "dyn_ball_contains-x", "dyn_ball_contains-y",
-        "iterate"])
+], ids=["decay_series", "iterate"])
 def test_point_on_another_space_refused(call):
     with pytest.raises(SpaceMismatchError, match="point on torus2, expected circle"):
         call(make_doubling(), make_lebesgue(circle()), Point(torus2(), (0.3, 0.1)))
@@ -737,6 +703,14 @@ def test_decay_series_same_for_point_and_raw_coords():
         a = decay_series(f, mu, Point(circle(), raw), 0.05, n_max=6, samples=5000, seed=3)
         b = decay_series(f, mu, raw, 0.05, n_max=6, samples=5000, seed=3)
         assert a == b and type(b.x[0]) is float
+
+
+def test_decay_series_rejects_raw_center_off_space():
+    f, mu = make_interval_square(), make_lebesgue(interval())
+    for x, message in (((1.5,), "outside interval bounds"), ((0.2, 0.3), "1-dimensional"),
+                       ([[0.3], [0.5]], "expected one point")):
+        with pytest.raises(SpaceMismatchError, match=message):
+            decay_series(f, mu, x, 0.05, n_max=2, samples=1000)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -763,17 +737,14 @@ def no_draws(monkeypatch):
     (lambda f, mu, v: power_consistency_check(f, mu, 2, (0.1, v), n_max=3, samples=1000),
      "delta"),
     (lambda f, mu, v: product_diagonal_test(f, mu, v, n_max=3, pair_samples=1000), "delta"),
-    (lambda f, mu, v: dyn_ball_contains(f, (0.3,), (0.31,), v, 3), "delta"),
     (lambda f, mu, v: converging_semiorbit_fraction(f, mu, tol=v, samples=1000), "tol"),
     (lambda f, mu, v: periodic_fraction(f, mu, eps=v, samples=1000), "eps"),
-    (lambda f, mu, v: local_entropy(f, mu, (0.3,), (0.1, v), n_range=(1, 3), samples=1000),
-     "delta"),
     (lambda f, mu, v: bk_entropy(f, mu, (0.1, v), n_range=(1, 3), samples=1000), "delta"),
     (lambda f, mu, v: Ball(Point(circle(), (0.3,)), v), "radius"),
     (lambda f, mu, v: make_ball_cover(circle(), 0.1, v), "step"),
 ], ids=["decay_series", "expansiveness_verdict", "power_consistency_check",
-        "product_diagonal_test", "dyn_ball_contains", "converging_semiorbit_fraction",
-        "periodic_fraction", "local_entropy", "bk_entropy", "Ball", "make_ball_cover"])
+        "product_diagonal_test", "converging_semiorbit_fraction", "periodic_fraction",
+        "bk_entropy", "Ball", "make_ball_cover"])
 def test_lengths_finite_and_positive(call, name, no_draws):
     # a NaN radius used to give an isometry evidence_expansive
     for v in (float("nan"), float("inf"), 0, -1):
@@ -794,9 +765,8 @@ def test_lengths_finite_and_positive(call, name, no_draws):
     (lambda k: power_consistency_check(make_rotation(), make_lebesgue(circle()), k,
                                        (0.1,), n_max=3, samples=1000),
      "k", MAX_WINDOW),
-    (lambda k: dyn_ball_contains(make_rotation(), (0.3,), (0.31,), 0.05, k), "n", MAX_WINDOW),
 ], ids=["converging_semiorbit_fraction", "periodic_fraction", "volume_expanding_check-horizon",
-        "volume_expanding_check-probes", "power_consistency_check", "dyn_ball_contains"])
+        "volume_expanding_check-probes", "power_consistency_check"])
 def test_api_counts_have_ceilings(call, name, ceiling, no_draws):
     # these windows and counts were unbounded: max_period=10**12 looped 10**12 times
     for k, rule in ((ceiling + 1, f"<= {ceiling}"), (10**12, f"<= {ceiling}"),
@@ -824,9 +794,8 @@ def test_one_seed_rule(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda f, mu, grid: local_entropy(f, mu, (0.3,), grid, n_range=(1, 3), samples=1000),
     lambda f, mu, grid: power_consistency_check(f, mu, 2, grid, n_max=3, samples=1000),
-], ids=["local_entropy", "power_consistency_check"])
+], ids=["power_consistency_check"])
 def test_grid_needs_distinct_radii(call, no_draws):
     # power_consistency_check used to report consistent=False from no radii
     for grid, want, got in (((), 1, 0), ((0.1, 0.1), 2, 1), ((0.1, 0.05, 0.1), 3, 2)):
@@ -848,9 +817,6 @@ def test_grid_needs_distinct_radii(call, no_draws):
     (lambda mu: generator_check(make_doubling(), mu, make_ball_cover(circle(), 0.3, 0.2),
                                 n_max=2.5, mc_samples=1000),
      "n_max must be an integer, got 2.5"),
-    (lambda mu: ball_mass(make_measure("pushforward:square", circle()),
-                          Ball(Point(circle(), (0.3,)), 0.1), samples=1e3),
-     "samples must be an integer, got 1000.0"),
     (lambda mu: expansiveness_verdict(make_rotation(), mu, np.float64("nan")),
      "delta must be finite and positive, got nan"),
     (lambda mu: bk_entropy(make_doubling(), mu, np.array([0.1, 0.0]), samples=1000),
@@ -864,7 +830,7 @@ def test_grid_needs_distinct_radii(call, no_draws):
     (lambda mu: bk_entropy(make_doubling(), mu, 0.1),
      "delta_grid must be a sequence of radii, got 0.1"),
 ], ids=["verdict-n_max", "verdict-samples", "verdict-x_probes", "decay-n_max-bool",
-        "generator-n_max", "ball_mass-samples", "verdict-numpy-nan", "entropy-numpy-grid",
+        "generator-n_max", "verdict-numpy-nan", "entropy-numpy-grid",
         "decay-numpy-samples", "verdict-text-delta", "verdict-text-threshold",
         "entropy-one-radius"])
 def test_counts_are_integers_and_echoed_as_python(call, message, no_draws):
@@ -880,7 +846,8 @@ def test_count_arrays_refused_before_allocation():
     ys = np.zeros((10**6, 1))
     f, mu = make_rotation(), make_lebesgue(circle())
     for call, shape in (
-            (lambda: dyn_ball_contains(f, (0.3,), ys, 0.05, 1000), (1, 10**6, 1000)),
+            (lambda: survival_counts(f, mu, 1, 100, ys, [0.05], "one_sided", 1000),
+             (1, 10**6, 1000)),
             (lambda: survival_counts(f, mu, 1, 100, np.zeros((10_000, 1)),
                                      np.linspace(0.1, 0.2, 11), "one_sided", 1000),
              (11, 10_000, 1000))):
@@ -894,4 +861,4 @@ def test_count_arrays_refused_before_allocation():
         finally:
             tracemalloc.stop()
     # the largest array allowed is what a verdict at both ceilings holds
-    assert dyn_ball_contains(f, (0.3,), ys[:10_000], 0.05, 1000).shape == (10_000,)
+    check_cells(1, MAX_PROBES, MAX_WINDOW)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from dynball import (Ball, Point, ball_mass, circle, interval, make_denjoy,
+from dynball import (Ball, Point, circle, interval, make_denjoy,
                      make_denjoy_minimal, make_dirac, make_lebesgue,
                      make_measure, measure_names, pushforward, torus2)
 from dynball import rng
@@ -50,15 +50,13 @@ def test_uniform_block_fill_matches_one_draw():
 
 def test_lebesgue_ball_oracles_exact():
     mu_c = make_lebesgue(circle())
-    est, lo, hi = ball_mass(mu_c, Ball(Point(circle(), (0.3,)), 0.07), 10, 0)
-    assert est == pytest.approx(0.14) and lo == hi == est
+    assert mu_c.ball_oracle(Ball(Point(circle(), (0.3,)), 0.07)) == pytest.approx(0.14)
     mu_i = make_lebesgue(interval())
-    est, _, _ = ball_mass(mu_i, Ball(Point(interval(), (0.02,)), 0.05), 10, 0)
-    assert est == pytest.approx(0.07)  # clipped at the left endpoint
+    # clipped at the left endpoint
+    assert mu_i.ball_oracle(Ball(Point(interval(), (0.02,)), 0.05)) == pytest.approx(0.07)
     mu_t = make_lebesgue(torus2())
     for r, area in ((0.3, 0.18), (0.7, 1.0 - 2.0 * 0.09), (1.1, 1.0)):
-        est, _, _ = ball_mass(mu_t, Ball(Point(torus2(), (0.5, 0.5)), r), 10, 0)
-        assert est == pytest.approx(area)
+        assert mu_t.ball_oracle(Ball(Point(torus2(), (0.5, 0.5)), r)) == pytest.approx(area)
 
 
 def test_lebesgue_oracles_match_monte_carlo():
@@ -69,7 +67,7 @@ def test_lebesgue_oracles_match_monte_carlo():
             center = Point(sp, tuple(rng.random(sp.dim)))
             r = 0.05 + 0.3 * rng.random()
             ball = Ball(center, r)
-            exact, _, _ = ball_mass(mu, ball, 10, 0)
+            exact = mu.ball_oracle(ball)
             pts = mu.sample_coords(seed=100 + trial, count=40_000)
             d = np.zeros(len(pts))
             from dynball import distance
@@ -84,10 +82,8 @@ def test_dirac_measure():
     mu = make_dirac(Point(circle(), (0.25,)))
     pts = mu.sample_coords(seed=0, count=50)
     assert np.all(pts == 0.25)
-    est, lo, hi = ball_mass(mu, Ball(Point(circle(), (0.3,)), 0.1), 10, 0)
-    assert est == 1.0
-    est, _, _ = ball_mass(mu, Ball(Point(circle(), (0.75,)), 0.1), 10, 0)
-    assert est == 0.0
+    assert mu.ball_oracle(Ball(Point(circle(), (0.3,)), 0.1)) == 1.0
+    assert mu.ball_oracle(Ball(Point(circle(), (0.75,)), 0.1)) == 0.0
 
 
 def test_minimal_measure_lives_on_orbit_closure(denjoy_c):
@@ -139,10 +135,7 @@ def test_pushforward_square_cdf():
     for t in (0.1, 0.25, 0.5, 0.9):
         emp = np.mean(pts <= t)
         assert abs(emp - np.sqrt(t)) < 0.01
-    assert nu.ball_oracle is None  # mass falls back to Monte Carlo
-    est, lo, hi = ball_mass(nu, Ball(Point(interval(), (0.5,)), 0.1),
-                            samples=20_000, seed=3)
-    assert lo < est < hi
+    assert nu.ball_oracle is None  # a general image has no exact ball mass
 
 
 def test_uniform_quarter_arc_fraction():
@@ -180,7 +173,7 @@ def test_oracle_consistency_twenty_random_balls():
             center = rng.random(mu.space.dim)
             r = 0.02 + 0.4 * rng.random()
             ball = Ball(Point(mu.space, tuple(center)), r)
-            exact, _, _ = ball_mass(mu, ball, 10, 0)
+            exact = mu.ball_oracle(ball)
             d = distance(mu.space, pts, np.tile(center, (len(pts), 1)))
             hits = int(np.sum(d <= r))
             lo, hi = wilson_interval(np.array([hits]), 100_000)

@@ -3,13 +3,12 @@ import pytest
 
 from dynball import (CapabilityError, ConstructionError, Point, SpaceMismatchError,
                      SystemSpec, build_denjoy, circle, decay_series, distance,
-                     expansiveness_verdict, get_system, iterate,
-                     linear_gamma_zero, make_cat, make_denjoy, make_doubling,
-                     make_identity, make_interval_square, make_lebesgue,
+                     expansiveness_verdict, get_system, make_cat, make_denjoy,
+                     make_doubling, make_identity, make_interval_square, make_lebesgue,
                      make_rotation, make_tent, make_zoo, torus2, zoo_names)
 from dynball.denjoy import SQUEEZE
 from dynball.expansiveness import ONE_SIDED, TWO_SIDED, resolve_sided
-from dynball.systems import CAT_INVERSE, CAT_MATRIX, compose_power
+from dynball.systems import CAT_INVERSE, CAT_MATRIX, compose_power, iterate
 
 
 def test_doubling_formula():
@@ -245,28 +244,6 @@ def test_denjoy_construction_rejects_bad_input():
         build_denjoy(alpha=0.5, N=16)
     with pytest.raises(ConstructionError):
         build_denjoy(alpha=1.5, N=16)
-
-
-# bounded-orbit set of a linear map
-
-def test_linear_gamma_zero_classification():
-    assert linear_gamma_zero(np.zeros((0, 0))).classification == "trivial"
-    assert linear_gamma_zero([[2.0, 0.0], [0.0, 0.5]]).classification == "lower_dimensional"
-    rot90 = [[0.0, -1.0], [1.0, 0.0]]
-    r = linear_gamma_zero(rot90)
-    assert r.classification == "positive_volume" and not r.jordan_caveat
-    shear = linear_gamma_zero([[1.0, 1.0], [0.0, 1.0]])
-    assert shear.classification == "lower_dimensional" and shear.jordan_caveat
-    cat = linear_gamma_zero(CAT_MATRIX.astype(float))
-    assert cat.classification == "lower_dimensional"
-    with pytest.raises(ValueError):
-        linear_gamma_zero([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        linear_gamma_zero([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # the radius is gone and tol is keyword-only: a radius passed where
-    # it used to go is refused, not read as tol
-    with pytest.raises(TypeError):
-        linear_gamma_zero(np.eye(2), 0.1)
 
 
 def test_identity_map_trivial_dynamics():
