@@ -5,8 +5,10 @@ a commented metadata header (version, config echo, seed) and a plain
 header row, ``<cmd>.json`` with the structured result and the same
 config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime,
 the process's peak RSS and its minor page-fault count, the usable CPUs
-(``nproc``) and the most sample shares any kernel call of the run used
-(``kernel_shares``, 0 when it made none).
+(``nproc``), the most sample shares any kernel call of the run used
+(``kernel_shares``, 0 when it made none) and the most window-1 candidate
+pairs any one block handed to the pair kernel (``kernel_block_pairs``,
+0 when none did).
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
@@ -45,7 +47,7 @@ from .battery import CASE_IDS, case_info, run_battery
 from .entropy import bk_entropy
 from .errors import CapabilityError, DynballError
 from .expansiveness import (SIDED, decay_series, expansiveness_verdict, generator_check,
-                            recording_shares, usable_cpus)
+                            recording_block_pairs, recording_shares, usable_cpus)
 from .measures import make_measure, measure_names
 from .rng import derive_seed
 from .stats import read_integer
@@ -221,14 +223,16 @@ _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
 
-def _usage(shares: list) -> dict:
+def _usage(shares: list, pairs: list) -> dict:
     """Peak RSS (Linux reports ru_maxrss in KiB) and minor page faults of
-    this process so far, the usable CPUs, and the most shares a kernel
-    call of the run used (``shares``, from ``recording_shares``), for the
-    meta sidecar."""
+    this process so far, the usable CPUs, the most shares a kernel call of
+    the run used (``shares``, from ``recording_shares``) and the most pairs
+    a kernel block held (``pairs``, from ``recording_block_pairs``), for
+    the meta sidecar."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt,
-            "nproc": usable_cpus(), "kernel_shares": shares[0]}
+            "nproc": usable_cpus(), "kernel_shares": shares[0],
+            "kernel_block_pairs": pairs[0]}
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
@@ -239,7 +243,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     # a gapped-circle measure takes the system's alpha, and its N if denjoy
     mu = make_measure(args.measure, f.space, params)
     t0 = time.perf_counter()
-    with recording_shares() as shares:
+    with recording_shares() as shares, recording_block_pairs() as pairs:
         result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
     runtime = time.perf_counter() - t0
     echo = {"system": {"name": f.name, "params": params},
@@ -256,7 +260,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     payload = {"version": __version__, "command": command,
                "config": echo, "seed": args.seed, "result": result}
     meta = {"version": __version__, "command": command, "seed": args.seed,
-            "runtime_seconds": runtime, **_usage(shares)}
+            "runtime_seconds": runtime, **_usage(shares, pairs)}
     _write(args.out, {f"{command}.csv": "\n".join(lines) + "\n",
                       f"{command}.json": payload, f"{command}.meta.json": meta})
     print(f"{command}: {summary} -> {args.out}/{command}.json")
@@ -265,11 +269,11 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
 def _battery(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    with recording_shares() as shares:
+    with recording_shares() as shares, recording_block_pairs() as pairs:
         report = run_battery(case_filter=args.cases, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
-            "runtime_seconds": runtime, "workers": args.workers, **_usage(shares)}
+            "runtime_seconds": runtime, "workers": args.workers, **_usage(shares, pairs)}
     _write(args.out, {"battery.json": asdict(report),
                       "battery.md": report.to_markdown(),
                       "battery.meta.json": meta})

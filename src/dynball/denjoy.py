@@ -80,9 +80,10 @@ class DenjoyConstruction:
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         y = geo.wrap01(np.array(y, dtype=float))
-        y0 = self.map_y[0]
-        lifted = y + (y < y0)
-        return geo.wrap01(np.interp(lifted, self.map_y, self.map_x))
+        # lift onto the ordinates' turn in place: y >= +0.0 after wrap01,
+        # so the values equal y + (y < y0) without that second array
+        np.add(y, 1.0, out=y, where=y < self.map_y[0])
+        return geo.wrap01(np.interp(y, self.map_y, self.map_x))
 
     def staircase(self, x: np.ndarray) -> np.ndarray:
         """h: new circle -> old circle, collapsing every gap to its orbit point."""

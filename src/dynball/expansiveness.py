@@ -27,16 +27,19 @@ memory does not grow with the budget and the counts equal a whole-batch
 draw's exactly.  ``survival_counts`` also splits its sample indices into
 contiguous shares, one per usable CPU, each summed on its own thread
 into its own count array.  Integer sums do not depend on the split, so
-every count is the serial one.  Three rules keep the threads from costing
-more than they save:
+every count is the serial one.  Three rules bound the memory and keep the
+threads from costing more than they save:
 
-- a share's blocks hold 1/shares of a serial block's rows, so the rows
-  and pairs in flight across all threads are one serial block's, and the
-  caller's thread runs share 0 rather than waiting;
-- a share gets a thread only when its block should hold ``_PAIR_FLOOR``
-  window-1 pairs, estimated before drawing from the Lebesgue mass of a
-  ball of the largest radius.  Below that the kernel is bound by the
-  interpreter, so a one-center decay stays on one share;
+- a share's block holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
+  before drawing as rows x centers x the Lebesgue mass of a ball of the
+  largest radius, and never more rows than 1/shares of the row cap
+  ``measures.block_rows``.  The pairs in flight across all threads are
+  then about shares x ``_PAIR_BLOCK`` whatever the centers and radius;
+  the cap bounds a measure concentrated near the centers, where the
+  estimate is low.  The caller's thread runs share 0 rather than waiting;
+- a share gets a thread only when its block, sized by the same rule,
+  should hold ``_PAIR_FLOOR`` pairs.  Below that the kernel is bound by
+  the interpreter, so a one-center decay stays on one share;
 - a call from any thread but the main one, such as a battery worker,
   takes one share, so pools never nest; so does a call whose count
   arrays, one per share, would together pass ``stats.MAX_CELLS``.
@@ -85,17 +88,27 @@ SIDED = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TW
 # most, whatever the cover size or the sequence count.
 _SCRATCH = 1 << 16
 
+# a block of survival_counts holds about this many window-1 candidate
+# pairs, estimated before drawing, unless measures.block_rows caps it
+# lower.  The pairs, not the rows, set the kernel's working memory: a
+# default entropy (30 probes, radius 0.1) capped only by rows kept 393k
+# pairs in flight.
+_PAIR_BLOCK = 1 << 15
+
 # a share of survival_counts gets its own thread only when its sample
 # block should hold at least this many window-1 candidate pairs.  Below
 # it the pair kernel is bound by the interpreter, not by numpy, and the
-# threads only contend for the interpreter lock: a one-center decay at
-# 5M samples, ~3.3k pairs per halved block, ran in 0.54-0.57 s on two
-# shares against 0.38-0.44 s on one (2-vCPU Xeon VM, Python 3.11,
-# numpy 2.4).
+# threads only contend for the interpreter lock.  Rotation counts at
+# radius 0.05 over 20 two-sided windows, 1-20 centers, took 1.71, 1.78,
+# 1.38, 0.89 and 0.77 times as long on two shares as on one at 3.3k,
+# 6.6k, 9.8k, 16.4k and 32.8k expected pairs per share's block (medians
+# of 5, 2-vCPU Xeon VM, Python 3.11, numpy 2.4).
 _PAIR_FLOOR = 1 << 14
 
-# the share record of recording_shares, per thread and context
+# the records of recording_shares and recording_block_pairs, per thread
+# and context
 _shares_seen: ContextVar[Optional[list]] = ContextVar("shares_seen", default=None)
+_pairs_seen: ContextVar[Optional[list]] = ContextVar("pairs_seen", default=None)
 
 
 def resolve_sided(f: SystemSpec, sided: str | None) -> str:
@@ -139,13 +152,13 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     The sample indices are split into ``_shares`` contiguous shares, each
     walked block by block into its own count array on its own thread (the
     caller's thread runs share 0), and the arrays are summed: integer sums
-    do not depend on the split, so neither does any count.  A share's
-    blocks hold 1/shares of a serial block's rows, so the rows and pairs in
-    flight across all threads are what one serial block holds.  Narrow
-    blocks (under ``_PAIR_FLOOR`` pairs per share), calls off the main
-    thread and count arrays that would together pass ``stats.MAX_CELLS``
-    take one share.  An exception raised in any share reaches the caller
-    as it was raised.
+    do not depend on the split, so neither does any count, nor does the
+    block size (``_block_rows``: about ``_PAIR_BLOCK`` expected window-1
+    pairs, at most 1/shares of ``measures.block_rows``).  Narrow blocks
+    (under ``_PAIR_FLOOR`` pairs per share), calls off the main thread and
+    count arrays that would together pass ``stats.MAX_CELLS`` take one
+    share.  An exception raised in any share reaches the caller as it was
+    raised.  The most pairs any block held goes to ``recording_block_pairs``.
     """
     deltas_arr = np.asarray(list(deltas), dtype=float)
     two = resolve_sided(f, sided) == TWO_SIDED
@@ -153,29 +166,33 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     check_cells(*shape)
     dmax = deltas_arr.max(initial=0.0)
     shares = _shares(f.space, samples, len(centers), dmax, math.prod(shape))
-    seen = _shares_seen.get()
-    if seen is not None:
-        seen[0] = max(seen[0], shares)
+    rows = _block_rows(len(centers), shares, _ball_mass(f.space, dmax))
+    _note(_shares_seen, shares)
 
-    def share(w):  # counts of indices samples * w // shares up to the next share's
-        counts = np.zeros(shape, dtype=np.int64)
-        for yf in sample_blocks(mu, key, samples * (w + 1) // shares, len(centers),
-                                start=samples * w // shares, shares=shares):
+    def share(w):  # (counts, most pairs in a block) of indices samples * w // shares on
+        counts, most = np.zeros(shape, dtype=np.int64), 0
+        for yf in sample_blocks(mu, key, samples * (w + 1) // shares, rows,
+                                start=samples * w // shares):
             if yf.shape[1] == 1:
                 yf.sort(axis=0)  # a fresh draw, so sorted in place
             else:
                 yf = np.take(yf, np.argsort(yf[:, 0]), axis=0)  # see _compact
             xi, yi = _near_pairs(f.space, centers, yf, dmax)
+            most = max(most, len(xi))
             _advance_pairs(f, deltas_arr, counts, two, centers, yf, xi, yi, xi)
-        return counts
+        return counts, most
 
     if shares == 1:
-        return share(0)
-    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-        rest = [pool.submit(share, w) for w in range(1, shares)]
-        counts = share(0)
-        for done in rest:
-            counts += done.result()  # re-raises a share's exception as it was
+        counts, most = share(0)
+    else:
+        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+            rest = [pool.submit(share, w) for w in range(1, shares)]
+            counts, most = share(0)
+            for done in rest:
+                c, m = done.result()  # re-raises a share's exception as it was
+                counts += c
+                most = max(most, m)
+    _note(_pairs_seen, most)  # pool threads do not see this thread's records
     return counts
 
 
@@ -188,40 +205,79 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _ball_mass(space: geo.SpaceDescriptor, r: float) -> float:
+    """Lebesgue mass of a ball of radius r: the expected share of a block's
+    samples within r of one center, were the measure uniform."""
+    if r <= 0:
+        return 0.0
+    return _lebesgue_ball_oracle(space)(geo.Ball(geo.Point(space, (0.5,) * space.dim), r))
+
+
+def _block_rows(width: int, shares: int, mass: float) -> int:
+    """Rows per block of one ``survival_counts`` share: enough for about
+    ``_PAIR_BLOCK`` window-1 pairs, rows x width x mass expected, and never
+    more than ``measures.block_rows(width, shares)``, the bound when the
+    measure is concentrated near the centers."""
+    rows = block_rows(width, shares)
+    per_row = width * mass
+    if rows * per_row > _PAIR_BLOCK:  # so per_row > 1/2, and the ceiling is below rows
+        rows = max(1, math.ceil(_PAIR_BLOCK / per_row))
+    return rows
+
+
 def _shares(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
             cells: int) -> int:
     """How many threads ``survival_counts`` splits its samples over.
 
     Up to ``usable_cpus()``, as long as each share's block should still
-    hold ``_PAIR_FLOOR`` window-1 pairs (estimated before drawing as rows x
-    centers x the Lebesgue mass of a dmax ball) and the shares' count
-    arrays together stay within ``stats.MAX_CELLS``.  A call from any
-    thread but the main one, such as a battery worker, takes one share, so
-    pools never nest."""
+    hold ``_PAIR_FLOOR`` window-1 pairs (estimated before drawing as
+    ``_block_rows`` x centers x the Lebesgue mass of a dmax ball) and the
+    shares' count arrays together stay within ``stats.MAX_CELLS``.  A call
+    from any thread but the main one, such as a battery worker, takes one
+    share, so pools never nest."""
     w = usable_cpus()
     if w == 1 or dmax <= 0 or threading.current_thread() is not threading.main_thread():
         return 1
-    mass = _lebesgue_ball_oracle(space)(geo.Ball(geo.Point(space, (0.5,) * space.dim), dmax))
+    mass = _ball_mass(space, dmax)
 
     def pairs(w):
-        return min(block_rows(width, w), -(-samples // w)) * width * mass
+        return min(_block_rows(width, w, mass), -(-samples // w)) * width * mass
 
     while w > 1 and (w * cells > MAX_CELLS or pairs(w) < _PAIR_FLOOR):
         w -= 1
     return w
 
 
+def _note(record: ContextVar, value: int) -> None:
+    """Raise the open record of this thread and context to value."""
+    seen = record.get()
+    if seen is not None:
+        seen[0] = max(seen[0], value)
+
+
 @contextmanager
+def _recording(record: ContextVar):
+    seen = [0]
+    token = record.set(seen)
+    try:
+        yield seen
+    finally:
+        record.reset(token)
+
+
 def recording_shares():
     """Yield a one-item list that ends holding the most shares any
     ``survival_counts`` call made on this thread inside the block used,
     0 if it made none."""
-    seen = [0]
-    token = _shares_seen.set(seen)
-    try:
-        yield seen
-    finally:
-        _shares_seen.reset(token)
+    return _recording(_shares_seen)
+
+
+def recording_block_pairs():
+    """Yield a one-item list that ends holding the most window-1 candidate
+    pairs any one block handed to the pair kernel from a call made on this
+    thread inside the block used (each share's blocks included), 0 if no
+    block did."""
+    return _recording(_pairs_seen)
 
 
 def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
@@ -270,6 +326,14 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
     counts[d, label, n-1] counts the pairs with m <= deltas[d], and a
     pair is dropped once m exceeds every radius.
 
+    label must be ascending, as the callers' pairs are (grouped by center,
+    or all one label), and filtering keeps it so: a label's count is then
+    the length of its run, found by ``searchsorted``.  At the largest
+    radius every pair left counts, as the drop has already removed the
+    rest, so no mask is built: on a one-center block's 6.5k pairs that
+    took 2.6 us against 21 us for ``np.bincount(label[m <= delta])``
+    (2-vCPU Xeon VM, numpy 2.4).
+
     The gathered points and their distances go to buffers allocated once
     per call, whose prefixes are reused as pairs die.  Fresh temporaries
     of a megabyte or so per window are each mapped and faulted in anew by
@@ -278,6 +342,7 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
     and 0.30 s each that way, against 39k and 0.13 s with the buffers.
     """
     dmax = deltas.max(initial=0.0)
+    edges = np.arange(counts.shape[1] + 1)  # label p's run is [edges[p], edges[p+1])
     xb, yb = (xf, yf) if two else (None, None)
     gx, gy = np.empty((len(xi), f.space.dim)), np.empty((len(yi), f.space.dim))
     dist = np.empty(len(xi))
@@ -307,7 +372,8 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
         if dropped:
             xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
         for d, delta in enumerate(deltas):
-            counts[d, :, n - 1] += np.bincount(label[m <= delta], minlength=counts.shape[1])
+            sel = label if delta == dmax else label[m <= delta]
+            counts[d, :, n - 1] += np.diff(np.searchsorted(sel, edges))
 
 
 def _compact(idx: np.ndarray, *rows):
@@ -524,6 +590,7 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples),
                       sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples)):
         i = np.flatnonzero(geo.distance(f.space, xs, ys) <= delta)
+        _note(_pairs_seen, len(i))
         _advance_pairs(f, np.array([delta]), counts, sided == TWO_SIDED, xs, ys,
                        i, i, np.zeros_like(i))
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
@@ -587,7 +654,8 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     # adversarial: deepest-containment element along each pilot orbit, the
     # pilots walked in blocks so the (pilot, element) slack stays bounded
     start = 0
-    for pilots in sample_blocks(mu, derive_seed(seed, "pilots"), n_adv, len(cover)):
+    for pilots in sample_blocks(mu, derive_seed(seed, "pilots"), n_adv,
+                                block_rows(len(cover))):
         rows = slice(start, start + len(pilots))
         for n, cur in _window(f, pilots, n_max, two):
             slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
@@ -595,7 +663,8 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
         start = rows.stop
 
     per_seq = np.zeros(sequence_samples, dtype=np.int64)
-    for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples, sequence_samples):
+    for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples,
+                               block_rows(sequence_samples)):
         alive = np.ones((sequence_samples, len(block)), dtype=bool)
         # inside[j]: the block's iterates in the j-th cover element in use,
         # filled a chunk of elements at a time through one float scratch

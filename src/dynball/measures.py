@@ -7,10 +7,10 @@ frequencies with Wilson intervals.  The oracle, when a measure has one,
 gives the exact mass of a plain metric ball.  No estimator reads a
 measure's oracle: it is the exact reference that the calibration tests
 and the benchmark check sample frequencies against, and
-``expansiveness`` sizes its thread shares from the Lebesgue formula
-whatever the measure.  Sampling is counter-based: the point at index i
-depends only on (seed, i), so batches are identical no matter how index
-ranges are split across workers.
+``expansiveness`` sizes its kernel blocks and thread shares from the
+Lebesgue formula whatever the measure.  Sampling is counter-based: the
+point at index i depends only on (seed, i), so batches are identical no
+matter how index ranges are split across workers.
 """
 from __future__ import annotations
 
@@ -48,19 +48,22 @@ _BLOCK = 1 << 16
 
 
 def block_rows(width: int = 1, shares: int = 1) -> int:
-    """Rows per block of ``sample_blocks``: min(_BLOCK, 32 * _BLOCK // width)
-    split ``shares`` ways, at least one."""
+    """The most rows a block may hold: min(_BLOCK, 32 * _BLOCK // width)
+    split ``shares`` ways, at least one.  ``shares`` callers drawing
+    disjoint ranges at once then hold, all together, the rows of one
+    caller's block.  ``survival_counts`` narrows its blocks further, to
+    about ``expansiveness._PAIR_BLOCK`` expected window-1 pairs each; this
+    cap is its bound when the measure is concentrated near the centers."""
     return max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)) // shares)
 
 
-def sample_blocks(mu: MeasureSpec, key: int, samples: int, width: int = 1,
-                  start: int = 0, shares: int = 1):
+def sample_blocks(mu: MeasureSpec, key: int, samples: int, rows: int | None = None,
+                  start: int = 0):
     """Yield rows start..samples of mu.sample_coords(key, samples) in
-    consecutive blocks of ``block_rows(width, shares)`` rows; draws are
-    counter-based, so the rows equal the one-shot draw.  ``shares``
-    callers drawing disjoint ranges at once hold, all together, the rows
-    of one caller's block."""
-    rows = block_rows(width, shares)
+    consecutive blocks of ``rows`` rows (default ``block_rows()``; callers
+    size theirs from ``block_rows``); draws are counter-based, so the rows
+    equal the one-shot draw."""
+    rows = rows or block_rows()
     for lo in range(start, samples, rows):
         yield mu.sample_coords(key, min(rows, samples - lo), start=lo)
 

@@ -6,7 +6,7 @@ import pytest
 
 from dynball import circle, decay_series, make_lebesgue, make_rotation
 from dynball.cli import main
-from dynball.expansiveness import usable_cpus
+from dynball.expansiveness import _PAIR_BLOCK, usable_cpus
 
 
 def run(argv):
@@ -267,7 +267,8 @@ def test_battery_subset_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["decay", "--samples", "1000", "--nmax", "2"],
                                   ["battery", "--cases", "thA"],
-                                  ["generator", "--mc-samples", "1000", "--nmax", "2"]])
+                                  ["generator", "--mc-samples", "1000", "--nmax", "2"],
+                                  ["entropy", "--samples", "20000"]])
 def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / f"{argv[0]}.meta.json").read_text())
@@ -278,6 +279,13 @@ def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert meta["nproc"] == usable_cpus() >= 1
     shares = {"decay": {1}, "generator": {0}}.get(argv[0], range(1, meta["nproc"] + 1))
     assert meta["kernel_shares"] in shares
+    # 1000 samples near one center are ~100 pairs; an entropy block is
+    # sized for about _PAIR_BLOCK of them whatever the CPU count
+    pairs = meta["kernel_block_pairs"]
+    assert isinstance(pairs, int)
+    assert {"decay": 50 <= pairs <= 150, "generator": pairs == 0,
+            "entropy": _PAIR_BLOCK / 2 <= pairs <= 2 * _PAIR_BLOCK,
+            }.get(argv[0], pairs > 0), pairs
 
 
 def test_battery_json_stable_across_runs(tmp_path):

@@ -174,17 +174,28 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
 
     monkeypatch.setattr(measures, "uniform_block", spy)
     got = {}
-    for cpus in (1, 2, 3):
-        _force_shares(monkeypatch, cpus)
-        drawn.clear()
-        with expansiveness.recording_shares() as seen:
-            got[cpus] = survival_counts(f, mu, 62, samples, centers, deltas, sided, 12)
-        assert seen == [cpus]
-        # every share's rows, in index order, are the keyed stream's rows
-        assert np.array_equal(np.concatenate([u for _, u in sorted(drawn, key=lambda d: d[0])]),
-                              stream)
-    assert got[1][:, :, 0].any()
-    assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
+    # the default pair budget, blocks of a few hundred expected pairs (a
+    # few dozen to a few thousand rows), and a budget far above the row
+    # cap, which leaves every block at measures.block_rows
+    default = expansiveness._PAIR_BLOCK
+    for budget in (default, 300, 1 << 40):
+        monkeypatch.setattr(expansiveness, "_PAIR_BLOCK", budget)
+        for cpus in (1, 2, 3):
+            _force_shares(monkeypatch, cpus)
+            drawn.clear()
+            with expansiveness.recording_shares() as seen, \
+                    expansiveness.recording_block_pairs() as pairs:
+                got[budget, cpus] = survival_counts(f, mu, 62, samples, centers, deltas,
+                                                    sided, 12)
+            assert seen == [cpus]
+            assert 0 < pairs[0] <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
+            # every share's rows, in index order, are the keyed stream's rows
+            assert np.array_equal(
+                np.concatenate([u for _, u in sorted(drawn, key=lambda d: d[0])]), stream)
+    want = got[default, 1]
+    assert want[:, :, 0].any()
+    for key, counts in got.items():
+        assert np.array_equal(counts, want), key
 
 
 def test_share_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
@@ -273,6 +284,17 @@ def test_default_verdict_memory_bounded(f, mu):
     v, peak = _traced_peak(lambda: expansiveness_verdict(f, mu, 0.05))
     assert v.samples == 100_000 and v.sided == "two_sided"
     assert peak < 20 * 2 ** 20
+
+
+def test_default_entropy_memory_bounded(monkeypatch):
+    # 30 probes at radius 0.1 expect 6 window-1 pairs a row: 25.4 MiB while
+    # each of two shares' blocks held 32,768 rows, about 197k pairs
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
+    f, mu = make_doubling(), make_lebesgue(circle())
+    with expansiveness.recording_shares() as seen:
+        est, peak = _traced_peak(lambda: bk_entropy(f, mu, [0.1, 0.05, 0.02], seed=7))
+    assert seen == [2] and 0.6 < est.extrapolated_e < 0.8
+    assert peak < 8 * 2 ** 20
 
 
 def test_decay_series_memory_bounded_in_samples():
