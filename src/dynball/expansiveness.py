@@ -11,9 +11,11 @@ infinite-window set (the liminf of the window measures).
 pairs to one pair kernel, ``_advance_pairs``, whose single loop walks
 every window, window 1 included.  It keeps only the pairs still alive,
 each with its running maximum distance, so all radii are read from one
-array and a pair is dropped once it exceeds the largest radius; only the
-points some alive pair references are stepped forward or, two-sided,
-inverted.  No step is dense: ``survival_counts``
+array and a pair is dropped once it exceeds the largest radius.  The
+center side of every pair is gathered from an orbit stepped once per
+call (``_orbit``); on the sample side only the points some alive pair
+references are stepped forward or, two-sided, inverted.  No step is
+dense: ``survival_counts``
 sorts each sample block on axis 0 and ``_near_pairs`` finds the
 candidates by binary search, since every window needs d(x, y) within
 the largest radius (on the torus, an axis-0 search cut to the pairs
@@ -27,7 +29,7 @@ memory does not grow with the budget and the counts equal a whole-batch
 draw's exactly.  ``survival_counts`` also splits its sample indices into
 contiguous shares, one per usable CPU, each summed on its own thread
 into its own count array.  Integer sums do not depend on the split, so
-every count is the serial one.  Three rules bound the memory and keep the
+every count is the serial one.  Four rules bound the memory and keep the
 threads from costing more than they save:
 
 - a share's block holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
@@ -42,7 +44,15 @@ threads from costing more than they save:
   the interpreter, so a one-center decay stays on one share;
 - a call from any thread but the main one, such as a battery worker,
   takes one share, so pools never nest; so does a call whose count
-  arrays, one per share, would together pass ``stats.MAX_CELLS``.
+  arrays, one per share, would together pass ``stats.MAX_CELLS``;
+- a call on one share reads ahead when it runs on the main thread, at
+  least two CPUs are usable and its samples fill ``_AHEAD_BLOCKS`` = 3
+  blocks or more: one pool thread draws, sorts and pairs block k+1
+  while the caller's thread walks block k through the kernel.  The preparation is a few
+  long numpy calls that release the interpreter lock, so it does not
+  contend with the kernel's many short ones as a second share would.
+  At most one block is prepared ahead, and the blocks and their order
+  are the serial ones.
 
 The generator check walks each block through the orbit window once
 (``_window``), ANDing a (sequence, sample) membership mask filled a
@@ -60,7 +70,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -102,12 +112,25 @@ _PAIR_BLOCK = 1 << 15
 # radius 0.05 over 20 two-sided windows, 1-20 centers, took 1.71, 1.78,
 # 1.38, 0.89 and 0.77 times as long on two shares as on one at 3.3k,
 # 6.6k, 9.8k, 16.4k and 32.8k expected pairs per share's block (medians
-# of 5, 2-vCPU Xeon VM, Python 3.11, numpy 2.4).
+# of 5, 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  A call below it keeps
+# one share and uses a spare CPU only to prepare its next block
+# (``_read_ahead``), which holds the interpreter lock far less.
 _PAIR_FLOOR = 1 << 14
 
-# the records of recording_shares and recording_block_pairs, per thread
-# and context
+# a one-share call of survival_counts reads ahead only when its samples
+# fill at least this many blocks.  Preparing the next block on a second
+# thread costs the thread's start and some contention for the
+# interpreter lock; one-center rotation decays at radius 0.05 over 20
+# windows, the first block prepared on the caller's thread, took 4.5 ms
+# against 4.6 ms serially at 2 blocks, 6.2 against 6.9 ms at 3 and 7.4
+# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4).  A
+# default decay's 100k samples fill 2 blocks.
+_AHEAD_BLOCKS = 3
+
+# the records of recording_shares, recording_threads and
+# recording_block_pairs, per thread and context
 _shares_seen: ContextVar[Optional[list]] = ContextVar("shares_seen", default=None)
+_threads_seen: ContextVar[Optional[list]] = ContextVar("threads_seen", default=None)
 _pairs_seen: ContextVar[Optional[list]] = ContextVar("pairs_seen", default=None)
 
 
@@ -149,6 +172,12 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     to the last one's.  Callers check n_max and the radii; the count array
     is refused before it is allocated if it exceeds ``stats.MAX_CELLS``.
 
+    The centers are stepped through the window once per call
+    (``_orbit``: f^(n-1) for n = 1..n_max, and f^-n two-sided), and every
+    share and block gathers its pairs' center side from that orbit.  It
+    holds at most 2 * dim floats per count-array cell, so it is bounded by
+    ``stats.MAX_CELLS`` and does not grow with the samples.
+
     The sample indices are split into ``_shares`` contiguous shares, each
     walked block by block into its own count array on its own thread (the
     caller's thread runs share 0), and the arrays are summed: integer sums
@@ -157,8 +186,13 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     pairs, at most 1/shares of ``measures.block_rows``).  Narrow blocks
     (under ``_PAIR_FLOOR`` pairs per share), calls off the main thread and
     count arrays that would together pass ``stats.MAX_CELLS`` take one
-    share.  An exception raised in any share reaches the caller as it was
-    raised.  The most pairs any block held goes to ``recording_block_pairs``.
+    share.  A one-share call on the main thread with two usable CPUs and
+    at least ``_AHEAD_BLOCKS`` blocks prepares each next block on a pool
+    thread while it counts the current one (``_read_ahead``).  An exception raised in
+    any share or preparation reaches the caller as it was raised.  The
+    most pairs any block held goes to ``recording_block_pairs``, and the
+    threads the call used, its shares or 2 when it read ahead, to
+    ``recording_threads``.
     """
     deltas_arr = np.asarray(list(deltas), dtype=float)
     two = resolve_sided(f, sided) == TWO_SIDED
@@ -167,19 +201,20 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     dmax = deltas_arr.max(initial=0.0)
     shares = _shares(f.space, samples, len(centers), dmax, math.prod(shape))
     rows = _block_rows(len(centers), shares, _ball_mass(f.space, dmax))
+    ahead = (shares == 1 and samples > (_AHEAD_BLOCKS - 1) * rows and usable_cpus() > 1
+             and threading.current_thread() is threading.main_thread())
     _note(_shares_seen, shares)
+    _note(_threads_seen, 2 if ahead else shares)
+    orbit = _orbit(f, centers, n_max, two)
 
     def share(w):  # (counts, most pairs in a block) of indices samples * w // shares on
         counts, most = np.zeros(shape, dtype=np.int64), 0
-        for yf in sample_blocks(mu, key, samples * (w + 1) // shares, rows,
-                                start=samples * w // shares):
-            if yf.shape[1] == 1:
-                yf.sort(axis=0)  # a fresh draw, so sorted in place
-            else:
-                yf = np.take(yf, np.argsort(yf[:, 0]), axis=0)  # see _compact
-            xi, yi = _near_pairs(f.space, centers, yf, dmax)
-            most = max(most, len(xi))
-            _advance_pairs(f, deltas_arr, counts, two, centers, yf, xi, yi, xi)
+        blocks = _pair_blocks(f.space, mu, key, samples * w // shares,
+                              samples * (w + 1) // shares, rows, centers, dmax)
+        with _read_ahead(blocks) if ahead else nullcontext(blocks) as blocks:
+            for yf, xi, yi in blocks:
+                most = max(most, len(xi))
+                _advance_pairs(f, deltas_arr, counts, two, orbit, yf, xi, yi, xi)
         return counts, most
 
     if shares == 1:
@@ -194,6 +229,70 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
                 most = max(most, m)
     _note(_pairs_seen, most)  # pool threads do not see this thread's records
     return counts
+
+
+def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: int,
+                 stop: int, rows: int, centers: np.ndarray, dmax: float):
+    """Yield (ys, xi, yi) for rows start..stop of mu's batch under key,
+    ``rows`` at a time: ys holds the rows of the block, sorted on axis 0,
+    that a candidate pair within dmax of the centers (``_near_pairs``)
+    references, and yi indexes ys.
+
+    Rows are renumbered by binary search, not by ``_compact``'s block-long
+    rank table, and the whole block, the old yi and the scratch are let go
+    before the yield, not held while the kernel walks the pairs.  A
+    thread reading ahead keeps what it allocates in its own malloc arena:
+    a 5M-sample one-center decay read 39.2 MiB peak RSS reading ahead, 39.9
+    with the rank table and 40.1 with the block held, against 38.9 MiB on
+    one thread before (2-vCPU Xeon VM).  The held old yi raised a
+    one-share denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
+    """
+    for ys in sample_blocks(mu, key, stop, rows, start=start):
+        if ys.shape[1] == 1:
+            ys.sort(axis=0)  # a fresh draw, so sorted in place
+        else:
+            ys = np.take(ys, np.argsort(ys[:, 0]), axis=0)  # see _compact
+        xi, yi = _near_pairs(space, centers, ys, dmax)
+        mark = np.zeros(len(ys), dtype=bool)
+        mark[yi] = True
+        live = np.flatnonzero(mark)
+        if len(live) < len(ys):
+            ys, yi = np.take(ys, live, axis=0), np.searchsorted(live, yi)
+        del mark, live
+        yield ys, xi, yi
+
+
+@contextmanager
+def _read_ahead(items):
+    """An iterator over items that computes the first item on the caller's
+    thread and each next one on one pool thread while the caller works on
+    the one before.  Leaving the block waits for the item in preparation,
+    if any, and ends the thread; an exception raised while preparing
+    reaches the caller as it was raised."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def ahead():
+            item = next(items, None)
+            while item is not None:
+                nxt = pool.submit(next, items, None)
+                yield item
+                item = nxt.result()
+        yield ahead()
+
+
+def _orbit(f: SystemSpec, x: np.ndarray, n_max: int, two: bool):
+    """(fwd, bwd) with fwd[n-1] = f^(n-1)(x) and, two-sided, bwd[n-1] =
+    f^-n(x) for n = 1..n_max; bwd is None one-sided."""
+    fwd = np.empty((n_max,) + x.shape)
+    if n_max:
+        fwd[0] = x
+    for n in range(1, n_max):
+        fwd[n] = f.forward(fwd[n - 1])
+    if not two:
+        return fwd, None
+    bwd = np.empty_like(fwd)
+    for n in range(n_max):
+        bwd[n] = f.inverse(bwd[n - 1] if n else x)
+    return fwd, bwd
 
 
 def usable_cpus() -> int:
@@ -272,6 +371,13 @@ def recording_shares():
     return _recording(_shares_seen)
 
 
+def recording_threads():
+    """Yield a one-item list that ends holding the most threads any
+    ``survival_counts`` call made on this thread inside the block used:
+    its shares, or 2 when it read ahead; 0 if it made none."""
+    return _recording(_threads_seen)
+
+
 def recording_block_pairs():
     """Yield a one-item list that ends holding the most window-1 candidate
     pairs any one block handed to the pair kernel from a call made on this
@@ -314,17 +420,20 @@ def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
 
 
 def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: bool,
-                   xf, yf, xi, yi, label) -> None:
-    """Add the survivors of the pairs (xf[xi], yf[yi]) to counts.
+                   orbit, yf, xi, yi, label) -> None:
+    """Add the survivors of the pairs (x[xi], yf[yi]) to counts.
 
-    xf, yf are the raw points, and the pairs may be any superset of the
-    survivors.  One loop walks every window, window 1 included: it
-    compacts both sides to the rows a pair still references, then
-    compares each pair at f^(n-1) (no forward step at n = 1) and,
-    two-sided, at f^-n, stepping only those rows, so the inverse starts
-    from the raw points.  m keeps each pair's largest distance so far:
-    counts[d, label, n-1] counts the pairs with m <= deltas[d], and a
-    pair is dropped once m exceeds every radius.
+    orbit is ``_orbit(f, x, counts.shape[2], two)`` for the left points x
+    and yf holds the raw right points, each referenced by some pair (the
+    rows no pair references would be stepped until the first drop).  The
+    pairs may be any superset of the survivors.  One loop walks every
+    window, window 1 included: it gathers each pair's left side at
+    f^(n-1) (and, two-sided, at f^-n) from the orbit, compacts the right
+    side to the rows a pair still references and steps only those rows
+    (no forward step at n = 1; the inverse starts from the raw points).
+    m keeps each pair's largest distance so far: counts[d, label, n-1]
+    counts the pairs with m <= deltas[d], and a pair is dropped once m
+    exceeds every radius.
 
     label must be ascending, as the callers' pairs are (grouped by center,
     or all one label), and filtering keeps it so: a label's count is then
@@ -343,7 +452,8 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
     """
     dmax = deltas.max(initial=0.0)
     edges = np.arange(counts.shape[1] + 1)  # label p's run is [edges[p], edges[p+1])
-    xb, yb = (xf, yf) if two else (None, None)
+    fwd, bwd = orbit
+    yb = yf if two else None
     gx, gy = np.empty((len(xi), f.space.dim)), np.empty((len(yi), f.space.dim))
     dist = np.empty(len(xi))
     m = np.zeros(len(xi))
@@ -354,19 +464,18 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
         b = np.take(ys, yi, axis=0, out=gy[:k], mode="clip")
         np.maximum(m, geo.distance(f.space, a, b, out=dist[:k]), out=m)
 
-    dropped = True  # the candidates may leave rows no pair references
+    dropped = False  # every row of yf starts referenced
     for n in range(1, counts.shape[2] + 1):
         if not len(m):
             break
         if dropped:
-            xi, (xf, xb) = _compact(xi, xf, xb)
             yi, (yf, yb) = _compact(yi, yf, yb)
         if n > 1:
-            xf, yf = f.forward(xf), f.forward(yf)
-        widen(xf, yf)
+            yf = f.forward(yf)
+        widen(fwd[n - 1], yf)
         if two:
-            xb, yb = f.inverse(xb), f.inverse(yb)
-            widen(xb, yb)
+            yb = f.inverse(yb)
+            widen(bwd[n - 1], yb)
         keep = m <= dmax
         dropped = not keep.all()
         if dropped:
@@ -586,13 +695,20 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     check_count("n_max", n_max, 1, MAX_WINDOW)
     check_count("fubini_probes", fubini_probes, 2, MAX_PROBES)  # a spread needs two
     sided = sided_for(f, mu)
+    two = sided == TWO_SIDED
     counts = np.zeros((1, 1, n_max), dtype=np.int64)
-    for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples),
-                      sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples)):
+    # the pairs are one-to-one, so the left side's orbit holds a row per
+    # pair and window (two per window two-sided): the block is sized so
+    # that orbit stays within 32 x 65,536 floats
+    rows = block_rows((2 if two else 1) * f.space.dim * n_max)
+    for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples, rows),
+                      sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples, rows)):
         i = np.flatnonzero(geo.distance(f.space, xs, ys) <= delta)
         _note(_pairs_seen, len(i))
-        _advance_pairs(f, np.array([delta]), counts, sided == TWO_SIDED, xs, ys,
-                       i, i, np.zeros_like(i))
+        xs, ys = np.take(xs, i, axis=0), np.take(ys, i, axis=0)  # see _compact
+        pairs = np.arange(len(i))
+        _advance_pairs(f, np.array([delta]), counts, two, _orbit(f, xs, n_max, two), ys,
+                       pairs, pairs, np.zeros_like(i))
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)

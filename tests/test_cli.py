@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from dynball import circle, decay_series, make_lebesgue, make_rotation
+from dynball import circle, decay_series, expansiveness, make_lebesgue, make_rotation
 from dynball.cli import main
 from dynball.expansiveness import _PAIR_BLOCK, usable_cpus
 
@@ -279,6 +279,13 @@ def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert meta["nproc"] == usable_cpus() >= 1
     shares = {"decay": {1}, "generator": {0}}.get(argv[0], range(1, meta["nproc"] + 1))
     assert meta["kernel_shares"] in shares
+    # a call's threads are its shares, or two when it reads ahead; the
+    # decay's 1000 samples fill one block, so it does not
+    threads = meta["kernel_threads"]
+    assert isinstance(threads, int)
+    assert meta["kernel_shares"] <= threads <= max(meta["kernel_shares"], min(2, meta["nproc"]))
+    if argv[0] in ("decay", "generator"):
+        assert threads == meta["kernel_shares"]
     # 1000 samples near one center are ~100 pairs; an entropy block is
     # sized for about _PAIR_BLOCK of them whatever the CPU count
     pairs = meta["kernel_block_pairs"]
@@ -286,6 +293,22 @@ def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert {"decay": 50 <= pairs <= 150, "generator": pairs == 0,
             "entropy": _PAIR_BLOCK / 2 <= pairs <= 2 * _PAIR_BLOCK,
             }.get(argv[0], pairs > 0), pairs
+
+
+def test_meta_records_read_ahead(tmp_path, monkeypatch):
+    # a one-center decay over several blocks takes one share and, with a
+    # spare CPU, reads ahead on a second thread; the bytes are the same
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
+    argv = ["decay", "--samples", "200000", "--nmax", "5"]
+    assert run(argv + ["--out", str(tmp_path / "two")]) == 0
+    meta = json.loads((tmp_path / "two" / "decay.meta.json").read_text())
+    assert (meta["kernel_shares"], meta["kernel_threads"]) == (1, 2)
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 1)
+    assert run(argv + ["--out", str(tmp_path / "one")]) == 0
+    meta = json.loads((tmp_path / "one" / "decay.meta.json").read_text())
+    assert (meta["kernel_shares"], meta["kernel_threads"]) == (1, 1)
+    for name in ("decay.csv", "decay.json"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_battery_json_stable_across_runs(tmp_path):

@@ -255,6 +255,153 @@ def test_thread_caller_takes_one_share(monkeypatch):
                                                          [0.05], "two_sided", 3))
 
 
+def _one_share(monkeypatch, cpus, blocks, samples):
+    """Make survival_counts take one share on ``cpus`` usable CPUs and walk
+    its ``samples`` in ``blocks`` blocks."""
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 1 << 62)
+    monkeypatch.setattr(expansiveness, "_block_rows",
+                        lambda width, shares, mass: -(-samples // blocks))
+
+
+@pytest.mark.parametrize("make_f, sided", [
+    (make_rotation, "two_sided"), (make_doubling, "one_sided"),
+    (make_interval_square, "one_sided"), (make_interval_square, "two_sided"),
+    (make_cat, "one_sided"), (make_cat, "two_sided"),
+], ids=["circle-two", "circle-one", "interval-one", "interval-two", "torus-one",
+        "torus-two"])
+def test_read_ahead_gives_the_serial_counts(make_f, sided, monkeypatch):
+    # with a spare CPU, one share over enough blocks prepares each next
+    # block on a pool thread
+    f = make_f()
+    mu = make_lebesgue(f.space)
+    centers = mu.sample_coords(seed=71, count=3)
+    samples = 5003
+    prepared_on = []
+    near_pairs = expansiveness._near_pairs
+
+    def spy(*args):
+        prepared_on.append(threading.current_thread() is threading.main_thread())
+        return near_pairs(*args)
+
+    monkeypatch.setattr(expansiveness, "_near_pairs", spy)
+    for blocks in (1, 2, 3, 5):
+        _one_share(monkeypatch, 1, blocks, samples)
+        want = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
+        assert want[:, :, 0].any()
+        _one_share(monkeypatch, 2, blocks, samples)
+        prepared_on.clear()
+        with expansiveness.recording_shares() as shares, \
+                expansiveness.recording_threads() as threads:
+            got = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
+        assert np.array_equal(got, want), blocks
+        # the first block is prepared on the caller's thread, and two
+        # blocks are too few to read ahead
+        ahead = blocks >= expansiveness._AHEAD_BLOCKS
+        assert shares == [1] and threads == [2 if ahead else 1]
+        assert prepared_on == [True] + [not ahead] * (blocks - 1)
+
+
+def test_read_ahead_error_reaches_the_caller(monkeypatch):
+    # block 2 fails while it is prepared on the pool thread: the caller
+    # gets that exception object, and the pool's thread is gone after
+    f, mu = make_rotation(), make_lebesgue(circle())
+    _one_share(monkeypatch, 2, 5, 10_000)
+    near_pairs, calls = expansiveness._near_pairs, []
+    error = RuntimeError("block 2 cannot be prepared")
+
+    def spy(*args):
+        calls.append(threading.current_thread() is threading.main_thread())
+        if len(calls) == 2:
+            raise error
+        return near_pairs(*args)
+
+    monkeypatch.setattr(expansiveness, "_near_pairs", spy)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        survival_counts(f, mu, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided", 4)
+    assert raised.value is error and calls == [True, False]
+    assert threading.active_count() == before
+
+    # so is the thread when the caller's kernel fails on block 1 while
+    # block 2 is prepared; the one-row forward steps are the center's orbit
+    monkeypatch.setattr(expansiveness, "_near_pairs", near_pairs)
+
+    def forward(x):
+        if len(x) > 1:
+            raise CapabilityError("no forward map")
+        return f.forward(x)
+
+    spy_f = SystemSpec(f.name, f.space, forward, f.inverse)
+    with pytest.raises(CapabilityError, match="no forward map"):
+        survival_counts(spy_f, mu, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided", 4)
+    assert threading.active_count() == before
+
+
+def test_read_ahead_only_on_the_main_thread_over_blocks(monkeypatch):
+    # a call from a worker thread, or with one block or two, starts no thread
+    f, mu = make_rotation(), make_lebesgue(circle())
+    centers = np.array([[0.3]])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    want = survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6)
+    monkeypatch.setattr(expansiveness, "ThreadPoolExecutor", no_pool)
+    for blocks in (1, 2):
+        _one_share(monkeypatch, 2, blocks, 10_000)
+        with expansiveness.recording_threads() as threads:
+            assert np.array_equal(
+                survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6), want)
+        assert threads == [1]
+
+    _one_share(monkeypatch, 2, 5, 10_000)
+    out = {}
+
+    def call():
+        with expansiveness.recording_threads() as seen:
+            out["counts"] = survival_counts(f, mu, 74, 10_000, centers, [0.05],
+                                            "two_sided", 6)
+        out["seen"] = seen
+
+    worker = threading.Thread(target=call)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out["seen"] == [1] and np.array_equal(out["counts"], want)
+
+
+@pytest.mark.parametrize("blocks", [1, 5])
+def test_centers_stepped_once_per_call(blocks, monkeypatch):
+    # the centers' orbit is stepped once per call, not once per block:
+    # forward sees each center n_max - 1 times and, two-sided, inverse
+    # n_max times, whatever the number of blocks
+    rot, mu, n_max = make_rotation(), make_lebesgue(circle()), 8
+    centers = np.array([[0.3], [0.71]])
+    fwd = [centers]
+    for _ in range(n_max - 1):
+        fwd.append(rot.forward(fwd[-1]))
+    bwd = [rot.inverse(centers)]
+    for _ in range(n_max - 1):
+        bwd.append(rot.inverse(bwd[-1]))
+    seen = {"forward": 0, "inverse": 0}
+
+    def counting(name, step, orbit):
+        points = np.concatenate(orbit)[:, 0]
+
+        def counted(x):
+            seen[name] += int(np.isin(x[:, 0], points).sum())
+            return step(x)
+        return counted
+
+    spy = SystemSpec(rot.name, rot.space, counting("forward", rot.forward, fwd[:-1]),
+                     counting("inverse", rot.inverse, [centers] + bwd[:-1]))
+    _one_share(monkeypatch, 1, blocks, 20_000)
+    got = survival_counts(spy, mu, 75, 20_000, centers, [0.05], "two_sided", n_max)
+    assert got[0, :, -1].all()  # the sample side is stepped to the last window
+    assert seen == {"forward": 2 * (n_max - 1), "inverse": 2 * n_max}
+
+
 def _traced_peak(call):
     """(result, tracemalloc peak in bytes) of call()."""
     tracemalloc.start()
