@@ -5,12 +5,7 @@ a commented metadata header (version, config echo, seed) and a plain
 header row, ``<cmd>.json`` with the structured result and the same
 config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime,
 the process's peak RSS and its minor page-fault count, the usable CPUs
-(``nproc``), the most sample shares any kernel call of the run used
-(``kernel_shares``, 0 when it made none), the most threads one kernel
-call used (``kernel_threads``: its shares, or 2 when it read its next
-block ahead; 0 with no call) and the most window-1 candidate pairs any
-one block handed to the pair kernel (``kernel_block_pairs``, 0 when none
-did).
+(``nproc``) and the kernel keys of ``expansiveness.recording_kernel``.
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
@@ -39,7 +34,6 @@ import os
 import resource
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -50,8 +44,7 @@ from .battery import CASE_IDS, case_info, run_battery
 from .entropy import bk_entropy
 from .errors import CapabilityError, DynballError
 from .expansiveness import (SIDED, decay_series, expansiveness_verdict, generator_check,
-                            recording_block_pairs, recording_shares, recording_threads,
-                            usable_cpus)
+                            recording_kernel, usable_cpus)
 from .measures import make_measure, measure_names
 from .rng import derive_seed
 from .stats import read_integer
@@ -227,25 +220,13 @@ _HELP = {"x": "comma-separated center coordinates",
          "cases": "comma-separated case ids (default: all)"}
 
 
-@contextmanager
-def _kernel_records():
-    """Yield the meta sidecar's kernel keys, each a one-item list that the
-    block used fills in: the most shares (``recording_shares``) and threads
-    (``recording_threads``) a kernel call of the run used, and the most
-    pairs a kernel block held (``recording_block_pairs``)."""
-    with recording_shares() as shares, recording_threads() as threads, \
-            recording_block_pairs() as pairs:
-        yield {"kernel_shares": shares, "kernel_threads": threads,
-               "kernel_block_pairs": pairs}
-
-
-def _usage(records: dict) -> dict:
+def _usage(kernel: dict) -> dict:
     """Peak RSS (Linux reports ru_maxrss in KiB) and minor page faults of
-    this process so far, the usable CPUs and the kernel records of
-    ``_kernel_records``, for the meta sidecar."""
+    this process so far, the usable CPUs and the record of
+    ``recording_kernel``, for the meta sidecar."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt,
-            "nproc": usable_cpus(), **{key: seen[0] for key, seen in records.items()}}
+            "nproc": usable_cpus(), **kernel}
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
@@ -256,7 +237,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     # a gapped-circle measure takes the system's alpha, and its N if denjoy
     mu = make_measure(args.measure, f.space, params)
     t0 = time.perf_counter()
-    with _kernel_records() as records:
+    with recording_kernel() as kernel:
         result, fields, rows, summary = spec.run(f, mu, vars(args), args.seed)
     runtime = time.perf_counter() - t0
     echo = {"system": {"name": f.name, "params": params},
@@ -273,7 +254,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     payload = {"version": __version__, "command": command,
                "config": echo, "seed": args.seed, "result": result}
     meta = {"version": __version__, "command": command, "seed": args.seed,
-            "runtime_seconds": runtime, **_usage(records)}
+            "runtime_seconds": runtime, **_usage(kernel)}
     _write(args.out, {f"{command}.csv": "\n".join(lines) + "\n",
                       f"{command}.json": payload, f"{command}.meta.json": meta})
     print(f"{command}: {summary} -> {args.out}/{command}.json")
@@ -282,11 +263,11 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
 def _battery(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    with _kernel_records() as records:
+    with recording_kernel() as kernel:
         report = run_battery(case_filter=args.cases, seed=args.seed, workers=args.workers)
     runtime = time.perf_counter() - t0
     meta = {"version": __version__, "command": "battery", "seed": args.seed,
-            "runtime_seconds": runtime, "workers": args.workers, **_usage(records)}
+            "runtime_seconds": runtime, "workers": args.workers, **_usage(kernel)}
     _write(args.out, {"battery.json": asdict(report),
                       "battery.md": report.to_markdown(),
                       "battery.meta.json": meta})

@@ -26,33 +26,9 @@ from window 1 on.
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
 memory does not grow with the budget and the counts equal a whole-batch
-draw's exactly.  ``survival_counts`` also splits its sample indices into
-contiguous shares, one per usable CPU, each summed on its own thread
-into its own count array.  Integer sums do not depend on the split, so
-every count is the serial one.  Four rules bound the memory and keep the
-threads from costing more than they save:
-
-- a share's block holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
-  before drawing as rows x centers x the Lebesgue mass of a ball of the
-  largest radius, and never more rows than 1/shares of the row cap
-  ``measures.block_rows``.  The pairs in flight across all threads are
-  then about shares x ``_PAIR_BLOCK`` whatever the centers and radius;
-  the cap bounds a measure concentrated near the centers, where the
-  estimate is low.  The caller's thread runs share 0 rather than waiting;
-- a share gets a thread only when its block, sized by the same rule,
-  should hold ``_PAIR_FLOOR`` pairs.  Below that the kernel is bound by
-  the interpreter, so a one-center decay stays on one share;
-- a call from any thread but the main one, such as a battery worker,
-  takes one share, so pools never nest; so does a call whose count
-  arrays, one per share, would together pass ``stats.MAX_CELLS``;
-- a call on one share reads ahead when it runs on the main thread, at
-  least two CPUs are usable and its samples fill ``_AHEAD_BLOCKS`` = 3
-  blocks or more: one pool thread draws, sorts and pairs block k+1
-  while the caller's thread walks block k through the kernel.  The preparation is a few
-  long numpy calls that release the interpreter lock, so it does not
-  contend with the kernel's many short ones as a second share would.
-  At most one block is prepared ahead, and the blocks and their order
-  are the serial ones.
+draw's exactly.  How ``survival_counts`` spreads a call over threads
+(sample shares, or reading its next block ahead) and how many rows its
+blocks hold is decided in one place, ``_plan``; no count depends on it.
 
 The generator check walks each block through the orbit window once
 (``_window``), ANDing a (sequence, sample) membership mask filled a
@@ -127,11 +103,8 @@ _PAIR_FLOOR = 1 << 14
 # default decay's 100k samples fill 2 blocks.
 _AHEAD_BLOCKS = 3
 
-# the records of recording_shares, recording_threads and
-# recording_block_pairs, per thread and context
-_shares_seen: ContextVar[Optional[list]] = ContextVar("shares_seen", default=None)
-_threads_seen: ContextVar[Optional[list]] = ContextVar("threads_seen", default=None)
-_pairs_seen: ContextVar[Optional[list]] = ContextVar("pairs_seen", default=None)
+# the open record of recording_kernel, per thread and context
+_record: ContextVar[Optional[dict]] = ContextVar("kernel_record", default=None)
 
 
 def resolve_sided(f: SystemSpec, sided: str | None) -> str:
@@ -178,56 +151,42 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     holds at most 2 * dim floats per count-array cell, so it is bounded by
     ``stats.MAX_CELLS`` and does not grow with the samples.
 
-    The sample indices are split into ``_shares`` contiguous shares, each
-    walked block by block into its own count array on its own thread (the
-    caller's thread runs share 0), and the arrays are summed: integer sums
-    do not depend on the split, so neither does any count, nor does the
-    block size (``_block_rows``: about ``_PAIR_BLOCK`` expected window-1
-    pairs, at most 1/shares of ``measures.block_rows``).  Narrow blocks
-    (under ``_PAIR_FLOOR`` pairs per share), calls off the main thread and
-    count arrays that would together pass ``stats.MAX_CELLS`` take one
-    share.  A one-share call on the main thread with two usable CPUs and
-    at least ``_AHEAD_BLOCKS`` blocks prepares each next block on a pool
-    thread while it counts the current one (``_read_ahead``).  An exception raised in
-    any share or preparation reaches the caller as it was raised.  The
-    most pairs any block held goes to ``recording_block_pairs``, and the
-    threads the call used, its shares or 2 when it read ahead, to
-    ``recording_threads``.
+    ``_plan`` picks the shares, the rows per block and the read-ahead.
+    Each share's sample indices are walked block by block into its own
+    count array, shares 1.. on pool threads and share 0 on the caller's,
+    and the arrays are summed; a one-share call that reads ahead prepares
+    each next block on the pool (``_read_ahead``).  An exception raised
+    in any share or preparation reaches the caller as it was raised.  The
+    shares, threads and the most pairs any block held go to
+    ``recording_kernel``.
     """
     deltas_arr = np.asarray(list(deltas), dtype=float)
     two = resolve_sided(f, sided) == TWO_SIDED
     shape = (len(deltas_arr), len(centers), n_max)
     check_cells(*shape)
     dmax = deltas_arr.max(initial=0.0)
-    shares = _shares(f.space, samples, len(centers), dmax, math.prod(shape))
-    rows = _block_rows(len(centers), shares, _ball_mass(f.space, dmax))
-    ahead = (shares == 1 and samples > (_AHEAD_BLOCKS - 1) * rows and usable_cpus() > 1
-             and threading.current_thread() is threading.main_thread())
-    _note(_shares_seen, shares)
-    _note(_threads_seen, 2 if ahead else shares)
+    shares, rows, ahead = _plan(f.space, samples, len(centers), dmax, math.prod(shape))
     orbit = _orbit(f, centers, n_max, two)
 
-    def share(w):  # (counts, most pairs in a block) of indices samples * w // shares on
+    def share(w, pool=None):  # (counts, most pairs in a block) of share w's samples
         counts, most = np.zeros(shape, dtype=np.int64), 0
         blocks = _pair_blocks(f.space, mu, key, samples * w // shares,
                               samples * (w + 1) // shares, rows, centers, dmax)
-        with _read_ahead(blocks) if ahead else nullcontext(blocks) as blocks:
-            for yf, xi, yi in blocks:
-                most = max(most, len(xi))
-                _advance_pairs(f, deltas_arr, counts, two, orbit, yf, xi, yi, xi)
+        for yf, xi, yi in blocks if pool is None else _read_ahead(blocks, pool):
+            most = max(most, len(xi))
+            _advance_pairs(f, deltas_arr, counts, two, orbit, yf, xi, yi, xi)
         return counts, most
 
-    if shares == 1:
-        counts, most = share(0)
-    else:
-        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-            rest = [pool.submit(share, w) for w in range(1, shares)]
-            counts, most = share(0)
-            for done in rest:
-                c, m = done.result()  # re-raises a share's exception as it was
-                counts += c
-                most = max(most, m)
-    _note(_pairs_seen, most)  # pool threads do not see this thread's records
+    threads = shares + ahead
+    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
+        rest = [pool.submit(share, w) for w in range(1, shares)]
+        counts, most = share(0, pool if ahead else None)
+        for done in rest:
+            c, m = done.result()  # re-raises a share's exception as it was
+            counts += c
+            most = max(most, m)
+    # pool threads do not see this thread's record
+    _note(kernel_shares=shares, kernel_threads=threads, kernel_block_pairs=most)
     return counts
 
 
@@ -262,21 +221,16 @@ def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: i
         yield ys, xi, yi
 
 
-@contextmanager
-def _read_ahead(items):
-    """An iterator over items that computes the first item on the caller's
-    thread and each next one on one pool thread while the caller works on
-    the one before.  Leaving the block waits for the item in preparation,
-    if any, and ends the thread; an exception raised while preparing
-    reaches the caller as it was raised."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def ahead():
-            item = next(items, None)
-            while item is not None:
-                nxt = pool.submit(next, items, None)
-                yield item
-                item = nxt.result()
-        yield ahead()
+def _read_ahead(items, pool):
+    """Yield the items, the first computed on the caller's thread and each
+    next one on ``pool`` while the caller works on the one before.  An
+    exception raised while preparing reaches the caller as it was raised;
+    the pool's owner waits for the item in preparation, if any."""
+    item = next(items, None)
+    while item is not None:
+        nxt = pool.submit(next, items, None)
+        yield item
+        item = nxt.result()
 
 
 def _orbit(f: SystemSpec, x: np.ndarray, n_max: int, two: bool):
@@ -312,78 +266,74 @@ def _ball_mass(space: geo.SpaceDescriptor, r: float) -> float:
     return _lebesgue_ball_oracle(space)(geo.Ball(geo.Point(space, (0.5,) * space.dim), r))
 
 
-def _block_rows(width: int, shares: int, mass: float) -> int:
-    """Rows per block of one ``survival_counts`` share: enough for about
-    ``_PAIR_BLOCK`` window-1 pairs, rows x width x mass expected, and never
-    more than ``measures.block_rows(width, shares)``, the bound when the
-    measure is concentrated near the centers."""
-    rows = block_rows(width, shares)
-    per_row = width * mass
-    if rows * per_row > _PAIR_BLOCK:  # so per_row > 1/2, and the ceiling is below rows
-        rows = max(1, math.ceil(_PAIR_BLOCK / per_row))
-    return rows
+def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
+          cells: int) -> tuple[int, int, bool]:
+    """(shares, rows, ahead): how ``survival_counts`` spends threads and
+    memory on ``samples`` samples, ``width`` centers, largest radius dmax
+    and a count array of ``cells`` cells.  The one statement of its
+    thread policy:
 
+    - rows: a block holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
+      before drawing as rows x width x the Lebesgue mass of a dmax ball,
+      and never more than 1/shares of ``measures.block_rows(width)``, the
+      bound when the measure is concentrated near the centers.  The pairs
+      in flight across all threads are then about shares x
+      ``_PAIR_BLOCK`` whatever the centers and radius;
+    - shares: the samples split into up to ``usable_cpus()`` contiguous
+      shares, each on its own thread (the caller's runs share 0), as long
+      as each share's block should hold ``_PAIR_FLOOR`` pairs and the
+      shares' count arrays together stay within ``stats.MAX_CELLS``.
+      Below that floor the kernel is bound by the interpreter, so a
+      one-center decay keeps one share;
+    - a call from any thread but the main one, such as a battery worker,
+      takes one share and no read-ahead, so pools never nest;
+    - ahead: a one-share call with a spare CPU whose samples fill
+      ``_AHEAD_BLOCKS`` blocks or more draws, sorts and pairs block k+1 on
+      one pool thread while the caller's thread counts block k.  That
+      preparation is a few long numpy calls that release the interpreter
+      lock, so it does not contend with the kernel's many short ones as a
+      second share would.  At most one block is prepared ahead.
 
-def _shares(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
-            cells: int) -> int:
-    """How many threads ``survival_counts`` splits its samples over.
+    Integer sums do not depend on the split, and the blocks and their
+    order are the serial ones, so no count depends on the plan."""
+    cpus = usable_cpus() if threading.current_thread() is threading.main_thread() else 1
+    cap = block_rows(width)
+    per_row = width * _ball_mass(space, dmax)
 
-    Up to ``usable_cpus()``, as long as each share's block should still
-    hold ``_PAIR_FLOOR`` window-1 pairs (estimated before drawing as
-    ``_block_rows`` x centers x the Lebesgue mass of a dmax ball) and the
-    shares' count arrays together stay within ``stats.MAX_CELLS``.  A call
-    from any thread but the main one, such as a battery worker, takes one
-    share, so pools never nest."""
-    w = usable_cpus()
-    if w == 1 or dmax <= 0 or threading.current_thread() is not threading.main_thread():
-        return 1
-    mass = _ball_mass(space, dmax)
+    def rows(w):
+        r = max(1, cap // w)
+        return r if r * per_row <= _PAIR_BLOCK else max(1, math.ceil(_PAIR_BLOCK / per_row))
 
-    def pairs(w):
-        return min(_block_rows(width, w, mass), -(-samples // w)) * width * mass
-
-    while w > 1 and (w * cells > MAX_CELLS or pairs(w) < _PAIR_FLOOR):
+    w = cpus if dmax > 0 else 1
+    while w > 1 and (w * cells > MAX_CELLS
+                     or min(rows(w), -(-samples // w)) * per_row < _PAIR_FLOOR):
         w -= 1
-    return w
+    return w, rows(w), w == 1 and cpus > 1 and samples > (_AHEAD_BLOCKS - 1) * rows(1)
 
 
-def _note(record: ContextVar, value: int) -> None:
-    """Raise the open record of this thread and context to value."""
-    seen = record.get()
+def _note(**values: int) -> None:
+    """Raise each key of the open record of this thread and context to its value."""
+    seen = _record.get()
     if seen is not None:
-        seen[0] = max(seen[0], value)
+        for key, value in values.items():
+            seen[key] = max(seen[key], value)
 
 
 @contextmanager
-def _recording(record: ContextVar):
-    seen = [0]
-    token = record.set(seen)
+def recording_kernel():
+    """Yield a dict that ends holding, over the ``survival_counts`` calls
+    made on this thread inside the block used, the most shares one call
+    used (``kernel_shares``), the most threads (``kernel_threads``: its
+    shares, plus one when it read ahead) and the most window-1 candidate
+    pairs one block handed to the pair kernel (``kernel_block_pairs``,
+    each share's blocks and ``product_diagonal_test``'s included); each 0
+    when there was none."""
+    seen = dict.fromkeys(("kernel_shares", "kernel_threads", "kernel_block_pairs"), 0)
+    token = _record.set(seen)
     try:
         yield seen
     finally:
-        record.reset(token)
-
-
-def recording_shares():
-    """Yield a one-item list that ends holding the most shares any
-    ``survival_counts`` call made on this thread inside the block used,
-    0 if it made none."""
-    return _recording(_shares_seen)
-
-
-def recording_threads():
-    """Yield a one-item list that ends holding the most threads any
-    ``survival_counts`` call made on this thread inside the block used:
-    its shares, or 2 when it read ahead; 0 if it made none."""
-    return _recording(_threads_seen)
-
-
-def recording_block_pairs():
-    """Yield a one-item list that ends holding the most window-1 candidate
-    pairs any one block handed to the pair kernel from a call made on this
-    thread inside the block used (each share's blocks included), 0 if no
-    block did."""
-    return _recording(_pairs_seen)
+        _record.reset(token)
 
 
 def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
@@ -704,7 +654,7 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
     for xs, ys in zip(sample_blocks(mu, derive_seed(seed, "pair-left"), pair_samples, rows),
                       sample_blocks(mu, derive_seed(seed, "pair-right"), pair_samples, rows)):
         i = np.flatnonzero(geo.distance(f.space, xs, ys) <= delta)
-        _note(_pairs_seen, len(i))
+        _note(kernel_block_pairs=len(i))
         xs, ys = np.take(xs, i, axis=0), np.take(ys, i, axis=0)  # see _compact
         pairs = np.arange(len(i))
         _advance_pairs(f, np.array([delta]), counts, two, _orbit(f, xs, n_max, two), ys,

@@ -47,14 +47,11 @@ class MeasureSpec:
 _BLOCK = 1 << 16
 
 
-def block_rows(width: int = 1, shares: int = 1) -> int:
-    """The most rows a block may hold: min(_BLOCK, 32 * _BLOCK // width)
-    split ``shares`` ways, at least one.  ``shares`` callers drawing
-    disjoint ranges at once then hold, all together, the rows of one
-    caller's block.  ``survival_counts`` narrows its blocks further, to
-    about ``expansiveness._PAIR_BLOCK`` expected window-1 pairs each; this
-    cap is its bound when the measure is concentrated near the centers."""
-    return max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)) // shares)
+def block_rows(width: int = 1) -> int:
+    """The most rows a block may hold: min(_BLOCK, 32 * _BLOCK // width),
+    at least one.  ``expansiveness._plan`` splits it among threads and
+    narrows it to the survival kernel's pair budget."""
+    return max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)))
 
 
 def sample_blocks(mu: MeasureSpec, key: int, samples: int, rows: int | None = None,

@@ -33,16 +33,16 @@ Z95 = 1.96
 # is still about +-0.1 wide
 MIN_SAMPLES = 100
 # largest budget they take: a one-center decay walks about 5M samples in
-# 0.5 s on a 2-vCPU machine, so 10^9 already runs for minutes and a larger
+# 0.3 s on a 2-vCPU machine, so 10^9 already runs for minutes and a larger
 # budget would only start a block loop that does not finish
 MAX_SAMPLES = 10**9
 # longest orbit window (n_max, entropy's n_hi) they take: the battery,
 # tests and demos use at most 40, a default verdict or generator check
-# 1,000 windows long takes 6 s on a 2-vCPU machine
+# 1,000 windows long takes 2.6 or 3.1 s on a 2-vCPU machine
 MAX_WINDOW = 1_000
 # most probe centers (x_probes, fubini_probes) or cover sequences they
-# take: a default verdict at 2,000 probes takes 23 s, so one at the
-# ceiling runs for minutes; a memory test walks 8,192 sequences
+# take: a default verdict at 2,000 probes takes 8 s and one at the
+# ceiling about a minute; a memory test walks 8,192 sequences
 MAX_PROBES = 10_000
 # most cells in a (radius, center, window) count array: a verdict at
 # MAX_PROBES probes and MAX_WINDOW windows holds this many, 80 MB of int64

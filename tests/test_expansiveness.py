@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, bk_entropy, circle,
+from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, bk_entropy,
+                     build_denjoy, circle,
                      converging_semiorbit_fraction, decay_series, distance,
                      expansiveness_verdict, generator_check, interval, make_ball_cover,
                      make_cat, make_denjoy, make_denjoy_minimal, make_dirac, make_doubling,
@@ -183,12 +184,12 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
         for cpus in (1, 2, 3):
             _force_shares(monkeypatch, cpus)
             drawn.clear()
-            with expansiveness.recording_shares() as seen, \
-                    expansiveness.recording_block_pairs() as pairs:
+            with expansiveness.recording_kernel() as seen:
                 got[budget, cpus] = survival_counts(f, mu, 62, samples, centers, deltas,
                                                     sided, 12)
-            assert seen == [cpus]
-            assert 0 < pairs[0] <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
+            assert seen["kernel_shares"] == cpus
+            pairs = seen["kernel_block_pairs"]
+            assert 0 < pairs <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
             # every share's rows, in index order, are the keyed stream's rows
             assert np.array_equal(
                 np.concatenate([u for _, u in sorted(drawn, key=lambda d: d[0])]), stream)
@@ -220,17 +221,49 @@ def test_share_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
 
 def test_shares_chosen_from_the_input(monkeypatch):
     # a one-center decay's blocks are too narrow for threads, a default
-    # verdict's are wide enough; W count arrays must fit under MAX_CELLS
+    # verdict's are wide enough
     f, mu = make_rotation(), make_lebesgue(circle())
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
-    with expansiveness.recording_shares() as seen:
+    with expansiveness.recording_kernel() as seen:
         decay_series(f, mu, (0.3,), 0.05, samples=100_000)
-    assert seen == [1]
-    with expansiveness.recording_shares() as seen:
+    assert seen["kernel_shares"] == 1
+    with expansiveness.recording_kernel() as seen:
         expansiveness_verdict(f, mu, 0.05, n_max=3)
-    assert seen == [2]
-    assert expansiveness._shares(circle(), 100_000, 20, 0.05, 20 * 30) == 2
-    assert expansiveness._shares(circle(), 100_000, 20, 0.05, MAX_CELLS) == 1
+    assert seen["kernel_shares"] == 2
+
+
+# (samples, centers, largest radius, count-array cells) of the kernel
+# calls the benchmark makes, and the plan _plan gives them, (shares, rows
+# per block, read-ahead), on 1, 2 and 4 usable CPUs.  W count arrays must
+# fit under MAX_CELLS: a verdict with that many cells reads ahead instead
+_PLANS = [
+    ("decay", (100_000, 1, 0.05, 20),
+     {1: (1, 65536, False), 2: (1, 65536, False), 4: (1, 65536, False)}),
+    ("decay-5m", (5_000_000, 1, 0.05, 20),
+     {1: (1, 65536, False), 2: (1, 65536, True), 4: (1, 65536, True)}),
+    ("verdict", (100_000, 20, 0.05, 20 * 30),
+     {1: (1, 16384, False), 2: (2, 16384, False), 4: (4, 16384, False)}),
+    ("verdict-halfgap", (100_000, 20, build_denjoy().smallest_gap / 2, 20 * 30),
+     {1: (1, 65536, False), 2: (1, 65536, False), 4: (1, 65536, False)}),
+    ("entropy", (100_000, 30, 0.1, 3 * 30 * 14),
+     {1: (1, 5462, False), 2: (2, 5462, False), 4: (4, 5462, False)}),
+    ("verdict-max-cells", (100_000, 20, 0.05, MAX_CELLS),
+     {1: (1, 16384, False), 2: (1, 16384, True), 4: (1, 16384, True)}),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_plan_on_the_benchmark_shapes(cpus, monkeypatch):
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
+    for name, shape, plans in _PLANS:
+        assert expansiveness._plan(circle(), *shape) == plans[cpus], name
+    # off the main thread: one share and no read-ahead, so pools never nest
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(expansiveness._plan(circle(), 5_000_000, 1, 0.05, 20)))
+    worker.start()
+    worker.join(timeout=60)
+    assert out == [(1, 65536, False)]
 
 
 def test_thread_caller_takes_one_share(monkeypatch):
@@ -240,16 +273,16 @@ def test_thread_caller_takes_one_share(monkeypatch):
     out = {}
 
     def call():
-        with expansiveness.recording_shares() as seen:
+        with expansiveness.recording_kernel() as seen:
             out["counts"] = survival_counts(f, mu, 3, 20_000, mu.sample_coords(4, 5),
                                             [0.05], "two_sided", 3)
-        out["seen"] = seen
+        out["seen"] = seen["kernel_shares"]
 
     worker = threading.Thread(target=call)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert out["seen"] == [1]
+    assert out["seen"] == 1
     assert np.array_equal(out["counts"], survival_counts(f, mu, 3, 20_000,
                                                          mu.sample_coords(4, 5),
                                                          [0.05], "two_sided", 3))
@@ -257,11 +290,12 @@ def test_thread_caller_takes_one_share(monkeypatch):
 
 def _one_share(monkeypatch, cpus, blocks, samples):
     """Make survival_counts take one share on ``cpus`` usable CPUs and walk
-    its ``samples`` in ``blocks`` blocks."""
+    its ``samples`` in ``blocks`` blocks: the row cap ``measures.block_rows``
+    is set to a ``blocks``-th of the samples, and no pair budget narrows it."""
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 1 << 62)
-    monkeypatch.setattr(expansiveness, "_block_rows",
-                        lambda width, shares, mass: -(-samples // blocks))
+    monkeypatch.setattr(expansiveness, "_PAIR_BLOCK", 1 << 62)
+    monkeypatch.setattr(measures, "_BLOCK", -(-samples // blocks))
 
 
 @pytest.mark.parametrize("make_f, sided", [
@@ -291,14 +325,13 @@ def test_read_ahead_gives_the_serial_counts(make_f, sided, monkeypatch):
         assert want[:, :, 0].any()
         _one_share(monkeypatch, 2, blocks, samples)
         prepared_on.clear()
-        with expansiveness.recording_shares() as shares, \
-                expansiveness.recording_threads() as threads:
+        with expansiveness.recording_kernel() as seen:
             got = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
         assert np.array_equal(got, want), blocks
         # the first block is prepared on the caller's thread, and two
         # blocks are too few to read ahead
         ahead = blocks >= expansiveness._AHEAD_BLOCKS
-        assert shares == [1] and threads == [2 if ahead else 1]
+        assert seen["kernel_shares"] == 1 and seen["kernel_threads"] == (2 if ahead else 1)
         assert prepared_on == [True] + [not ahead] * (blocks - 1)
 
 
@@ -350,25 +383,25 @@ def test_read_ahead_only_on_the_main_thread_over_blocks(monkeypatch):
     monkeypatch.setattr(expansiveness, "ThreadPoolExecutor", no_pool)
     for blocks in (1, 2):
         _one_share(monkeypatch, 2, blocks, 10_000)
-        with expansiveness.recording_threads() as threads:
+        with expansiveness.recording_kernel() as seen:
             assert np.array_equal(
                 survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6), want)
-        assert threads == [1]
+        assert seen["kernel_threads"] == 1
 
     _one_share(monkeypatch, 2, 5, 10_000)
     out = {}
 
     def call():
-        with expansiveness.recording_threads() as seen:
+        with expansiveness.recording_kernel() as seen:
             out["counts"] = survival_counts(f, mu, 74, 10_000, centers, [0.05],
                                             "two_sided", 6)
-        out["seen"] = seen
+        out["seen"] = seen["kernel_threads"]
 
     worker = threading.Thread(target=call)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert out["seen"] == [1] and np.array_equal(out["counts"], want)
+    assert out["seen"] == 1 and np.array_equal(out["counts"], want)
 
 
 @pytest.mark.parametrize("blocks", [1, 5])
@@ -438,9 +471,9 @@ def test_default_entropy_memory_bounded(monkeypatch):
     # each of two shares' blocks held 32,768 rows, about 197k pairs
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
     f, mu = make_doubling(), make_lebesgue(circle())
-    with expansiveness.recording_shares() as seen:
+    with expansiveness.recording_kernel() as seen:
         est, peak = _traced_peak(lambda: bk_entropy(f, mu, [0.1, 0.05, 0.02], seed=7))
-    assert seen == [2] and 0.6 < est.extrapolated_e < 0.8
+    assert seen["kernel_shares"] == 2 and 0.6 < est.extrapolated_e < 0.8
     assert peak < 8 * 2 ** 20
 
 
