@@ -7,15 +7,16 @@ nested, so survival counts from a single sample batch are exactly
 nonincreasing in n, and the terminal count estimates the measure of the
 infinite-window set (the liminf of the window measures).
 
-``survival_counts`` and ``product_diagonal_test`` hand their candidate
-pairs to one pair kernel, ``_advance_pairs``, whose single loop walks
-every window, window 1 included.  It keeps only the pairs still alive,
-each with its running maximum distance, so all radii are read from one
-array and a pair is dropped once it exceeds the largest radius.  The
-center side of every pair is gathered from an orbit stepped once per
-call (``_orbit``); on the sample side only the points some alive pair
-references are stepped forward or, two-sided, inverted.  No step is
-dense: ``survival_counts``
+``survival_counts``, ``generator_check`` and ``product_diagonal_test``
+hand their candidate pairs to one pair kernel, ``_advance_pairs``, whose
+single loop walks every window, window 1 included.  It keeps only the
+pairs still alive, each with its running maximum distance, so all radii
+are read from one array and a pair is dropped once it exceeds the
+largest radius.  The center side of every pair is gathered from a path
+given per window: the centers' orbit, stepped once per call
+(``_orbit``), or the cover centers a generator sequence prescribes.  On
+the sample side only the points some alive pair references are stepped
+forward or, two-sided, inverted.  No step is dense: ``_path_counts``
 sorts each sample block on axis 0 and ``_near_pairs`` finds the
 candidates by binary search, since every window needs d(x, y) within
 the largest radius (on the torus, an axis-0 search cut to the pairs
@@ -26,13 +27,9 @@ from window 1 on.
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
 memory does not grow with the budget and the counts equal a whole-batch
-draw's exactly.  How ``survival_counts`` spreads a call over threads
+draw's exactly.  How ``_path_counts`` spreads a call over threads
 (sample shares, or reading its next block ahead) and how many rows its
 blocks hold is decided in one place, ``_plan``; no count depends on it.
-
-The generator check walks each block through the orbit window once
-(``_window``), ANDing a (sequence, sample) membership mask filled a
-chunk of cover elements at a time through one float scratch.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -68,20 +65,14 @@ TWO_SIDED = "two_sided"
 # every spelling of a window's sides that resolve_sided takes
 SIDED = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TWO_SIDED}
 
-# float entries in generator_check's membership scratch.  Its blocks hold
-# about 32 * 65,536 / sequences rows and each sequence uses one cover
-# element per iterate, so a window fills its mask in about 32 chunks at
-# most, whatever the cover size or the sequence count.
-_SCRATCH = 1 << 16
-
-# a block of survival_counts holds about this many window-1 candidate
+# a block of _path_counts holds about this many window-1 candidate
 # pairs, estimated before drawing, unless measures.block_rows caps it
 # lower.  The pairs, not the rows, set the kernel's working memory: a
 # default entropy (30 probes, radius 0.1) capped only by rows kept 393k
 # pairs in flight.
 _PAIR_BLOCK = 1 << 15
 
-# a share of survival_counts gets its own thread only when its sample
+# a share of _path_counts gets its own thread only when its sample
 # block should hold at least this many window-1 candidate pairs.  Below
 # it the pair kernel is bound by the interpreter, not by numpy, and the
 # threads only contend for the interpreter lock.  Rotation counts at
@@ -93,7 +84,7 @@ _PAIR_BLOCK = 1 << 15
 # (``_read_ahead``), which holds the interpreter lock far less.
 _PAIR_FLOOR = 1 << 14
 
-# a one-share call of survival_counts reads ahead only when its samples
+# a one-share call of _path_counts reads ahead only when its samples
 # fill at least this many blocks.  Preparing the next block on a second
 # thread costs the thread's start and some contention for the
 # interpreter lock; one-center rotation decays at radius 0.05 over 20
@@ -130,26 +121,37 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
                     centers: np.ndarray, deltas: Sequence[float], sided: str,
                     n_max: int) -> np.ndarray:
     """counts[d, p, n-1] = samples within deltas[d] of center p's orbit
-    through window n.  One batch, mu.sample_coords(key, samples), serves
-    every (delta, center) cell.
+    through window n, from ``_path_counts`` along the orbit ``_orbit``
+    steps once per call (f^(n-1) for n = 1..n_max, and f^-n two-sided).
+    The orbit holds at most 2 * dim floats per count-array cell, and
+    neither is allocated if the array exceeds ``stats.MAX_CELLS``.
+    Callers check n_max >= 1 and the radii.
+    """
+    deltas = np.asarray(list(deltas), dtype=float)
+    two = resolve_sided(f, sided) == TWO_SIDED
+    check_cells(len(deltas), len(centers), n_max)
+    return _path_counts(f, mu, key, samples, _orbit(f, centers, n_max, two), deltas)
+
+
+def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
+                 deltas: np.ndarray) -> np.ndarray:
+    """counts[d, p, n-1] = samples y within deltas[d] of path p through
+    window n: d(fwd[i, p], f^i(y)) <= deltas[d] for 0 <= i < n and,
+    two-sided, d(bwd[i, p], f^-(i+1)(y)) <= deltas[d] too.  path is
+    (fwd, bwd) as ``_orbit`` returns it, bwd None one-sided, but need not
+    be an orbit.  One batch, mu.sample_coords(key, samples), serves every
+    cell; the caller checks the cells against ``stats.MAX_CELLS``.
 
     Each block of the batch is sorted on axis 0 and ``_near_pairs`` finds,
-    by binary search, the (center, sample) pairs with d(x, y) near enough
-    the largest radius, which every window requires; ``_advance_pairs``
-    walks those pairs through every window, window 1 included.  Counts are
-    sums over samples, so the order of a block's rows cannot change them.
-    Sorting pays twice: no (center, block) distance matrix is built, and
-    a circle homeomorphism keeps the rows in cyclic order, which the
-    kernel's row compaction preserves, so every later map evaluation on
-    them (the gapped circle's ``np.interp``) finds each point's knot next
-    to the last one's.  Callers check n_max and the radii; the count array
-    is refused before it is allocated if it exceeds ``stats.MAX_CELLS``.
-
-    The centers are stepped through the window once per call
-    (``_orbit``: f^(n-1) for n = 1..n_max, and f^-n two-sided), and every
-    share and block gathers its pairs' center side from that orbit.  It
-    holds at most 2 * dim floats per count-array cell, so it is bounded by
-    ``stats.MAX_CELLS`` and does not grow with the samples.
+    by binary search, the (path, sample) pairs with d(fwd[0], y) near
+    enough the largest radius, which every window requires;
+    ``_advance_pairs`` walks those pairs through every window, window 1
+    included.  Counts are sums over samples, so the order of a block's
+    rows cannot change them.  Sorting pays twice: no (path, block)
+    distance matrix is built, and a circle homeomorphism keeps the rows in
+    cyclic order, which the kernel's row compaction preserves, so every
+    later map evaluation on them (the gapped circle's ``np.interp``) finds
+    each point's knot next to the last one's.
 
     ``_plan`` picks the shares, the rows per block and the read-ahead.
     Each share's sample indices are walked block by block into its own
@@ -160,21 +162,18 @@ def survival_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int,
     shares, threads and the most pairs any block held go to
     ``recording_kernel``.
     """
-    deltas_arr = np.asarray(list(deltas), dtype=float)
-    two = resolve_sided(f, sided) == TWO_SIDED
-    shape = (len(deltas_arr), len(centers), n_max)
-    check_cells(*shape)
-    dmax = deltas_arr.max(initial=0.0)
-    shares, rows, ahead = _plan(f.space, samples, len(centers), dmax, math.prod(shape))
-    orbit = _orbit(f, centers, n_max, two)
+    fwd, bwd = path
+    shape = (len(deltas), fwd.shape[1], len(fwd))
+    dmax = deltas.max(initial=0.0)
+    shares, rows, ahead = _plan(f.space, samples, shape[1], dmax, math.prod(shape))
 
     def share(w, pool=None):  # (counts, most pairs in a block) of share w's samples
         counts, most = np.zeros(shape, dtype=np.int64), 0
         blocks = _pair_blocks(f.space, mu, key, samples * w // shares,
-                              samples * (w + 1) // shares, rows, centers, dmax)
+                              samples * (w + 1) // shares, rows, fwd[0], dmax)
         for yf, xi, yi in blocks if pool is None else _read_ahead(blocks, pool):
             most = max(most, len(xi))
-            _advance_pairs(f, deltas_arr, counts, two, orbit, yf, xi, yi, xi)
+            _advance_pairs(f, deltas, counts, bwd is not None, path, yf, xi, yi, xi)
         return counts, most
 
     threads = shares + ahead
@@ -268,8 +267,8 @@ def _ball_mass(space: geo.SpaceDescriptor, r: float) -> float:
 
 def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
           cells: int) -> tuple[int, int, bool]:
-    """(shares, rows, ahead): how ``survival_counts`` spends threads and
-    memory on ``samples`` samples, ``width`` centers, largest radius dmax
+    """(shares, rows, ahead): how ``_path_counts`` spends threads and
+    memory on ``samples`` samples, ``width`` paths, largest radius dmax
     and a count array of ``cells`` cells.  The one statement of its
     thread policy:
 
@@ -321,9 +320,10 @@ def _note(**values: int) -> None:
 
 @contextmanager
 def recording_kernel():
-    """Yield a dict that ends holding, over the ``survival_counts`` calls
-    made on this thread inside the block used, the most shares one call
-    used (``kernel_shares``), the most threads (``kernel_threads``: its
+    """Yield a dict that ends holding, over the ``_path_counts`` calls
+    (``survival_counts`` and ``generator_check``) made on this thread
+    inside the block used, the most shares one call used
+    (``kernel_shares``), the most threads (``kernel_threads``: its
     shares, plus one when it read ahead) and the most window-1 candidate
     pairs one block handed to the pair kernel (``kernel_block_pairs``,
     each share's blocks and ``product_diagonal_test``'s included); each 0
@@ -373,12 +373,13 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
                    orbit, yf, xi, yi, label) -> None:
     """Add the survivors of the pairs (x[xi], yf[yi]) to counts.
 
-    orbit is ``_orbit(f, x, counts.shape[2], two)`` for the left points x
-    and yf holds the raw right points, each referenced by some pair (the
+    orbit is the left points' path over counts.shape[2] windows, as
+    ``_path_counts`` takes it (``_orbit(f, x, counts.shape[2], two)`` for
+    an orbit), and yf holds the raw right points, each referenced by some pair (the
     rows no pair references would be stepped until the first drop).  The
     pairs may be any superset of the survivors.  One loop walks every
     window, window 1 included: it gathers each pair's left side at
-    f^(n-1) (and, two-sided, at f^-n) from the orbit, compacts the right
+    iterate n-1 (and, two-sided, at -n) from the path, compacts the right
     side to the rows a pair still references and steps only those rows
     (no forward step at n = 1; the inverse starts from the raw points).
     m keeps each pair's largest distance so far: counts[d, label, n-1]
@@ -695,11 +696,14 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
 
     For each tested sequence (A_n) of cover elements the estimator
     measures the set of y whose iterate f^n(y) lies in Cl(A_n) for every
-    n in the window.  Sequences come in two flavors: uniformly random
-    indices, and adversarial sequences that follow a measure-sampled
-    pilot orbit, always picking the element holding that iterate deepest.
-    Evidence for a generator means even the worst sequence's upper CI
-    stays at or below the threshold.
+    n in the window: 0..n_max one-sided, -(n_max+1)..n_max two-sided,
+    which is the survival kernel's window n_max + 1 (``_path_counts``,
+    with each sequence's cover centers as its path and the cover's one
+    radius).  Sequences come in two flavors: uniformly random indices, and
+    adversarial sequences that follow a measure-sampled pilot orbit,
+    always picking the element holding that iterate deepest.  Evidence
+    for a generator means even the worst sequence's upper CI stays at or
+    below the threshold.  A cover whose balls differ in radius is refused.
     """
     check_samples(mc_samples)
     check_count("n_max", n_max, 0, MAX_WINDOW)
@@ -708,9 +712,14 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     sided = sided_for(f, mu, sided)
     two = sided == TWO_SIDED
     leb_delta = geo.lebesgue_number(cover, f.space)  # checks cover and space
+    radii = sorted({float(b.radius) for b in cover})
+    if len(radii) > 1:
+        raise ValueError(f"cover balls must share one radius, got radii from "
+                         f"{radii[0]!r} to {radii[-1]!r}")
+    check_cells(1, sequence_samples, n_max + 1)
+    r = cover[0].radius
     centers = np.stack([b.center.array for b in cover])
-    radii = np.array([b.radius for b in cover])
-    col = n_max if two else 0  # seq[:, col + n] is the element for iterate n
+    col = n_max + 1 if two else 0  # seq[:, col + n] is the element for iterate n
 
     n_adv = sequence_samples // 2
     n_rand = sequence_samples - n_adv
@@ -723,27 +732,16 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     for pilots in sample_blocks(mu, derive_seed(seed, "pilots"), n_adv,
                                 block_rows(len(cover))):
         rows = slice(start, start + len(pilots))
-        for n, cur in _window(f, pilots, n_max, two):
-            slack = radii[None, :] - geo.distance(f.space, cur[:, None], centers[None])
-            seq[rows, col + n] = np.argmax(slack, axis=1)
+        for n, cur in _window(f, pilots, n_max + 1, two):
+            if n <= n_max:
+                slack = r - geo.distance(f.space, cur[:, None], centers[None])
+                seq[rows, col + n] = np.argmax(slack, axis=1)
         start = rows.stop
 
-    per_seq = np.zeros(sequence_samples, dtype=np.int64)
-    for block in sample_blocks(mu, derive_seed(seed, "batch"), mc_samples,
-                               block_rows(sequence_samples)):
-        alive = np.ones((sequence_samples, len(block)), dtype=bool)
-        # inside[j]: the block's iterates in the j-th cover element in use,
-        # filled a chunk of elements at a time through one float scratch
-        inside = np.empty((min(len(cover), sequence_samples), len(block)), dtype=bool)
-        scratch = np.empty((min(len(inside), max(1, _SCRATCH // len(block))), len(block)))
-        for n, cur in _window(f, block, n_max, two):
-            used, remap = np.unique(seq[:, col + n], return_inverse=True)
-            for j in range(0, len(used), len(scratch)):
-                e = used[j:j + len(scratch)]
-                d = geo.distance(f.space, centers[e, None], cur[None], out=scratch[:len(e)])
-                np.less_equal(d, radii[e, None], out=inside[j:j + len(e)])
-            alive &= inside[remap]
-        per_seq += alive.sum(axis=1)
+    path = (np.take(centers, seq[:, col:].T, axis=0),
+            np.take(centers, seq[:, col - 1::-1].T, axis=0) if two else None)
+    per_seq = _path_counts(f, mu, derive_seed(seed, "batch"), mc_samples, path,
+                           np.array([r], dtype=float))[0, :, -1]
     est = per_seq / mc_samples
     _, hi = wilson_interval(per_seq, mc_samples)
     max_upper = float(np.max(hi))

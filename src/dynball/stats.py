@@ -37,8 +37,9 @@ MIN_SAMPLES = 100
 # budget would only start a block loop that does not finish
 MAX_SAMPLES = 10**9
 # longest orbit window (n_max, entropy's n_hi) they take: the battery,
-# tests and demos use at most 40, a default verdict or generator check
-# 1,000 windows long takes 2.6 or 3.1 s on a 2-vCPU machine
+# tests and demos use at most 40, a default verdict 1,000 windows long
+# takes 2.6 s and a generator check 0.08 s on a 2-vCPU machine (5.8 s on
+# the rotation, whose pairs never die)
 MAX_WINDOW = 1_000
 # most probe centers (x_probes, fubini_probes) or cover sequences they
 # take: a default verdict at 2,000 probes takes 8 s and one at the

@@ -730,19 +730,86 @@ def test_generator_counts_independent_of_block_size(monkeypatch):
             assert generator_check(f, mu, cover, **kw) == want, (f.name, block)
 
 
-def test_generator_counts_independent_of_scratch_size(monkeypatch):
-    # the membership mask is filled a chunk of cover elements at a time;
-    # one element per chunk, ragged chunks and one chunk must agree
-    for f in (make_rotation(), make_cat()):
-        mu = make_lebesgue(f.space)
-        cover = make_ball_cover(f.space, radius=0.3, step=0.2 if f.space.dim > 1 else 0.05)
-        kw = dict(n_max=3, sequence_samples=64, mc_samples=3000, seed=49)
-        monkeypatch.undo()
-        want = generator_check(f, mu, cover, **kw)
-        assert max(want.per_sequence) > 0
-        for scratch in (1, 7 * 3000, 10 ** 9):
-            monkeypatch.setattr(expansiveness, "_SCRATCH", scratch)
-            assert generator_check(f, mu, cover, **kw) == want, (f.name, scratch)
+def _generator_reference(f, mu, cover, n_max, sequence_samples, mc_samples, seed, sided):
+    """per_sequence by brute force: every sequence's element at every
+    iterate of the window (0..n_max, and -(n_max+1)..-1 two-sided)
+    checked on every sample, each sequence rebuilt from its own streams."""
+    window = range(-(n_max + 1) if sided == "two_sided" else 0, n_max + 1)
+    centers = np.stack([b.center.array for b in cover])
+    r = cover[0].radius
+
+    def orbit(x):  # {i: f^i(x) for i in the window}
+        out = {0: x}
+        for i in range(1, n_max + 1):
+            out[i] = f.forward(out[i - 1])
+        for i in range(-1, window.start - 1, -1):
+            out[i] = f.inverse(out[i + 1])
+        return out
+
+    n_adv = sequence_samples // 2
+    pilots = orbit(mu.sample_coords(derive_seed(seed, "pilots"), n_adv))
+    adversarial = [[int(np.argmax(r - distance(f.space, pilots[i][k], centers)))
+                    for i in window] for k in range(n_adv)]
+    rand = Generator(Philox(key=derive_seed(seed, "random-sequences"))).integers(
+        0, len(cover), size=(sequence_samples - n_adv, len(window)))
+    ys = orbit(mu.sample_coords(derive_seed(seed, "batch"), mc_samples))
+    per_sequence = []
+    for seq in [*adversarial, *rand.tolist()]:
+        alive = np.ones(mc_samples, dtype=bool)
+        for i, e in zip(window, seq):
+            alive &= distance(f.space, ys[i], centers[e]) <= r
+        per_sequence.append(np.count_nonzero(alive) / mc_samples)
+    return tuple(per_sequence)
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+@pytest.mark.parametrize("make_f, make_mu, sided, step", [
+    (make_doubling, None, "one_sided", 0.05),
+    (make_rotation, None, "two_sided", 0.05),
+    (make_cat, None, "two_sided", 0.2),
+    (make_denjoy, make_denjoy_minimal, "two_sided", 0.05),
+    (make_tent, None, "one_sided", 0.05),
+], ids=["doubling", "rotation", "cat", "denjoy", "tent"])
+def test_generator_matches_brute_force_reference(make_f, make_mu, sided, step, n_max):
+    f = make_f()
+    mu = make_mu() if make_mu else make_lebesgue(f.space)
+    cover = make_ball_cover(f.space, radius=0.3, step=step)
+    kw = dict(n_max=n_max, sequence_samples=7, mc_samples=3000, seed=49)
+    rep = generator_check(f, mu, cover, sided=sided, **kw)
+    assert rep.sided == sided and max(rep.per_sequence) > 0
+    assert rep.per_sequence == _generator_reference(f, mu, cover, sided=sided, **kw)
+
+
+@pytest.mark.parametrize("make_f, sided", [(make_doubling, "one_sided"),
+                                           (make_rotation, "two_sided"),
+                                           (make_cat, "two_sided")])
+def test_generator_shares_give_the_same_report(make_f, sided, monkeypatch):
+    f = make_f()
+    mu = make_lebesgue(f.space)
+    cover = make_ball_cover(f.space, radius=0.3, step=0.2)
+    reports = []
+    for cpus in (1, 2):
+        _force_shares(monkeypatch, cpus)
+        with expansiveness.recording_kernel() as seen:
+            reports.append(generator_check(f, mu, cover, n_max=4, sequence_samples=6,
+                                           mc_samples=20_001, seed=50, sided=sided))
+        assert seen["kernel_shares"] == cpus and seen["kernel_block_pairs"] > 0
+    assert max(reports[0].per_sequence) > 0
+    assert reports[1] == reports[0]
+
+
+def test_generator_refuses_unequal_radii(monkeypatch):
+    # the kernel reads one radius; refused before any sample is drawn
+    cover = make_ball_cover(circle(), radius=0.1, step=0.05)
+    cover[3] = Ball(cover[3].center, 0.2)
+
+    def draw(*args):
+        raise AssertionError("sampled before the cover was checked")
+
+    monkeypatch.setattr(measures, "uniform_block", draw)
+    with pytest.raises(ValueError,
+                       match=r"^cover balls must share one radius, got radii from 0\.1 to 0\.2$"):
+        generator_check(make_doubling(), make_lebesgue(circle()), cover, mc_samples=1000)
 
 
 def test_generator_memory_bounded_in_batch_size():
