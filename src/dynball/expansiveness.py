@@ -15,21 +15,25 @@ are read from one array and a pair is dropped once it exceeds the
 largest radius.  The center side of every pair is gathered from a path
 given per window: the centers' orbit, stepped once per call
 (``_orbit``), or the cover centers a generator sequence prescribes.  On
-the sample side only the points some alive pair references are stepped
-forward or, two-sided, inverted.  No step is dense: ``_path_counts``
-sorts each sample block on axis 0 and ``_near_pairs`` finds the
-candidates by binary search, since every window needs d(x, y) within
-the largest radius (on the torus, an axis-0 search cut to the pairs
-within that radius).  For a measure-expansive map the alive set shrinks
-geometrically, and even for an isometry it is about 2*delta of the pairs
-from window 1 on.
+the sample side only the points some pair referenced at the last row
+compaction are stepped forward or, two-sided, inverted.  No step is
+dense: ``_path_counts`` sorts each sample draw on axis 0 and
+``_near_pairs`` finds the candidates by binary search, since every
+window needs d(x, y) within the largest radius (on the torus, an axis-0
+search cut to the pairs within that radius).  For a measure-expansive
+map the alive set shrinks geometrically, and even for an isometry it is
+about 2*delta of the pairs from window 1 on.
 
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
 memory does not grow with the budget and the counts equal a whole-batch
 draw's exactly.  How ``_path_counts`` spreads a call over threads
 (sample shares, or reading its next block ahead) and how many rows its
-blocks hold is decided in one place, ``_plan``; no count depends on it.
+draws hold is decided in one place, ``_plan``; no count depends on it.
+A kernel block is consecutive draws merged until it holds
+``_MERGE_PAIRS`` window-1 pairs (``_pair_blocks``), so a narrow call,
+such as a one-center decay, pays the kernel's per-window cost once per
+merged block rather than once per draw.
 
 A verdict at radius delta is Monte-Carlo evidence, never proof:
 ``evidence_expansive`` when even the worst probe's terminal upper
@@ -65,12 +69,26 @@ TWO_SIDED = "two_sided"
 # every spelling of a window's sides that resolve_sided takes
 SIDED = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TWO_SIDED}
 
-# a block of _path_counts holds about this many window-1 candidate
+# a draw of _path_counts holds about this many window-1 candidate
 # pairs, estimated before drawing, unless measures.block_rows caps it
 # lower.  The pairs, not the rows, set the kernel's working memory: a
 # default entropy (30 probes, radius 0.1) capped only by rows kept 393k
-# pairs in flight.
+# pairs in flight.  Draws the row cap leaves narrower are merged into
+# kernel blocks of _MERGE_PAIRS pairs (_pair_blocks).
 _PAIR_BLOCK = 1 << 15
+
+# _pair_blocks merges consecutive draws into one kernel block until it
+# holds at least this many window-1 pairs (at most _PAIR_BLOCK).  The
+# kernel makes some 25 numpy calls per window whatever the block's size,
+# and a one-center draw (65,536 rows at radius 0.05) holds only 6.7k
+# pairs.  A 5M-sample one-center rotation count over 20 two-sided
+# windows, reading ahead, took 0.225 s and 39.0 MiB peak RSS with every
+# draw its own block, 0.179 s and 40.1 MiB at this target (two draws,
+# 13.3k pairs a block; faster in 13 of 14 alternating fresh processes)
+# and 0.193 s and 43.2 MiB at 1 << 15 (39k pairs); in one process, on
+# one thread, 1.31M samples took 46.9, 42.6 and 45.5 ms (medians of 30
+# interleaved calls, 2-vCPU Xeon VM, numpy 2.4).
+_MERGE_PAIRS = 1 << 13
 
 # a share of _path_counts gets its own thread only when its sample
 # block should hold at least this many window-1 candidate pairs.  Below
@@ -85,13 +103,14 @@ _PAIR_BLOCK = 1 << 15
 _PAIR_FLOOR = 1 << 14
 
 # a one-share call of _path_counts reads ahead only when its samples
-# fill at least this many blocks.  Preparing the next block on a second
+# fill at least this many draws.  Preparing the next block on a second
 # thread costs the thread's start and some contention for the
 # interpreter lock; one-center rotation decays at radius 0.05 over 20
-# windows, the first block prepared on the caller's thread, took 4.5 ms
-# against 4.6 ms serially at 2 blocks, 6.2 against 6.9 ms at 3 and 7.4
-# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4).  A
-# default decay's 100k samples fill 2 blocks.
+# windows, the first draw prepared on the caller's thread, took 4.5 ms
+# against 4.6 ms serially at 2 draws, 6.2 against 6.9 ms at 3 and 7.4
+# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4,
+# each draw then a kernel block of its own).  A default decay's 100k
+# samples fill 2 draws.
 _AHEAD_BLOCKS = 3
 
 # the open record of recording_kernel, per thread and context
@@ -142,18 +161,19 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     be an orbit.  One batch, mu.sample_coords(key, samples), serves every
     cell; the caller checks the cells against ``stats.MAX_CELLS``.
 
-    Each block of the batch is sorted on axis 0 and ``_near_pairs`` finds,
+    Each draw of the batch is sorted on axis 0 and ``_near_pairs`` finds,
     by binary search, the (path, sample) pairs with d(fwd[0], y) near
     enough the largest radius, which every window requires;
-    ``_advance_pairs`` walks those pairs through every window, window 1
-    included.  Counts are sums over samples, so the order of a block's
-    rows cannot change them.  Sorting pays twice: no (path, block)
-    distance matrix is built, and a circle homeomorphism keeps the rows in
-    cyclic order, which the kernel's row compaction preserves, so every
-    later map evaluation on them (the gapped circle's ``np.interp``) finds
-    each point's knot next to the last one's.
+    ``_pair_blocks`` merges consecutive draws into kernel blocks and
+    ``_advance_pairs`` walks each block's pairs through every window,
+    window 1 included.  Counts are sums over samples, so the order of a
+    block's rows cannot change them.  Sorting pays twice: no (path, draw)
+    distance matrix is built, and a circle homeomorphism keeps each draw's
+    rows in cyclic order, which the kernel's row compaction preserves, so
+    every later map evaluation on them (the gapped circle's ``np.interp``)
+    finds each point's knot next to the last one's.
 
-    ``_plan`` picks the shares, the rows per block and the read-ahead.
+    ``_plan`` picks the shares, the rows per draw and the read-ahead.
     Each share's sample indices are walked block by block into its own
     count array, shares 1.. on pool threads and share 0 on the caller's,
     and the arrays are summed; a one-share call that reads ahead prepares
@@ -191,20 +211,28 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
 
 def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: int,
                  stop: int, rows: int, centers: np.ndarray, dmax: float):
-    """Yield (ys, xi, yi) for rows start..stop of mu's batch under key,
-    ``rows`` at a time: ys holds the rows of the block, sorted on axis 0,
-    that a candidate pair within dmax of the centers (``_near_pairs``)
-    references, and yi indexes ys.
+    """Yield kernel blocks (ys, xi, yi) for rows start..stop of mu's batch
+    under key: yi indexes ys, and xi, ascending, the centers.
 
-    Rows are renumbered by binary search, not by ``_compact``'s block-long
-    rank table, and the whole block, the old yi and the scratch are let go
+    The rows are drawn ``rows`` at a time.  Each draw is sorted on axis 0
+    and cut to the rows a candidate pair within dmax of the centers
+    (``_near_pairs``) references.  Consecutive draws are then merged into
+    one block until it holds ``_MERGE_PAIRS`` pairs, or ``_PAIR_BLOCK`` if
+    that is lower (``_merged``), so a block holds less than that target
+    plus one draw's pairs.  A draw at or above the target, as a verdict's
+    or an entropy's are, is a block of its own, and a draw with no pair is
+    in no block.
+
+    Rows are renumbered by binary search, not by ``_compact``'s draw-long
+    rank table, and the whole draw, the old yi and the scratch are let go
     before the yield, not held while the kernel walks the pairs.  A
     thread reading ahead keeps what it allocates in its own malloc arena:
     a 5M-sample one-center decay read 39.2 MiB peak RSS reading ahead, 39.9
-    with the rank table and 40.1 with the block held, against 38.9 MiB on
+    with the rank table and 40.1 with the draw held, against 38.9 MiB on
     one thread before (2-vCPU Xeon VM).  The held old yi raised a
     one-share denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
     """
+    target, parts, held = min(_MERGE_PAIRS, _PAIR_BLOCK), [], 0
     for ys in sample_blocks(mu, key, stop, rows, start=start):
         if ys.shape[1] == 1:
             ys.sort(axis=0)  # a fresh draw, so sorted in place
@@ -216,8 +244,32 @@ def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: i
         live = np.flatnonzero(mark)
         if len(live) < len(ys):
             ys, yi = np.take(ys, live, axis=0), np.searchsorted(live, yi)
-        del mark, live
-        yield ys, xi, yi
+        if len(xi):
+            parts.append((ys, xi, yi))
+            held += len(xi)
+        del ys, xi, yi, mark, live
+        if held >= target:
+            block, parts, held = _merged(parts), [], 0
+            yield block
+            del block
+    if parts:
+        yield _merged(parts)
+
+
+def _merged(parts):
+    """One kernel block (ys, xi, yi) of the draws' blocks in parts: their
+    rows concatenated, each yi offset by the rows before its draw, and the
+    pairs stably sorted by xi when the draws' center labels interleave
+    (``_advance_pairs`` needs them ascending)."""
+    if len(parts) == 1:
+        return parts[0]
+    ys, xi, yi = (np.concatenate(p) for p in zip(*parts))
+    starts = np.cumsum([0] + [len(p[0]) for p in parts[:-1]])
+    yi += np.repeat(starts, [len(p[1]) for p in parts])
+    if np.any(xi[1:] < xi[:-1]):
+        order = np.argsort(xi, kind="stable")
+        xi, yi = xi[order], yi[order]
+    return ys, xi, yi
 
 
 def _read_ahead(items, pool):
@@ -272,12 +324,15 @@ def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
     and a count array of ``cells`` cells.  The one statement of its
     thread policy:
 
-    - rows: a block holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
+    - rows: a draw holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
       before drawing as rows x width x the Lebesgue mass of a dmax ball,
       and never more than 1/shares of ``measures.block_rows(width)``, the
-      bound when the measure is concentrated near the centers.  The pairs
-      in flight across all threads are then about shares x
-      ``_PAIR_BLOCK`` whatever the centers and radius;
+      bound when the measure is concentrated near the centers.  A kernel
+      block is consecutive draws merged until it holds ``_MERGE_PAIRS``
+      pairs (``_pair_blocks``), so it holds less than ``_MERGE_PAIRS``
+      more than its largest draw.  The pairs in flight across all
+      threads are then about shares x ``_PAIR_BLOCK`` whatever the
+      centers and radius;
     - shares: the samples split into up to ``usable_cpus()`` contiguous
       shares, each on its own thread (the caller's runs share 0), as long
       as each share's block should hold ``_PAIR_FLOOR`` pairs and the
@@ -287,11 +342,12 @@ def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
     - a call from any thread but the main one, such as a battery worker,
       takes one share and no read-ahead, so pools never nest;
     - ahead: a one-share call with a spare CPU whose samples fill
-      ``_AHEAD_BLOCKS`` blocks or more draws, sorts and pairs block k+1 on
-      one pool thread while the caller's thread counts block k.  That
-      preparation is a few long numpy calls that release the interpreter
-      lock, so it does not contend with the kernel's many short ones as a
-      second share would.  At most one block is prepared ahead.
+      ``_AHEAD_BLOCKS`` draws or more prepares kernel block k+1 (draws,
+      sorts, pairs and merges it) on one pool thread while the caller's
+      thread counts block k.  That preparation is a few long numpy calls
+      that release the interpreter lock, so it does not contend with the
+      kernel's many short ones as a second share would.  At most one
+      block is prepared ahead.
 
     Integer sums do not depend on the split, and the blocks and their
     order are the serial ones, so no count depends on the plan."""
@@ -375,16 +431,27 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
 
     orbit is the left points' path over counts.shape[2] windows, as
     ``_path_counts`` takes it (``_orbit(f, x, counts.shape[2], two)`` for
-    an orbit), and yf holds the raw right points, each referenced by some pair (the
-    rows no pair references would be stepped until the first drop).  The
-    pairs may be any superset of the survivors.  One loop walks every
-    window, window 1 included: it gathers each pair's left side at
-    iterate n-1 (and, two-sided, at -n) from the path, compacts the right
-    side to the rows a pair still references and steps only those rows
-    (no forward step at n = 1; the inverse starts from the raw points).
-    m keeps each pair's largest distance so far: counts[d, label, n-1]
-    counts the pairs with m <= deltas[d], and a pair is dropped once m
-    exceeds every radius.
+    an orbit), and yf holds the raw right points, each referenced by some
+    pair (a row no pair references is stepped until the first
+    compaction).  The pairs may be any superset of the survivors.  One
+    loop walks every window, window 1 included: it gathers each pair's
+    left side at iterate n-1 (and, two-sided, at -n) from the path and
+    steps the right side's rows (no forward step at n = 1; the inverse
+    starts from the raw points).  m keeps each pair's largest distance so
+    far: counts[d, label, n-1] counts the pairs with m <= deltas[d], and a
+    pair is dropped once m exceeds every radius.
+
+    Pairs are dropped every window, but the right side is compacted to the
+    rows a pair still references (``_compact``) only once fewer than half
+    of the pairs alive at the last compaction, or at the start, remain.
+    Until then dead rows are stepped with the live ones (with one pair a
+    row, at most as many again), which costs less than a rank table and
+    two gathers every window when pairs die slowly, as on the gapped
+    circle.  A default denjoy verdict on denjoy-minimal took 129 ms
+    compacting after every drop, 117 ms at 3/4 of the pairs, 112 ms at
+    this 1/2 and 114 ms at 1/4 (medians of 20 interleaved calls in one
+    process, 1/2 faster than every drop in 19 of 20; 2-vCPU Xeon VM,
+    numpy 2.4).
 
     label must be ascending, as the callers' pairs are (grouped by center,
     or all one label), and filtering keeps it so: a label's count is then
@@ -400,27 +467,44 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
     glibc's allocator: eleven default rotation verdicts in one process
     (2-vCPU Xeon VM, glibc 2.36, numpy 2.4) took 689k minor page faults
     and 0.30 s each that way, against 39k and 0.13 s with the buffers.
+
+    A gather that would copy its source is skipped.  A path of one point,
+    a one-center call's, is broadcast against every pair.  When pair j's
+    right point is row j of yf, as in a one-center block or the diagonal
+    test's pairs, the rows are read as they are; filtering keeps yi
+    ascending and compaction then renumbers it to 0, 1, ..., so that
+    holds again after every compaction.  A 1.31M-sample one-center
+    rotation count over 20 two-sided windows, reading ahead, took 70.1 ms
+    gathering, 56.6 ms broadcasting the center and 48.5 ms also reading
+    the rows as they are (medians of 30 interleaved calls in one process,
+    2-vCPU Xeon VM, numpy 2.4).
     """
     dmax = deltas.max(initial=0.0)
     edges = np.arange(counts.shape[1] + 1)  # label p's run is [edges[p], edges[p+1])
     fwd, bwd = orbit
     yb = yf if two else None
-    gx, gy = np.empty((len(xi), f.space.dim)), np.empty((len(yi), f.space.dim))
+    gx = np.empty((len(xi), f.space.dim)) if fwd.shape[1] > 1 else None
+    gy = np.empty((len(yi), f.space.dim))
+    in_order = len(yi) == len(yf) and np.array_equal(yi, np.arange(len(yi)))
     dist = np.empty(len(xi))
     m = np.zeros(len(xi))
 
     def widen(xs, ys):  # m = max(m, d(xs[xi], ys[yi])) for the current xi, yi, m
         k = len(m)
-        a = np.take(xs, xi, axis=0, out=gx[:k], mode="clip")  # "raise" would buffer
-        b = np.take(ys, yi, axis=0, out=gy[:k], mode="clip")
+        a = xs if gx is None else np.take(xs, xi, axis=0, out=gx[:k], mode="clip")
+        if in_order and k == len(ys):  # yi is 0, 1, ..., k - 1
+            b = ys
+        else:
+            b = np.take(ys, yi, axis=0, out=gy[:k], mode="clip")  # "raise" would buffer
         np.maximum(m, geo.distance(f.space, a, b, out=dist[:k]), out=m)
 
-    dropped = False  # every row of yf starts referenced
+    compacted = len(m)  # pairs alive at the last compaction: every row starts referenced
     for n in range(1, counts.shape[2] + 1):
         if not len(m):
             break
-        if dropped:
+        if 2 * len(m) < compacted:
             yi, (yf, yb) = _compact(yi, yf, yb)
+            compacted = len(m)
         if n > 1:
             yf = f.forward(yf)
         widen(fwd[n - 1], yf)
@@ -428,8 +512,7 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
             yb = f.inverse(yb)
             widen(bwd[n - 1], yb)
         keep = m <= dmax
-        dropped = not keep.all()
-        if dropped:
+        if not keep.all():
             xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
         for d, delta in enumerate(deltas):
             sel = label if delta == dmax else label[m <= delta]

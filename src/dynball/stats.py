@@ -32,9 +32,11 @@ Z95 = 1.96
 # generator estimators take; at 100 samples a Wilson interval around 1/2
 # is still about +-0.1 wide
 MIN_SAMPLES = 100
-# largest budget they take: a one-center decay walks about 5M samples in
-# 0.3 s on a 2-vCPU machine, so 10^9 already runs for minutes and a larger
-# budget would only start a block loop that does not finish
+# largest budget they take: a one-center decay walks 5M samples in 0.20 s
+# over the CLI's 20 windows and 0.24 s over decay_series' default 30 on a
+# 2-vCPU machine (medians of 5 fresh processes), so 10^9 already runs for
+# most of a minute and a larger budget would only start a block loop that
+# does not finish
 MAX_SAMPLES = 10**9
 # longest orbit window (n_max, entropy's n_hi) they take: the battery,
 # tests and demos use at most 40, a default verdict 1,000 windows long

@@ -139,6 +139,107 @@ def test_kernel_counts_independent_of_block_size(monkeypatch):
             monkeypatch.setattr(measures, "_BLOCK", int(block))
             got = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
             assert np.array_equal(got, want), (f.name, block)
+        # a merge target of one pair makes every draw its own kernel block
+        monkeypatch.setattr(expansiveness, "_MERGE_PAIRS", 1)
+        for block in (7, 2001):
+            monkeypatch.setattr(measures, "_BLOCK", block)
+            got = survival_counts(f, mu, 44, 2000, centers, [0.05, 0.2], sided, 12)
+            assert np.array_equal(got, want), (f.name, block, "unmerged")
+
+
+_SPACE_CASES = {
+    "circle-two": (make_rotation, "two_sided"), "circle-one": (make_doubling, "one_sided"),
+    "interval-one": (make_interval_square, "one_sided"),
+    "interval-two": (make_interval_square, "two_sided"),
+    "torus-one": (make_cat, "one_sided"), "torus-two": (make_cat, "two_sided"),
+}
+
+
+@pytest.mark.parametrize("count, deltas", [(1, [0.05, 0.02]), (6, [0.1, 0.03])],
+                         ids=["one-center", "six-centers"])
+@pytest.mark.parametrize("case", _SPACE_CASES)
+def test_merged_blocks_give_the_dense_counts(case, count, deltas, monkeypatch):
+    # draws of 1000 rows, merged into kernel blocks at a target of one
+    # pair (every draw a block), the module's, and above the batch's pairs
+    # (one block); merged draws of six centers interleave their labels,
+    # which the merge sorts back to ascending
+    make_f, sided = _SPACE_CASES[case]
+    f = make_f()
+    mu = make_lebesgue(f.space)
+    samples, n_max = 20_000, 8
+    centers = mu.sample_coords(seed=80, count=count)
+    want = _dense_counts(f, mu.sample_coords(81, samples), centers, deltas, sided, n_max)
+    assert want[:, :, 0].all()
+    advance, merged = expansiveness._advance_pairs, expansiveness._merged
+    sizes, interleaved = [], []
+
+    def spy_advance(f, deltas, counts, two, orbit, yf, xi, yi, label):
+        assert np.all(np.diff(label) >= 0)
+        sizes.append(len(xi))
+        return advance(f, deltas, counts, two, orbit, yf, xi, yi, label)
+
+    def spy_merged(parts):
+        xi = np.concatenate([p[1] for p in parts])
+        interleaved.append(bool(np.any(xi[1:] < xi[:-1])))
+        return merged(parts)
+
+    monkeypatch.setattr(expansiveness, "_advance_pairs", spy_advance)
+    monkeypatch.setattr(expansiveness, "_merged", spy_merged)
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(measures, "_BLOCK", 1000)
+    default = expansiveness._MERGE_PAIRS
+    for target in (1, default, samples * count):
+        monkeypatch.setattr(expansiveness, "_MERGE_PAIRS", target)
+        sizes.clear()
+        interleaved.clear()
+        got = survival_counts(f, mu, 81, samples, centers, deltas, sided, n_max)
+        assert np.array_equal(got, want), target
+        # every block but the last reaches the target, and none holds
+        # more than the target plus one draw's pairs
+        assert all(n >= target for n in sizes[:-1]), (target, sizes)
+        assert max(sizes) < target + 1000 * count
+        if target == 1:
+            assert len(sizes) == samples // 1000 and not any(interleaved)
+        elif target > default:
+            assert len(sizes) == 1
+        if target > 1 and count > 1:
+            assert any(interleaved)
+
+
+@pytest.mark.parametrize("make_f, make_mu, sided, most", [
+    (make_denjoy, make_denjoy_minimal, "two_sided", 2),
+    (make_doubling, None, "one_sided", 8),
+], ids=["denjoy-slow", "doubling-fast"])
+def test_rows_compacted_once_half_the_pairs_died(make_f, make_mu, sided, most, monkeypatch):
+    # the kernel drops pairs every window but compacts its rows only once
+    # fewer than half of the pairs alive at the last compaction remain:
+    # fewer times than pairs die, and on the gapped circle's slow decay
+    # once or twice in 15 windows
+    f = make_f()
+    mu = make_mu() if make_mu else make_lebesgue(f.space)
+    centers, deltas, n_max = mu.sample_coords(seed=83, count=3), [0.05, 0.02], 15
+    want = _dense_counts(f, mu.sample_coords(84, 5000), centers, deltas, sided, n_max)
+    advance, compact = expansiveness._advance_pairs, expansiveness._compact
+    since, compactions = [], []  # pairs alive at a call's start or last compaction
+
+    def spy_advance(f, deltas, counts, two, orbit, yf, xi, yi, label):
+        since.append(len(xi))
+        return advance(f, deltas, counts, two, orbit, yf, xi, yi, label)
+
+    def spy_compact(idx, *rows):
+        assert 2 * len(idx) < since[-1]
+        since.append(len(idx))
+        compactions.append(len(idx))
+        return compact(idx, *rows)
+
+    monkeypatch.setattr(expansiveness, "_advance_pairs", spy_advance)
+    monkeypatch.setattr(expansiveness, "_compact", spy_compact)
+    got = survival_counts(f, mu, 84, 5000, centers, deltas, sided, n_max)
+    assert np.array_equal(got, want)
+    alive = got[0].sum(axis=0)  # pairs left after each window, one block
+    assert alive[-1] < alive[0] / 2
+    assert 0 < len(compactions) <= most, compactions
+    assert len(compactions) < np.count_nonzero(np.diff(alive)), (compactions, alive)
 
 
 def _force_shares(monkeypatch, cpus):
@@ -291,22 +392,20 @@ def test_thread_caller_takes_one_share(monkeypatch):
 def _one_share(monkeypatch, cpus, blocks, samples):
     """Make survival_counts take one share on ``cpus`` usable CPUs and walk
     its ``samples`` in ``blocks`` blocks: the row cap ``measures.block_rows``
-    is set to a ``blocks``-th of the samples, and no pair budget narrows it."""
+    is set to a ``blocks``-th of the samples, no pair budget narrows it,
+    and the merge target of one pair makes every draw its own block."""
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 1 << 62)
     monkeypatch.setattr(expansiveness, "_PAIR_BLOCK", 1 << 62)
+    monkeypatch.setattr(expansiveness, "_MERGE_PAIRS", 1)
     monkeypatch.setattr(measures, "_BLOCK", -(-samples // blocks))
 
 
-@pytest.mark.parametrize("make_f, sided", [
-    (make_rotation, "two_sided"), (make_doubling, "one_sided"),
-    (make_interval_square, "one_sided"), (make_interval_square, "two_sided"),
-    (make_cat, "one_sided"), (make_cat, "two_sided"),
-], ids=["circle-two", "circle-one", "interval-one", "interval-two", "torus-one",
-        "torus-two"])
-def test_read_ahead_gives_the_serial_counts(make_f, sided, monkeypatch):
+@pytest.mark.parametrize("case", _SPACE_CASES)
+def test_read_ahead_gives_the_serial_counts(case, monkeypatch):
     # with a spare CPU, one share over enough blocks prepares each next
     # block on a pool thread
+    make_f, sided = _SPACE_CASES[case]
     f = make_f()
     mu = make_lebesgue(f.space)
     centers = mu.sample_coords(seed=71, count=3)
@@ -728,6 +827,11 @@ def test_generator_counts_independent_of_block_size(monkeypatch):
         for block in (1, 7, 1999, 2000, 2001):
             monkeypatch.setattr(measures, "_BLOCK", block)
             assert generator_check(f, mu, cover, **kw) == want, (f.name, block)
+        # a merge target of one pair makes every draw its own kernel block
+        monkeypatch.setattr(expansiveness, "_MERGE_PAIRS", 1)
+        for block in (7, 2001):
+            monkeypatch.setattr(measures, "_BLOCK", block)
+            assert generator_check(f, mu, cover, **kw) == want, (f.name, block, "unmerged")
 
 
 def _generator_reference(f, mu, cover, n_max, sequence_samples, mc_samples, seed, sided):
