@@ -20,7 +20,7 @@ compaction are stepped forward or, two-sided, inverted.  No step is
 dense: ``_path_counts`` sorts each sample draw on axis 0 and
 ``_near_pairs`` finds the candidates by binary search, since every
 window needs d(x, y) within the largest radius (on the torus, an axis-0
-search cut to the pairs within that radius).  For a measure-expansive
+strip cut to the pairs within that radius).  For a measure-expansive
 map the alive set shrinks geometrically, and even for an isometry it is
 about 2*delta of the pairs from window 1 on.
 
@@ -29,7 +29,9 @@ Every estimator here draws its sample budget through the block generator
 memory does not grow with the budget and the counts equal a whole-batch
 draw's exactly.  How ``_path_counts`` spreads a call over threads
 (sample shares, or reading its next block ahead) and how many rows its
-draws hold is decided in one place, ``_plan``; no count depends on it.
+draws hold is decided in one place, ``_plan``, from the axis-0 strip
+``_near_pairs`` searches, never from a measure's oracle; no count
+depends on it.
 A kernel block is consecutive draws merged until it holds
 ``_MERGE_PAIRS`` window-1 pairs (``_pair_blocks``), so a narrow call,
 such as a one-center decay, pays the kernel's per-window cost once per
@@ -58,7 +60,7 @@ from numpy.random import Generator, Philox
 
 from . import geometry as geo
 from .errors import CapabilityError, SpaceMismatchError
-from .measures import MeasureSpec, _lebesgue_ball_oracle, block_rows, sample_blocks
+from .measures import MeasureSpec, block_rows, sample_blocks
 from .rng import derive_seed
 from .stats import (MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells, check_count, check_grid,
                     check_length, check_samples, check_threshold, wilson_interval)
@@ -70,8 +72,8 @@ TWO_SIDED = "two_sided"
 SIDED = {"one": ONE_SIDED, "two": TWO_SIDED, ONE_SIDED: ONE_SIDED, TWO_SIDED: TWO_SIDED}
 
 # a draw of _path_counts holds about this many window-1 candidate
-# pairs, estimated before drawing, unless measures.block_rows caps it
-# lower.  The pairs, not the rows, set the kernel's working memory: a
+# pairs in _near_pairs' axis-0 strip, unless measures.block_rows caps
+# it lower.  The pairs, not the rows, set the kernel's working memory: a
 # default entropy (30 probes, radius 0.1) capped only by rows kept 393k
 # pairs in flight.  Draws the row cap leaves narrower are merged into
 # kernel blocks of _MERGE_PAIRS pairs (_pair_blocks).
@@ -185,7 +187,7 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     fwd, bwd = path
     shape = (len(deltas), fwd.shape[1], len(fwd))
     dmax = deltas.max(initial=0.0)
-    shares, rows, ahead = _plan(f.space, samples, shape[1], dmax, math.prod(shape))
+    shares, rows, ahead = _plan(samples, shape[1], dmax, math.prod(shape))
 
     def share(w, pool=None):  # (counts, most pairs in a block) of share w's samples
         counts, most = np.zeros(shape, dtype=np.int64), 0
@@ -309,24 +311,16 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ball_mass(space: geo.SpaceDescriptor, r: float) -> float:
-    """Lebesgue mass of a ball of radius r: the expected share of a block's
-    samples within r of one center, were the measure uniform."""
-    if r <= 0:
-        return 0.0
-    return _lebesgue_ball_oracle(space)(geo.Ball(geo.Point(space, (0.5,) * space.dim), r))
-
-
-def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
-          cells: int) -> tuple[int, int, bool]:
+def _plan(samples: int, width: int, dmax: float, cells: int) -> tuple[int, int, bool]:
     """(shares, rows, ahead): how ``_path_counts`` spends threads and
     memory on ``samples`` samples, ``width`` paths, largest radius dmax
     and a count array of ``cells`` cells.  The one statement of its
     thread policy:
 
     - rows: a draw holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
-      before drawing as rows x width x the Lebesgue mass of a dmax ball,
-      and never more than 1/shares of ``measures.block_rows(width)``, the
+      before drawing as rows x width x min(1, 2 dmax), the axis-0 strip
+      ``_near_pairs`` searches on every space (no oracle is read), and
+      never more than 1/shares of ``measures.block_rows(width)``, the
       bound when the measure is concentrated near the centers.  A kernel
       block is consecutive draws merged until it holds ``_MERGE_PAIRS``
       pairs (``_pair_blocks``), so it holds less than ``_MERGE_PAIRS``
@@ -353,7 +347,7 @@ def _plan(space: geo.SpaceDescriptor, samples: int, width: int, dmax: float,
     order are the serial ones, so no count depends on the plan."""
     cpus = usable_cpus() if threading.current_thread() is threading.main_thread() else 1
     cap = block_rows(width)
-    per_row = width * _ball_mass(space, dmax)
+    per_row = width * min(1.0, 2.0 * dmax)  # the axis-0 strip of _near_pairs
 
     def rows(w):
         r = max(1, cap // w)
@@ -407,7 +401,8 @@ def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
     would overlap and together hold every sample.  On the torus that
     axis-0 strip holds about 2r of the block, against the 2r^2 within r,
     so it is cut to the pairs within r in the full metric: the kernel
-    would otherwise invert every strip row at window 1.
+    would otherwise invert every strip row at window 1.  ``_plan``
+    budgets the strip, so it and its cut stay within ``_PAIR_BLOCK``.
     """
     r = r + 1e-9
     c, y = centers[:, 0], ys[:, 0]

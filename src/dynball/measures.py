@@ -4,13 +4,13 @@ A measure is its space, a transform from uniform draws to sample
 coordinates and, when it has one, a ball oracle; nothing else is stored.
 Masses of dynamically defined sets are always estimated as sample
 frequencies with Wilson intervals.  The oracle, when a measure has one,
-gives the exact mass of a plain metric ball.  No estimator reads a
-measure's oracle: it is the exact reference that the calibration tests
-and the benchmark check sample frequencies against, and
-``expansiveness`` sizes its kernel blocks and thread shares from the
-Lebesgue formula whatever the measure.  Sampling is counter-based: the
-point at index i depends only on (seed, i), so batches are identical no
-matter how index ranges are split across workers.
+gives the exact mass of a plain metric ball.  No estimator or kernel
+reads a measure's oracle: it is the exact reference that the calibration
+tests and the benchmark check sample frequencies against (the kernel
+sizes its blocks from the axis-0 strip it searches, whatever the
+measure).  Sampling is counter-based: the point at index i depends only
+on (seed, i), so batches are identical no matter how index ranges are
+split across workers.
 """
 from __future__ import annotations
 

@@ -432,6 +432,8 @@ def test_unknown_param_key_exit_code(tmp_path, capsys, argv, known):
     # a probe empty at the first fitted window is named with its window
     (["entropy", "--n-lo", "11", "--n-hi", "14"],
      "no sample survived window 11 at delta=0.02 for 1 of 30 probes"),
+    # a config line with no "=" is named as it was written
+    (["decay", "--config", "nmax = 3\nsamples\n"], "config line needs key=value: 'samples'"),
 ])
 def test_invalid_input_exit_code(tmp_path, tmp_path_factory, capsys, argv, message):
     if "--config" in argv:  # the item after it is the config file's text

@@ -18,7 +18,7 @@ from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, bk_entrop
 from dynball import cli, expansiveness, measures
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
 from dynball.rng import BLOCK_DOUBLES, derive_seed, uniform_block
-from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells
+from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells, wilson_interval
 from dynball.systems import iterate
 
 
@@ -357,11 +357,11 @@ _PLANS = [
 def test_plan_on_the_benchmark_shapes(cpus, monkeypatch):
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
     for name, shape, plans in _PLANS:
-        assert expansiveness._plan(circle(), *shape) == plans[cpus], name
+        assert expansiveness._plan(*shape) == plans[cpus], name
     # off the main thread: one share and no read-ahead, so pools never nest
     out = []
     worker = threading.Thread(
-        target=lambda: out.append(expansiveness._plan(circle(), 5_000_000, 1, 0.05, 20)))
+        target=lambda: out.append(expansiveness._plan(5_000_000, 1, 0.05, 20)))
     worker.start()
     worker.join(timeout=60)
     assert out == [(1, 65536, False)]
@@ -567,13 +567,17 @@ def test_default_verdict_memory_bounded(f, mu):
 
 def test_default_entropy_memory_bounded(monkeypatch):
     # 30 probes at radius 0.1 expect 6 window-1 pairs a row: 25.4 MiB while
-    # each of two shares' blocks held 32,768 rows, about 197k pairs
+    # each of two shares' blocks held 32,768 rows, about 197k pairs.  The
+    # cat map at radius 0.2 read 24.2 MiB while its draws were sized by the
+    # 2r^2 ball, not the 2r axis-0 strip _near_pairs builds before its cut
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
-    f, mu = make_doubling(), make_lebesgue(circle())
-    with expansiveness.recording_kernel() as seen:
-        est, peak = _traced_peak(lambda: bk_entropy(f, mu, [0.1, 0.05, 0.02], seed=7))
-    assert seen["kernel_shares"] == 2 and 0.6 < est.extrapolated_e < 0.8
-    assert peak < 8 * 2 ** 20
+    for f, grid, lo, hi in ((make_doubling(), [0.1, 0.05, 0.02], 0.6, 0.8),
+                            (make_cat(), [0.2, 0.1, 0.05], 0.86, 1.06)):  # criterion 3
+        with expansiveness.recording_kernel() as seen:
+            est, peak = _traced_peak(lambda: bk_entropy(f, make_lebesgue(f.space), grid,
+                                                        seed=7))
+        assert seen["kernel_shares"] == 2 and lo <= est.extrapolated_e <= hi, f.name
+        assert peak < 8 * 2 ** 20, f.name
 
 
 def test_decay_series_memory_bounded_in_samples():
@@ -728,12 +732,18 @@ def test_verdict_trichotomy():
 
 
 def test_verdict_inconclusive_when_threshold_unreachable():
-    # with a tiny window budget the doubling map cannot decay below the
-    # threshold, and the per-probe mass stays above it: witness found
-    mu = make_lebesgue(circle())
-    v = expansiveness_verdict(make_doubling(), mu, 0.3, n_max=2,
-                              samples=5_000, x_probes=20, seed=4)
-    assert v.verdict in ("evidence_not_expansive", "inconclusive")
+    # the rotation keeps mass 2 delta = 0.01 at every center and window.
+    # The threshold is the Wilson upper bound of a count at exactly that
+    # mass: any probe above the mass has a higher upper bound, and a lower
+    # bound reaches it only about 3.9 standard errors above the mass.  So
+    # some of 20 probes lies above it (each about half the time) and none
+    # has its lower bound there (each about 5e-5): inconclusive
+    samples, mass = 20_000, 0.01
+    threshold = float(wilson_interval(round(mass * samples), samples)[1])
+    v = expansiveness_verdict(make_rotation(), make_lebesgue(circle()), mass / 2, n_max=3,
+                              samples=samples, x_probes=20, threshold=threshold, seed=4)
+    assert v.verdict == "inconclusive" and v.witness is None
+    assert v.witness_lower_bound < threshold < v.worst_upper_bound
 
 
 def test_verdict_threshold_monotone():
@@ -916,7 +926,7 @@ def test_generator_refuses_unequal_radii(monkeypatch):
         generator_check(make_doubling(), make_lebesgue(circle()), cover, mc_samples=1000)
 
 
-def test_generator_memory_bounded_in_batch_size():
+def test_generator_memory_bounded_in_batch_size(monkeypatch):
     # 1M samples: a dense (sequences, mc_samples) mask with whole-batch
     # (cover elements, mc_samples) distances would peak near 550 MiB
     f, mu = make_rotation(), make_lebesgue(circle())
@@ -925,6 +935,16 @@ def test_generator_memory_bounded_in_batch_size():
                                                    mc_samples=1_000_000, seed=48))
     assert g.max_intersection_estimate >= 0.15  # an isometry keeps its mass
     assert peak < 64 * 2 ** 20
+    # the cat map at the CLI's default cover and budget: 33.1 MiB on two
+    # shares while draws were sized by the pairs within the radius, not by
+    # the 1/r times larger axis-0 strip _near_pairs builds first
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
+    cat = make_cat()
+    cover = make_ball_cover(cat.space, radius=0.1, step=0.05)
+    g, peak = _traced_peak(lambda: generator_check(cat, make_lebesgue(cat.space), cover,
+                                                   seed=48))
+    assert g.is_generator_evidence
+    assert peak < 8 * 2 ** 20
 
 
 def test_generator_memory_bounded_in_sequence_count():

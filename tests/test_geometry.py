@@ -117,6 +117,8 @@ def test_lebesgue_number_rejects_non_cover():
     sparse = [Ball(Point(sp, (0.0,)), 0.1), Ball(Point(sp, (0.5,)), 0.1)]
     with pytest.raises(NotACoverError):
         lebesgue_number(sparse, sp)
+    with pytest.raises(NotACoverError, match="^empty cover$"):
+        lebesgue_number([], sp)
 
 
 def test_interval_cover_keeps_endpoints():

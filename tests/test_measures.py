@@ -200,4 +200,6 @@ def test_make_measure_parsing():
                           np.sqrt(make_lebesgue(interval()).sample_coords(0, 8)))
     with pytest.raises(KeyError):
         make_measure("nosuch", sp)
+    with pytest.raises(KeyError, match="unknown pushforward map 'cube'; known: square, sqrt"):
+        make_measure("pushforward:cube", interval())
     assert any(n.startswith("dirac") for n in measure_names())

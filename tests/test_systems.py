@@ -69,6 +69,7 @@ def test_interval_square_endpoints_fixed():
 
 def test_compose_power_matches_repeated_application():
     for base in (make_doubling(), make_cat(), make_denjoy(N=8)):
+        assert compose_power(base, 1) is base
         f2 = compose_power(base, 3)
         rng = np.random.default_rng(7)
         x = rng.random((100, base.space.dim))
