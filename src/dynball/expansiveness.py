@@ -191,11 +191,11 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
 
     def share(w, pool=None):  # (counts, most pairs in a block) of share w's samples
         counts, most = np.zeros(shape, dtype=np.int64), 0
-        blocks = _pair_blocks(f.space, mu, key, samples * w // shares,
-                              samples * (w + 1) // shares, rows, fwd[0], dmax)
+        blocks = _pair_blocks(mu, key, samples * w // shares, samples * (w + 1) // shares,
+                              rows, fwd[0], dmax)
         for yf, xi, yi in blocks if pool is None else _read_ahead(blocks, pool):
             most = max(most, len(xi))
-            _advance_pairs(f, deltas, counts, bwd is not None, path, yf, xi, yi, xi)
+            _advance_pairs(f, deltas, counts, path, yf, xi, yi, xi)
         return counts, most
 
     threads = shares + ahead
@@ -211,28 +211,23 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     return counts
 
 
-def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: int,
-                 stop: int, rows: int, centers: np.ndarray, dmax: float):
+def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
+                 centers: np.ndarray, dmax: float):
     """Yield kernel blocks (ys, xi, yi) for rows start..stop of mu's batch
     under key: yi indexes ys, and xi, ascending, the centers.
 
     The rows are drawn ``rows`` at a time.  Each draw is sorted on axis 0
     and cut to the rows a candidate pair within dmax of the centers
-    (``_near_pairs``) references.  Consecutive draws are then merged into
-    one block until it holds ``_MERGE_PAIRS`` pairs, or ``_PAIR_BLOCK`` if
-    that is lower (``_merged``), so a block holds less than that target
-    plus one draw's pairs.  A draw at or above the target, as a verdict's
-    or an entropy's are, is a block of its own, and a draw with no pair is
-    in no block.
+    (``_near_pairs``) references (``_compact``).  Consecutive draws are
+    then merged into one block until it holds ``_MERGE_PAIRS`` pairs, or
+    ``_PAIR_BLOCK`` if that is lower (``_merged``), so a block holds less
+    than that target plus one draw's pairs.  A draw at or above the
+    target, as a verdict's or an entropy's are, is a block of its own, and
+    a draw with no pair is in no block.
 
-    Rows are renumbered by binary search, not by ``_compact``'s draw-long
-    rank table, and the whole draw, the old yi and the scratch are let go
-    before the yield, not held while the kernel walks the pairs.  A
-    thread reading ahead keeps what it allocates in its own malloc arena:
-    a 5M-sample one-center decay read 39.2 MiB peak RSS reading ahead, 39.9
-    with the rank table and 40.1 with the draw held, against 38.9 MiB on
-    one thread before (2-vCPU Xeon VM).  The held old yi raised a
-    one-share denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
+    The whole draw and the old yi are let go before the yield, not held
+    while the kernel walks the pairs: the held old yi raised a one-share
+    denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
     """
     target, parts, held = min(_MERGE_PAIRS, _PAIR_BLOCK), [], 0
     for ys in sample_blocks(mu, key, stop, rows, start=start):
@@ -240,16 +235,12 @@ def _pair_blocks(space: geo.SpaceDescriptor, mu: MeasureSpec, key: int, start: i
             ys.sort(axis=0)  # a fresh draw, so sorted in place
         else:
             ys = np.take(ys, np.argsort(ys[:, 0]), axis=0)  # see _compact
-        xi, yi = _near_pairs(space, centers, ys, dmax)
-        mark = np.zeros(len(ys), dtype=bool)
-        mark[yi] = True
-        live = np.flatnonzero(mark)
-        if len(live) < len(ys):
-            ys, yi = np.take(ys, live, axis=0), np.searchsorted(live, yi)
+        xi, yi = _near_pairs(mu.space, centers, ys, dmax)
+        yi, (ys,) = _compact(yi, ys)
         if len(xi):
             parts.append((ys, xi, yi))
             held += len(xi)
-        del ys, xi, yi, mark, live
+        del ys, xi, yi
         if held >= target:
             block, parts, held = _merged(parts), [], 0
             yield block
@@ -420,15 +411,16 @@ def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
     return xi, yi
 
 
-def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: bool,
-                   orbit, yf, xi, yi, label) -> None:
+def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit, yf,
+                   xi, yi, label) -> None:
     """Add the survivors of the pairs (x[xi], yf[yi]) to counts.
 
     orbit is the left points' path over counts.shape[2] windows, as
     ``_path_counts`` takes it (``_orbit(f, x, counts.shape[2], two)`` for
-    an orbit), and yf holds the raw right points, each referenced by some
-    pair (a row no pair references is stepped until the first
-    compaction).  The pairs may be any superset of the survivors.  One
+    an orbit; two-sided when its bwd is not None), and yf holds the raw
+    right points, each referenced by some pair (a row no pair references
+    is stepped until the first compaction).  The pairs may be any
+    superset of the survivors.  One
     loop walks every window, window 1 included: it gathers each pair's
     left side at iterate n-1 (and, two-sided, at -n) from the path and
     steps the right side's rows (no forward step at n = 1; the inverse
@@ -477,6 +469,7 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, two: b
     dmax = deltas.max(initial=0.0)
     edges = np.arange(counts.shape[1] + 1)  # label p's run is [edges[p], edges[p+1])
     fwd, bwd = orbit
+    two = bwd is not None
     yb = yf if two else None
     gx = np.empty((len(xi), f.space.dim)) if fwd.shape[1] > 1 else None
     gy = np.empty((len(yi), f.space.dim))
@@ -736,8 +729,8 @@ def product_diagonal_test(f: SystemSpec, mu: MeasureSpec, delta: float,
         _note(kernel_block_pairs=len(i))
         xs, ys = np.take(xs, i, axis=0), np.take(ys, i, axis=0)  # see _compact
         pairs = np.arange(len(i))
-        _advance_pairs(f, np.array([delta]), counts, two, _orbit(f, xs, n_max, two), ys,
-                       pairs, pairs, np.zeros_like(i))
+        _advance_pairs(f, np.array([delta]), counts, _orbit(f, xs, n_max, two), ys, pairs,
+                       pairs, np.zeros_like(i))
     series = _series_from_counts(None, delta, sided, counts[0, 0], pair_samples, seed)
 
     probes = mu.sample_coords(derive_seed(seed, "fubini-probes"), fubini_probes)

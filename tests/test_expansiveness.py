@@ -1,4 +1,5 @@
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -173,10 +174,10 @@ def test_merged_blocks_give_the_dense_counts(case, count, deltas, monkeypatch):
     advance, merged = expansiveness._advance_pairs, expansiveness._merged
     sizes, interleaved = [], []
 
-    def spy_advance(f, deltas, counts, two, orbit, yf, xi, yi, label):
+    def spy_advance(f, deltas, counts, orbit, yf, xi, yi, label):
         assert np.all(np.diff(label) >= 0)
         sizes.append(len(xi))
-        return advance(f, deltas, counts, two, orbit, yf, xi, yi, label)
+        return advance(f, deltas, counts, orbit, yf, xi, yi, label)
 
     def spy_merged(parts):
         xi = np.concatenate([p[1] for p in parts])
@@ -222,11 +223,13 @@ def test_rows_compacted_once_half_the_pairs_died(make_f, make_mu, sided, most, m
     advance, compact = expansiveness._advance_pairs, expansiveness._compact
     since, compactions = [], []  # pairs alive at a call's start or last compaction
 
-    def spy_advance(f, deltas, counts, two, orbit, yf, xi, yi, label):
+    def spy_advance(f, deltas, counts, orbit, yf, xi, yi, label):
         since.append(len(xi))
-        return advance(f, deltas, counts, two, orbit, yf, xi, yi, label)
+        return advance(f, deltas, counts, orbit, yf, xi, yi, label)
 
-    def spy_compact(idx, *rows):
+    def spy_compact(idx, *rows):  # counts the kernel's calls, not the draw cut's
+        if sys._getframe(1).f_code is not advance.__code__:
+            return compact(idx, *rows)
         assert 2 * len(idx) < since[-1]
         since.append(len(idx))
         compactions.append(len(idx))
