@@ -13,7 +13,7 @@ Case ids are the short anchors the CLI exposes via ``explain``.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from . import geometry as geo
@@ -86,7 +86,7 @@ def _case_diagonal(seed: int) -> tuple[str, dict]:
         ok &= rep.agree
         if band is not None:
             ok &= band[0] <= series.terminal <= band[1]
-        elif f.name in ("doubling", "cat"):
+        else:  # doubling and cat
             ok &= series.ci_high[-1] <= 0.02
     return ("pass" if ok else "fail"), details
 
@@ -363,10 +363,9 @@ def _run_case(entry, seed: int) -> TheoremCase:
                        expectation="pass")
     try:
         outcome, details = runner(derive_seed(seed, cid))
-        return TheoremCase(**{**base.__dict__, "outcome": outcome, "details": details})
+        return replace(base, outcome=outcome, details=details)
     except Exception as exc:  # recorded, never aborts the battery
-        return TheoremCase(**{**base.__dict__, "outcome": "inconclusive",
-                              "error": f"{type(exc).__name__}: {exc}"})
+        return replace(base, outcome="inconclusive", error=f"{type(exc).__name__}: {exc}")
 
 
 def run_battery(case_filter: list[str] | None = None, seed: int = 7,

@@ -179,7 +179,8 @@ def _generator(f, mu, s: dict, seed: int):
                           seed=seed, sided=s["sided"])
     echo = {k: s[k] for k in ("radius", "step", "nmax", "sequences",
                               "mc_samples", "threshold")}
-    rows = [(i + 1, v, v, v) for i, v in enumerate(rep.per_sequence)]
+    rows = [(i + 1, v, lo, hi) for i, (v, lo, hi) in
+            enumerate(zip(rep.per_sequence, rep.per_sequence_lower, rep.per_sequence_upper))]
     return (asdict(rep), {**echo, "sided": rep.sided}, rows,
             f"evidence={rep.is_generator_evidence} "
             f"(max estimate {rep.max_intersection_estimate!r})")

@@ -8,7 +8,10 @@ conditional binomial), so weights are its reciprocal and the slope
 standard error is (sum of weights)^(-1/2).  Cells with counts below 30
 (``_MIN_COUNT``) are censored: their log-ratios are too noisy for the
 variance model, and a zero cell has no log at all, so both only bound
-the slope from below.
+the slope from below.  With fewer than two cells at that count the fit
+takes the first increment alone (a starved tail's equal counts, such as
+(1, 1), get the variance floor and would swamp it), or only the lower
+bound log c_1 when the second cell is zero.
 
 The per-delta entropy is the minimum fitted rate over measure-sampled
 probe centers, and the radius limit is read off a plateau: the reported
@@ -65,10 +68,8 @@ def fit_decay_slope(counts: np.ndarray) -> SlopeFit:
     usable = c >= _MIN_COUNT
     k = int(np.argmin(usable)) if not usable.all() else len(c)
     censored = k < len(c)
-    if k < 2:
-        pos = c > 0
-        k = int(np.argmin(pos)) if not pos.all() else len(c)
-        censored = True
+    if k < 2:  # the first increment alone, if its second cell is positive
+        k, censored = 1 + int(len(c) > 1 and c[1] > 0), True
     if k < 2:
         # single positive cell: only a lower bound, as if the next count were 1
         return SlopeFit(slope=float(np.log(c[0])), se=float("nan"),

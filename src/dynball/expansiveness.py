@@ -508,16 +508,17 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
 
 
 def _compact(idx: np.ndarray, *rows):
-    """Keep only the rows idx references; return idx renumbered to them.
-
-    Rows are gathered with ``np.take``: indexing a (count, 2) array with
-    an index array is 8-10x slower (65,536 rows, numpy 2.4).  idx is
-    renumbered through a rank table written at the live rows only, not
-    through ``np.cumsum(mark)``: that writes all 512 KiB of a 65,536-row
-    block's int64 table, which glibc maps and faults afresh per block,
-    while a one-center block touches about 13 of the table's 128 pages.
-    A 5M-sample one-center decay read 0.386 -> 0.360 s and 39.2 -> 38.7
-    MiB peak RSS (medians of 20 fresh processes, 2-vCPU Xeon VM)."""
+    """Keep only the rows idx references; return idx renumbered to them:
+    the one row cut, of each draw (``_pair_blocks``) and of the kernel's
+    rows (``_advance_pairs``).  Rows are gathered with ``np.take``:
+    indexing a (count, 2) array with an index array is 8-10x slower
+    (65,536 rows, numpy 2.4).  idx is renumbered through a rank table
+    written at the live rows only.  ``np.cumsum(mark)`` writes all of a
+    65,536-row draw's 512 KiB table, which glibc maps and faults afresh
+    (a 5M-sample one-center decay read 0.386 against 0.360 s and 39.2
+    against 38.7 MiB peak RSS), and binary search made a default entropy,
+    which cuts 175 times, slower (55.6 against 52.1 ms; medians of 20 and
+    12 fresh processes, 2-vCPU Xeon VM)."""
     mark = np.zeros(len(rows[0]), dtype=bool)
     mark[idx] = True
     live = np.flatnonzero(mark)  # np.unique(idx) sorts and is far slower
@@ -757,6 +758,8 @@ class GeneratorReport:
     sided: str
     n_max: int
     per_sequence: tuple[float, ...] = field(repr=False, default=())
+    per_sequence_lower: tuple[float, ...] = field(repr=False, default=())
+    per_sequence_upper: tuple[float, ...] = field(repr=False, default=())
 
 
 def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
@@ -814,7 +817,7 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
     per_seq = _path_counts(f, mu, derive_seed(seed, "batch"), mc_samples, path,
                            np.array([r], dtype=float))[0, :, -1]
     est = per_seq / mc_samples
-    _, hi = wilson_interval(per_seq, mc_samples)
+    lo, hi = wilson_interval(per_seq, mc_samples)
     max_upper = float(np.max(hi))
     return GeneratorReport(
         cover_size=len(cover), lebesgue_delta=float(leb_delta),
@@ -823,7 +826,9 @@ def generator_check(f: SystemSpec, mu: MeasureSpec, cover: list[geo.Ball],
         max_upper_ci=max_upper,
         is_generator_evidence=bool(max_upper <= threshold),
         threshold=float(threshold), sided=sided, n_max=int(n_max),
-        per_sequence=tuple(float(v) for v in est))
+        per_sequence=tuple(float(v) for v in est),
+        per_sequence_lower=tuple(float(v) for v in lo),
+        per_sequence_upper=tuple(float(v) for v in hi))
 
 
 @dataclass(frozen=True)

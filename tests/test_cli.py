@@ -105,13 +105,13 @@ _PINNED_IDS = [
      "e3b96039083390f4535c8106094a9dc1a3533bcb18dda8d692569d3686ec2791",
      "bfd3a686b9d35db8b8e0ac48052caa1048d9b634ae69c8514a99dedb0c380c37"),
     (["generator", "--mc-samples", "20000"],
-     "e87627195a485e0358f73a36cd00bc860a46d93e8de97b580b0e519bcf818a76",
-     "0939eca1301b5e48852ab8a36b5d668362938a01aee2ec220f2336a195c73425"),
+     "a43954b6d1072fe64ba8d79dabd5c544b90ceb66b41da120baeac25d628a84f0",
+     "fe947c91c159f395e0ae5a9bf56012aa2a27deb34411032a3fb3bf5713984390"),
     # two-sided: the window is iterates -(nmax+1)..nmax, the survival
     # kernel's window nmax + 1
     (["generator", "--system", "rotation", "--mc-samples", "20000"],
-     "a5f4a31d4a0d345e5a96c8e11afc304e0f83f111784a07f066973afb6d502fcc",
-     "5bc361296617fe3d237ba1b85ae4a2aed6fff30dc55ccdc99457d505dc34915f"),
+     "664df8d49c08806affafd9a39700b5eb08f980529aee0e4b6ef514f464d4ec19",
+     "fc5a818b1895ea03d49f03000dde6af16ba137e25fa04ca7ae7b84866791fd9f"),
     (["decay", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
      "1bb85f853f128270477cc30e8b4850d51db2d892dda0681afe461e7d3f1cd5be",
      "1ca8cbb33188d6a8b63c26de7f395dc16158dc165c7c2f2d31d312e4a2aab5bb"),
@@ -126,7 +126,7 @@ _PINNED_IDS = [
     # records: a field's name is its json key
     (["battery", "--cases", "pp2,diagonal,pp0,thA,emu-positive,exxx1", "--workers", "1"],
      None,
-     "3752ad43a989e5c342f38da7706d0082e48f0c051df7f8932a20c907acf185d1"),
+     "822f914e66b79692324644abef6c27656153aec45b7bbb6d5c45fa01b883d887"),
     # interval spaces
     (["decay", "--system", "tent", "--samples", "20000"],
      "3abd71c5849d616445cde990472da245d33a4f081c41055ac743b16bd3100cdf",
@@ -150,10 +150,11 @@ _PINNED_IDS = [
      "0feb1f5c5d546afe90ceded6db5fef9df4ab3e4bc2648db0e82cf24a6f7a9b1a"),
 ], ids=_PINNED_IDS)
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
-    # digests re-recorded once, when a sample row became `dims` consecutive
+    # digests re-recorded when a sample row became `dims` consecutive
     # doubles of the keyed stream and every estimator's batch took a
-    # derived key: speed and simplicity work must leave every csv/json byte
-    # as it was
+    # derived key, and the generator rows and the battery row holding pp0
+    # when generator reports gained per-sequence Wilson bounds: speed and
+    # simplicity work must leave every csv/json byte as it was
     assert run(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     cmd = argv[0]
     if csv_sha is not None:
@@ -202,6 +203,13 @@ def test_generator_command(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "generator.json").read_text())
     assert payload["result"]["is_generator_evidence"] is True
+    # each row carries its sequence's Wilson interval, not the estimate thrice
+    lines = (tmp_path / "generator.csv").read_text().splitlines()
+    assert lines[4] == "n,estimate,ci_low,ci_high"
+    rows = [[float(v) for v in line.split(",")] for line in lines[5:]]
+    assert len(rows) == 8
+    assert all(lo <= est <= hi and lo < hi for _, est, lo, hi in rows)
+    assert max(hi for *_, hi in rows) == payload["result"]["max_upper_ci"]
 
 
 def test_config_file_with_flag_override(tmp_path):

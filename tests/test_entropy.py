@@ -34,6 +34,13 @@ def test_fit_decay_slope_degenerate_inputs():
     assert fit.censored
     assert fit.slope == pytest.approx(math.log(50.0))
     assert math.isnan(fit.se)
+    # too few cells reach the count floor: the first increment alone is
+    # fitted, not the starved tail's (1, 1), whose variance floor swamped
+    # the fit (a cat-map probe at delta 0.02, seed 7)
+    fit = fit_decay_slope(np.array([59, 18, 4, 1, 1, 0, 0, 0]))
+    assert fit.censored and fit.n_used == 2
+    assert fit.slope == pytest.approx(math.log(59 / 18))
+    assert fit.se > 0.1
 
 
 def test_fit_ignores_starved_tail():
