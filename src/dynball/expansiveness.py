@@ -419,14 +419,13 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
     ``_path_counts`` takes it (``_orbit(f, x, counts.shape[2], two)`` for
     an orbit; two-sided when its bwd is not None), and yf holds the raw
     right points, each referenced by some pair (a row no pair references
-    is stepped until the first compaction).  The pairs may be any
-    superset of the survivors.  One
-    loop walks every window, window 1 included: it gathers each pair's
-    left side at iterate n-1 (and, two-sided, at -n) from the path and
-    steps the right side's rows (no forward step at n = 1; the inverse
-    starts from the raw points).  m keeps each pair's largest distance so
-    far: counts[d, label, n-1] counts the pairs with m <= deltas[d], and a
-    pair is dropped once m exceeds every radius.
+    is stepped until the first compaction).  The pairs may be any superset
+    of the survivors.  One loop walks every window, window 1 included: it
+    gathers each pair's left side at iterate n-1 (and, two-sided, at -n)
+    from the path and steps the right side's rows (no forward step at
+    n = 1; the inverse starts from the raw points).  m keeps each pair's
+    largest distance so far: counts[d, label, n-1] counts the pairs with
+    m <= deltas[d], and a pair is dropped once m exceeds every radius.
 
     Pairs are dropped every window, but the right side is compacted to the
     rows a pair still references (``_compact``) only once fewer than half
