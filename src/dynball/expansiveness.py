@@ -17,12 +17,14 @@ given per window: the centers' orbit, stepped once per call
 (``_orbit``), or the cover centers a generator sequence prescribes.  On
 the sample side only the points some pair referenced at the last row
 compaction are stepped forward or, two-sided, inverted.  No step is
-dense: ``_path_counts`` sorts each sample draw on axis 0 and
-``_near_pairs`` finds the candidates by binary search, since every
-window needs d(x, y) within the largest radius (on the torus, an axis-0
-strip cut to the pairs within that radius).  For a measure-expansive
-map the alive set shrinks geometrically, and even for an isometry it is
-about 2*delta of the pairs from window 1 on.
+dense: every window needs d(x, y) within the largest radius, so
+``_path_counts`` sorts each sample draw on axis 0 and ``_near_pairs``
+finds the candidates by binary search in the centers' axis-0 strips (on
+the torus, cut to the pairs within that radius); with one center the
+draw is first cut to that center's strip, and only those rows are
+sorted.  For a measure-expansive map the alive set shrinks
+geometrically, and even for an isometry it is about 2*delta of the pairs
+from window 1 on.
 
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
@@ -84,12 +86,13 @@ _PAIR_BLOCK = 1 << 15
 # kernel makes some 25 numpy calls per window whatever the block's size,
 # and a one-center draw (65,536 rows at radius 0.05) holds only 6.7k
 # pairs.  A 5M-sample one-center rotation count over 20 two-sided
-# windows, reading ahead, took 0.225 s and 39.0 MiB peak RSS with every
-# draw its own block, 0.179 s and 40.1 MiB at this target (two draws,
-# 13.3k pairs a block; faster in 13 of 14 alternating fresh processes)
-# and 0.193 s and 43.2 MiB at 1 << 15 (39k pairs); in one process, on
-# one thread, 1.31M samples took 46.9, 42.6 and 45.5 ms (medians of 30
-# interleaved calls, 2-vCPU Xeon VM, numpy 2.4).
+# windows, reading ahead, with draws cut to the center's strip, took
+# 130 ms and 39.4 MiB peak RSS with every draw its own block, 106 ms and
+# 39.9 MiB at this target (two draws, 13.3k pairs a block; faster in 5 of
+# 6 alternating fresh processes) and 110 ms and 43.1 MiB at 1 << 15
+# (39k pairs); in one process, on one thread, 1.31M samples took 34.2,
+# 30.9 and 33.3 ms (medians of 30 interleaved calls, this target faster
+# than every draw its own block in 30 of 30; 2-vCPU Xeon VM, numpy 2.4).
 _MERGE_PAIRS = 1 << 13
 
 # a share of _path_counts gets its own thread only when its sample
@@ -110,9 +113,15 @@ _PAIR_FLOOR = 1 << 14
 # interpreter lock; one-center rotation decays at radius 0.05 over 20
 # windows, the first draw prepared on the caller's thread, took 4.5 ms
 # against 4.6 ms serially at 2 draws, 6.2 against 6.9 ms at 3 and 7.4
-# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4,
-# each draw then a kernel block of its own).  A default decay's 100k
-# samples fill 2 draws.
+# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4),
+# measured when each draw was a kernel block of its own and was sorted
+# whole.  With draws merged and cut to the center's strip, reading ahead
+# took 5.7 against 5.1 ms at 3 draws, 7.3 against 6.5 ms at 4, 11.9
+# against 12.4 ms at 8 and 109 against 126 ms at 77 (medians of 7-60
+# interleaved calls in one process), so from 3 to about 7 such draws
+# reading ahead now costs more than it saves.  The threshold is kept as
+# it was, with the plan it sets; moving it is a change of its own.  A
+# default decay's 100k samples fill 2 draws.
 _AHEAD_BLOCKS = 3
 
 # the open record of recording_kernel, per thread and context
@@ -165,10 +174,11 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
 
     Each draw of the batch is sorted on axis 0 and ``_near_pairs`` finds,
     by binary search, the (path, sample) pairs with d(fwd[0], y) near
-    enough the largest radius, which every window requires;
-    ``_pair_blocks`` merges consecutive draws into kernel blocks and
-    ``_advance_pairs`` walks each block's pairs through every window,
-    window 1 included.  Counts are sums over samples, so the order of a
+    enough the largest radius, which every window requires (a one-path
+    call's draw is first cut to that path's axis-0 strip, and only the
+    rows kept are sorted); ``_pair_blocks`` merges consecutive draws into
+    kernel blocks and ``_advance_pairs`` walks each block's pairs through
+    every window, window 1 included.  Counts are sums over samples, so the order of a
     block's rows cannot change them.  Sorting pays twice: no (path, draw)
     distance matrix is built, and a circle homeomorphism keeps each draw's
     rows in cyclic order, which the kernel's row compaction preserves, so
@@ -218,8 +228,12 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
 
     The rows are drawn ``rows`` at a time.  Each draw is sorted on axis 0
     and cut to the rows a candidate pair within dmax of the centers
-    (``_near_pairs``) references (``_compact``).  Consecutive draws are
-    then merged into one block until it holds ``_MERGE_PAIRS`` pairs, or
+    (``_near_pairs``) references (``_compact``).  With one center only the
+    rows in its axis-0 strip (``_strip``) can pair, about 2 dmax of the
+    draw, so the draw is cut to them, by comparison on the unsorted rows,
+    before it is sorted; on a 1-D space every one of them pairs, so such
+    a draw's pairs are its rows in order.  Consecutive draws are then
+    merged into one block until it holds ``_MERGE_PAIRS`` pairs, or
     ``_PAIR_BLOCK`` if that is lower (``_merged``), so a block holds less
     than that target plus one draw's pairs.  A draw at or above the
     target, as a verdict's or an entropy's are, is a block of its own, and
@@ -230,13 +244,26 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
     denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
     """
     target, parts, held = min(_MERGE_PAIRS, _PAIR_BLOCK), [], 0
+    strip = None
+    if len(centers) == 1:
+        lo, hi, _ = _strip(mu.space, centers[:, 0], dmax)
+        strip = list(zip(lo[0], hi[0]))
     for ys in sample_blocks(mu, key, stop, rows, start=start):
+        if strip is not None:  # keep the rows in the center's strip
+            y, keep = ys[:, 0], np.zeros(len(ys), dtype=bool)
+            for a, b in strip:
+                keep |= (y >= a) & (y < b)
+            ys = np.compress(keep, ys, axis=0)
+            del y, keep
         if ys.shape[1] == 1:
-            ys.sort(axis=0)  # a fresh draw, so sorted in place
+            ys.sort(axis=0)  # a fresh array, so sorted in place
         else:
             ys = np.take(ys, np.argsort(ys[:, 0]), axis=0)  # see _compact
-        xi, yi = _near_pairs(mu.space, centers, ys, dmax)
-        yi, (ys,) = _compact(yi, ys)
+        if strip is not None and ys.shape[1] == 1:  # each row pairs, in order
+            xi, yi = np.zeros(len(ys), dtype=np.intp), np.arange(len(ys))
+        else:
+            xi, yi = _near_pairs(mu.space, centers, ys, dmax)
+            yi, (ys,) = _compact(yi, ys)
         if len(xi):
             parts.append((ys, xi, yi))
             held += len(xi)
@@ -377,13 +404,26 @@ def recording_kernel():
         _record.reset(token)
 
 
+def _strip(space: geo.SpaceDescriptor, c: np.ndarray, r: float):
+    """(lo, hi, r): the axis-0 strip around the centers at axis-0
+    coordinates c, the half-open ranges [lo[p, s], hi[p, s]) = [c[p] + s -
+    r, c[p] + s + r) for s in -1, 0, +1 on a periodic axis (s = 0 only
+    otherwise), and r, padded by 1e-9 of the unit axis (see
+    ``_near_pairs``).  Every sample within r of center p lies in one of
+    its ranges; ``_near_pairs`` searches them and ``_pair_blocks`` cuts a
+    one-center draw to them, so the two read the same bounds."""
+    r = r + 1e-9
+    mid = c[:, None] + (np.array([-1.0, 0.0, 1.0]) if space.periodic else 0.0)
+    return mid - r, mid + r, r
+
+
 def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
                 r: float) -> tuple[np.ndarray, np.ndarray]:
     """(xi, yi): every pair with distance(centers[xi], ys[yi]) <= r, each
     once, and possibly pairs a little farther; ys must be sorted on axis 0.
 
     Every metric here is at least its axis-0 distance, so the pairs are
-    the ys whose axis-0 coordinate lies in [c - r, c + r], found by
+    the ys whose axis-0 coordinate lies in a range of ``_strip``, found by
     ``searchsorted``.  r is first padded by 1e-9 of the unit axis, far
     above the few ulps by which the rounded bounds and the rounded metric
     can disagree.  A periodic axis searches that range shifted by -1, 0
@@ -395,13 +435,11 @@ def _near_pairs(space: geo.SpaceDescriptor, centers: np.ndarray, ys: np.ndarray,
     would otherwise invert every strip row at window 1.  ``_plan``
     budgets the strip, so it and its cut stay within ``_PAIR_BLOCK``.
     """
-    r = r + 1e-9
-    c, y = centers[:, 0], ys[:, 0]
-    mid = c[:, None] + (np.array([-1.0, 0.0, 1.0]) if space.periodic else 0.0)
-    lo, hi = np.searchsorted(y, [mid - r, mid + r])
+    lo, hi, r = _strip(space, centers[:, 0], r)
+    lo, hi = np.searchsorted(ys[:, 0], [lo, hi])
     lo[:, 1:] = np.maximum(lo[:, 1:], hi[:, :-1])
     lens = np.maximum(hi - lo, 0).ravel()
-    xi = np.repeat(np.arange(len(c)).repeat(lo.shape[1]), lens)
+    xi = np.repeat(np.arange(len(centers)).repeat(lo.shape[1]), lens)
     first = np.cumsum(lens) - lens  # where each range starts among the pairs
     yi = np.arange(len(xi)) + np.repeat(lo.ravel() - first, lens)
     if space.dim > 1:  # an axis-0 strip: keep its pairs within r in the metric
@@ -445,7 +483,9 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
     radius every pair left counts, as the drop has already removed the
     rest, so no mask is built: on a one-center block's 6.5k pairs that
     took 2.6 us against 21 us for ``np.bincount(label[m <= delta])``
-    (2-vCPU Xeon VM, numpy 2.4).
+    (2-vCPU Xeon VM, numpy 2.4).  Those counts change only when a window
+    drops a pair, so they are found again only then: on the rotation no
+    window after the first drops one.
 
     The gathered points and their distances go to buffers allocated once
     per call, whose prefixes are reused as pairs die.  Fresh temporaries
@@ -486,6 +526,7 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
         np.maximum(m, geo.distance(f.space, a, b, out=dist[:k]), out=m)
 
     compacted = len(m)  # pairs alive at the last compaction: every row starts referenced
+    alive = None  # pairs alive per label, counted again only after a drop
     for n in range(1, counts.shape[2] + 1):
         if not len(m):
             break
@@ -501,9 +542,12 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
         keep = m <= dmax
         if not keep.all():
             xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
+            alive = None
+        if alive is None:
+            alive = np.diff(np.searchsorted(label, edges))
         for d, delta in enumerate(deltas):
-            sel = label if delta == dmax else label[m <= delta]
-            counts[d, :, n - 1] += np.diff(np.searchsorted(sel, edges))
+            counts[d, :, n - 1] += alive if delta == dmax else np.diff(
+                np.searchsorted(label[m <= delta], edges))
 
 
 def _compact(idx: np.ndarray, *rows):
@@ -515,9 +559,11 @@ def _compact(idx: np.ndarray, *rows):
     written at the live rows only.  ``np.cumsum(mark)`` writes all of a
     65,536-row draw's 512 KiB table, which glibc maps and faults afresh
     (a 5M-sample one-center decay read 0.386 against 0.360 s and 39.2
-    against 38.7 MiB peak RSS), and binary search made a default entropy,
-    which cuts 175 times, slower (55.6 against 52.1 ms; medians of 20 and
-    12 fresh processes, 2-vCPU Xeon VM)."""
+    against 38.7 MiB peak RSS, measured before one-center draws were cut
+    to their strip, which now leaves a 1-D one-center draw no row to
+    cut), and binary search made a default entropy, which cuts 175 times,
+    slower (55.6 against 52.1 ms; medians of 20 and 12 fresh processes,
+    2-vCPU Xeon VM)."""
     mark = np.zeros(len(rows[0]), dtype=bool)
     mark[idx] = True
     live = np.flatnonzero(mark)  # np.unique(idx) sorts and is far slower

@@ -88,6 +88,8 @@ _PINNED_IDS = [
     "56e9e3cb71c41c6878c62027cca2c5ead4398a9338fffc292310bf51debbf0f2-135ff4efeb0f6032de70b40982a4e3e55b3b82b51f2af2e78b5bf2dab8a5174f",
     "argv14-"
     "93e54485bc57ef4d2ba2b652d8a15d5c053036bc0aa7f7c4c3860bee7c3b90a1-2220194494d6eaa916d92bd821c72713382437123b1520130b8c1fb94cc3ec91",
+    "argv15-"
+    "36eeb97ad7fc7d529dcad0d372d281a6e3f8a4a07862a86a564615dcffe3a4f4-ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72",
 ]
 
 
@@ -148,6 +150,11 @@ _PINNED_IDS = [
       "--param", "alpha=0.7182818284590451", "--samples", "20000"],
      "56048ce87d2e2c72c9c365ba6619bb1bd43b52aa04ef325c9e36bdd0eb74aa92",
      "0feb1f5c5d546afe90ceded6db5fef9df4ab3e4bc2648db0e82cf24a6f7a9b1a"),
+    # a center 0.001 below the end of the circle: its strip wraps, so a
+    # one-center draw keeps rows from both ends of axis 0
+    (["decay", "--x", "0.999", "--samples", "20000"],
+     "36eeb97ad7fc7d529dcad0d372d281a6e3f8a4a07862a86a564615dcffe3a4f4",
+     "ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72"),
 ], ids=_PINNED_IDS)
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     # digests re-recorded when a sample row became `dims` consecutive

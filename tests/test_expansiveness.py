@@ -64,6 +64,11 @@ def _dense_counts(f, batch, centers, deltas, sided, n_max):
     return counts
 
 
+def _dirac_near_the_wrap():
+    """Every sample at one point, 0.02 below the end of the circle."""
+    return make_dirac(Point(circle(), (0.98,)))
+
+
 _KERNEL_CASES = [
     (make_rotation, None, "one_sided"), (make_rotation, None, "two_sided"),
     (make_doubling, None, "one_sided"),
@@ -71,7 +76,13 @@ _KERNEL_CASES = [
     (make_tent, None, "one_sided"),
     (make_denjoy, make_denjoy_minimal, "one_sided"),
     (make_denjoy, make_denjoy_minimal, "two_sided"),
+    (make_rotation, _dirac_near_the_wrap, "two_sided"),
 ]
+
+# axis-0 coordinates of one-center calls whose strip ranges wrap around
+# the circle or are clipped by the end of the interval
+_EDGE_CENTERS = {"circle": (0.0, 1 - 1e-12), "interval": (0.0, 1.0),
+                 "torus2": (0.0, 1 - 1e-12)}
 
 
 @pytest.mark.parametrize("make_f, make_mu, sided", _KERNEL_CASES)
@@ -80,16 +91,28 @@ def test_kernel_matches_dense_reference(make_f, make_mu, sided):
     mu = make_mu() if make_mu else make_lebesgue(f.space)
     # a center at 0.0 has its window-1 range cut by the end of axis 0
     centers = np.vstack([mu.sample_coords(seed=42, count=6), np.zeros(f.space.dim)])
+    ones = [centers[:1]] + [np.array([[e] + [0.5] * (f.space.dim - 1)])
+                            for e in _EDGE_CENTERS[f.space.kind]]
     # unsorted on purpose; at a largest radius >= 1/2 every pair is a candidate
     for deltas in ([0.1, 0.02, 0.3, 0.05], [0.05, 0.6]):
         want = _dense_counts(f, mu.sample_coords(41, 3000), centers, deltas, sided, 15)
         assert want[:, :, 0].any()
         assert np.array_equal(
             survival_counts(f, mu, 41, 3000, centers, deltas, sided, 15), want)
-        for samples, c in ((1, centers), (3000, centers[:1]), (0, centers)):
+        for samples, c in ((1, centers), (0, centers), *((3000, c) for c in ones)):
             got = survival_counts(f, mu, 41, samples, c, deltas, sided, 15)
             batch = mu.sample_coords(41, samples)
             assert np.array_equal(got, _dense_counts(f, batch, c, deltas, sided, 15))
+    if make_mu is make_denjoy_minimal:
+        # a center mid-gap I_0, at a radius below half the gap: no sample
+        # lies in its strip, so no draw keeps a row
+        d = build_denjoy()
+        c = np.array([[d.left_endpoints[d.N] + d.gap_lengths[d.N] / 2]])
+        deltas = [0.4 * d.gap_lengths[d.N]]
+        got = survival_counts(f, mu, 41, 3000, c, deltas, sided, 15)
+        assert not got.any()
+        assert np.array_equal(
+            got, _dense_counts(f, mu.sample_coords(41, 3000), c, deltas, sided, 15))
 
 
 def _sorted_block(space, rng, centers, r):
@@ -438,20 +461,20 @@ def test_read_ahead_gives_the_serial_counts(case, monkeypatch):
 
 
 def test_read_ahead_error_reaches_the_caller(monkeypatch):
-    # block 2 fails while it is prepared on the pool thread: the caller
-    # gets that exception object, and the pool's thread is gone after
-    f, mu = make_rotation(), make_lebesgue(circle())
+    # block 2 fails while it is drawn on the pool thread: the caller gets
+    # that exception object, and the pool's thread is gone after
+    f, lebesgue = make_rotation(), make_lebesgue(circle())
     _one_share(monkeypatch, 2, 5, 10_000)
-    near_pairs, calls = expansiveness._near_pairs, []
+    calls = []
     error = RuntimeError("block 2 cannot be prepared")
 
-    def spy(*args):
+    def transform(u):
         calls.append(threading.current_thread() is threading.main_thread())
         if len(calls) == 2:
             raise error
-        return near_pairs(*args)
+        return lebesgue.transform(u)
 
-    monkeypatch.setattr(expansiveness, "_near_pairs", spy)
+    mu = measures.MeasureSpec(lebesgue.name, lebesgue.space, transform)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         survival_counts(f, mu, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided", 4)
@@ -460,8 +483,6 @@ def test_read_ahead_error_reaches_the_caller(monkeypatch):
 
     # so is the thread when the caller's kernel fails on block 1 while
     # block 2 is prepared; the one-row forward steps are the center's orbit
-    monkeypatch.setattr(expansiveness, "_near_pairs", near_pairs)
-
     def forward(x):
         if len(x) > 1:
             raise CapabilityError("no forward map")
@@ -469,7 +490,8 @@ def test_read_ahead_error_reaches_the_caller(monkeypatch):
 
     spy_f = SystemSpec(f.name, f.space, forward, f.inverse)
     with pytest.raises(CapabilityError, match="no forward map"):
-        survival_counts(spy_f, mu, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided", 4)
+        survival_counts(spy_f, lebesgue, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided",
+                        4)
     assert threading.active_count() == before
 
 
