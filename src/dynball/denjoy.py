@@ -47,7 +47,7 @@ SQUEEZE = 2.5e-10
 
 def _insertion(orbit_sorted: np.ndarray, gap_cumsum: np.ndarray, t) -> np.ndarray:
     """psi: old circle -> new circle (left endpoint on orbit points)."""
-    t = geo.wrap01(t, out=np.empty(np.shape(t)))
+    t = geo.wrap01(np.array(t, dtype=float))
     idx = np.searchsorted(orbit_sorted, t, side="left")
     return t / 2.0 + gap_cumsum[idx]
 
@@ -75,11 +75,11 @@ class DenjoyConstruction:
         return _insertion(self.orbit_sorted, self.gap_cumsum, t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = geo.wrap01(x, out=np.empty(np.shape(x)))
+        x = geo.wrap01(np.array(x, dtype=float))
         return geo.wrap01(np.interp(x, self.map_x, self.map_y))
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        y = geo.wrap01(y, out=np.empty(np.shape(y)))
+        y = geo.wrap01(np.array(y, dtype=float))
         # lift onto the ordinates' turn in place: y >= +0.0 after wrap01,
         # so the values equal y + (y < y0) without that second array
         np.add(y, 1.0, out=y, where=y < self.map_y[0])
@@ -87,7 +87,7 @@ class DenjoyConstruction:
 
     def staircase(self, x: np.ndarray) -> np.ndarray:
         """h: new circle -> old circle, collapsing every gap to its orbit point."""
-        x = geo.wrap01(x, out=np.empty(np.shape(x)))
+        x = geo.wrap01(np.array(x, dtype=float))
         return geo.wrap01(np.interp(x, self.staircase_x, self.staircase_y))
 
     def arc_mass(self, lo: float, hi: float) -> float:

@@ -87,12 +87,13 @@ _PAIR_BLOCK = 1 << 15
 # and a one-center draw (65,536 rows at radius 0.05) holds only 6.7k
 # pairs.  A 5M-sample one-center rotation count over 20 two-sided
 # windows, reading ahead, with draws cut to the center's strip, took
-# 130 ms and 39.4 MiB peak RSS with every draw its own block, 106 ms and
-# 39.9 MiB at this target (two draws, 13.3k pairs a block; faster in 5 of
-# 6 alternating fresh processes) and 110 ms and 43.1 MiB at 1 << 15
-# (39k pairs); in one process, on one thread, 1.31M samples took 34.2,
-# 30.9 and 33.3 ms (medians of 30 interleaved calls, this target faster
-# than every draw its own block in 30 of 30; 2-vCPU Xeon VM, numpy 2.4).
+# 122 ms and 39.5 MiB peak RSS with every draw its own block, 110 ms and
+# 40.2 MiB at this target (two draws, 13.3k pairs a block; faster in 5 of
+# 6 alternating fresh processes) and 99 ms and 43.3 MiB at 1 << 15 (39k
+# pairs; 3 MiB more for a gain inside the runs' 92-116 ms spread); in
+# one process, on one thread, 1.31M samples took 34.4, 30.8 and 32.9 ms
+# (medians of 30 interleaved calls, this target faster than every draw
+# its own block in 27 of 30; 2-vCPU Xeon VM, numpy 2.4).
 _MERGE_PAIRS = 1 << 13
 
 # a share of _path_counts gets its own thread only when its sample
@@ -116,8 +117,8 @@ _PAIR_FLOOR = 1 << 14
 # against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4),
 # measured when each draw was a kernel block of its own and was sorted
 # whole.  With draws merged and cut to the center's strip, reading ahead
-# took 5.7 against 5.1 ms at 3 draws, 7.3 against 6.5 ms at 4, 11.9
-# against 12.4 ms at 8 and 109 against 126 ms at 77 (medians of 7-60
+# took 5.8 against 5.3 ms at 3 draws, 6.9 against 6.6 ms at 4, 12.0
+# against 12.7 ms at 8 and 109 against 118 ms at 77 (medians of 7-71
 # interleaved calls in one process), so from 3 to about 7 such draws
 # reading ahead now costs more than it saves.  The threshold is kept as
 # it was, with the plan it sets; moving it is a change of its own.  A
@@ -178,12 +179,13 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     call's draw is first cut to that path's axis-0 strip, and only the
     rows kept are sorted); ``_pair_blocks`` merges consecutive draws into
     kernel blocks and ``_advance_pairs`` walks each block's pairs through
-    every window, window 1 included.  Counts are sums over samples, so the order of a
-    block's rows cannot change them.  Sorting pays twice: no (path, draw)
-    distance matrix is built, and a circle homeomorphism keeps each draw's
-    rows in cyclic order, which the kernel's row compaction preserves, so
-    every later map evaluation on them (the gapped circle's ``np.interp``)
-    finds each point's knot next to the last one's.
+    every window, window 1 included.  Counts are sums over samples, so the
+    order of a block's rows cannot change them.  Sorting pays twice: no
+    (path, draw) distance matrix is built, and a circle homeomorphism
+    keeps each draw's rows in cyclic order, which the kernel's row
+    compaction preserves, so every later map evaluation on them (the
+    gapped circle's ``np.interp``) finds each point's knot next to the
+    last one's.
 
     ``_plan`` picks the shares, the rows per draw and the read-ahead.
     Each share's sample indices are walked block by block into its own
@@ -231,13 +233,14 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
     (``_near_pairs``) references (``_compact``).  With one center only the
     rows in its axis-0 strip (``_strip``) can pair, about 2 dmax of the
     draw, so the draw is cut to them, by comparison on the unsorted rows,
-    before it is sorted; on a 1-D space every one of them pairs, so such
-    a draw's pairs are its rows in order.  Consecutive draws are then
-    merged into one block until it holds ``_MERGE_PAIRS`` pairs, or
-    ``_PAIR_BLOCK`` if that is lower (``_merged``), so a block holds less
-    than that target plus one draw's pairs.  A draw at or above the
-    target, as a verdict's or an entropy's are, is a block of its own, and
-    a draw with no pair is in no block.
+    before it is sorted.  Only the ranges that reach [0, 1] are compared,
+    one unless the strip wraps: on a 65,536-row circle draw one range took
+    19 us against 70 us for all three (2-vCPU Xeon VM, numpy 2.4).
+    Consecutive draws are then merged into one block until it holds
+    ``_MERGE_PAIRS`` pairs, or ``_PAIR_BLOCK`` if that is lower
+    (``_merged``), so a block holds less than that target plus one draw's
+    pairs.  A draw at or above the target, as a verdict's or an entropy's
+    are, is a block of its own, and a draw with no pair is in no block.
 
     The whole draw and the old yi are let go before the yield, not held
     while the kernel walks the pairs: the held old yi raised a one-share
@@ -245,13 +248,14 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
     """
     target, parts, held = min(_MERGE_PAIRS, _PAIR_BLOCK), [], 0
     strip = None
-    if len(centers) == 1:
+    if len(centers) == 1:  # its ranges that reach [0, 1], where the rows lie
         lo, hi, _ = _strip(mu.space, centers[:, 0], dmax)
-        strip = list(zip(lo[0], hi[0]))
+        strip = [(a, b) for a, b in zip(lo[0], hi[0]) if a <= 1.0 and b > 0.0]
     for ys in sample_blocks(mu, key, stop, rows, start=start):
         if strip is not None:  # keep the rows in the center's strip
-            y, keep = ys[:, 0], np.zeros(len(ys), dtype=bool)
-            for a, b in strip:
+            y, (a, b), *more = ys[:, 0], *strip
+            keep = (y >= a) & (y < b)
+            for a, b in more:
                 keep |= (y >= a) & (y < b)
             ys = np.compress(keep, ys, axis=0)
             del y, keep
@@ -259,11 +263,8 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
             ys.sort(axis=0)  # a fresh array, so sorted in place
         else:
             ys = np.take(ys, np.argsort(ys[:, 0]), axis=0)  # see _compact
-        if strip is not None and ys.shape[1] == 1:  # each row pairs, in order
-            xi, yi = np.zeros(len(ys), dtype=np.intp), np.arange(len(ys))
-        else:
-            xi, yi = _near_pairs(mu.space, centers, ys, dmax)
-            yi, (ys,) = _compact(yi, ys)
+        xi, yi = _near_pairs(mu.space, centers, ys, dmax)
+        yi, (ys,) = _compact(yi, ys)
         if len(xi):
             parts.append((ys, xi, yi))
             held += len(xi)
@@ -560,8 +561,8 @@ def _compact(idx: np.ndarray, *rows):
     65,536-row draw's 512 KiB table, which glibc maps and faults afresh
     (a 5M-sample one-center decay read 0.386 against 0.360 s and 39.2
     against 38.7 MiB peak RSS, measured before one-center draws were cut
-    to their strip, which now leaves a 1-D one-center draw no row to
-    cut), and binary search made a default entropy, which cuts 175 times,
+    to their strip), and binary search made a default entropy, which cuts
+    175 times,
     slower (55.6 against 52.1 ms; medians of 20 and 12 fresh processes,
     2-vCPU Xeon VM)."""
     mark = np.zeros(len(rows[0]), dtype=bool)

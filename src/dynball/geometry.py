@@ -61,12 +61,8 @@ def torus2() -> SpaceDescriptor:
     return SpaceDescriptor(TORUS2)
 
 
-def wrap01(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Fold x into [0, 1); return the fold.  Without out, x is a float
-    array the caller owns and is folded in place.  With out, a float array
-    of x's shape that is not x, the fold is written there and x, which may
-    be any array-like, is left as it is: a caller that does not own x
-    folds it without copying it first.
+def wrap01(x: np.ndarray) -> np.ndarray:
+    """Fold a float array the caller owns into [0, 1) in place; return it.
 
     Bit for bit the same as ``x % 1.0``, and several times cheaper.  numpy's
     remainder is ``fmod(x, 1.0)``, plus 1.0 when that is negative; fmod
@@ -74,10 +70,8 @@ def wrap01(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``x - floor(x)`` once, to the same double (e.g. -1e-20 gives 1.0 in
     both).  A zero result is +0.0 in both, and NaN or +-inf give NaN.
     """
-    if out is None:
-        x -= np.floor(x)
-        return x
-    return np.subtract(x, np.floor(x, out=out), out=out)
+    x -= np.floor(x)
+    return x
 
 
 def distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
