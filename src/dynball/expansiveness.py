@@ -85,25 +85,21 @@ _PAIR_BLOCK = 1 << 15
 # holds at least this many window-1 pairs (at most _PAIR_BLOCK).  The
 # kernel makes some 25 numpy calls per window whatever the block's size,
 # and a one-center draw (65,536 rows at radius 0.05) holds only 6.7k
-# pairs.  A 5M-sample one-center rotation count over 20 two-sided
-# windows, reading ahead, with draws cut to the center's strip, took
-# 122 ms and 39.5 MiB peak RSS with every draw its own block, 110 ms and
-# 40.2 MiB at this target (two draws, 13.3k pairs a block; faster in 5 of
-# 6 alternating fresh processes) and 99 ms and 43.3 MiB at 1 << 15 (39k
-# pairs; 3 MiB more for a gain inside the runs' 92-116 ms spread); in
-# one process, on one thread, 1.31M samples took 34.4, 30.8 and 32.9 ms
-# (medians of 30 interleaved calls, this target faster than every draw
-# its own block in 27 of 30; 2-vCPU Xeon VM, numpy 2.4).
+# pairs, so a block of two such draws pays that cost half as often.  On
+# one-center rotation counts this target was faster than every draw its
+# own block, and 1 << 15 (39k pairs) held more memory for a gain inside
+# the runs' spread (CHANGES.md, "One-center kernel calls fill their pair
+# budget" and "One-center draws cut to the center's strip";
+# BENCH_27.json).
 _MERGE_PAIRS = 1 << 13
 
 # a share of _path_counts gets its own thread only when its sample
 # block should hold at least this many window-1 candidate pairs.  Below
 # it the pair kernel is bound by the interpreter, not by numpy, and the
-# threads only contend for the interpreter lock.  Rotation counts at
-# radius 0.05 over 20 two-sided windows, 1-20 centers, took 1.71, 1.78,
-# 1.38, 0.89 and 0.77 times as long on two shares as on one at 3.3k,
-# 6.6k, 9.8k, 16.4k and 32.8k expected pairs per share's block (medians
-# of 5, 2-vCPU Xeon VM, Python 3.11, numpy 2.4).  A call below it keeps
+# threads only contend for the interpreter lock: on rotation counts at
+# radius 0.05 two shares were slower than one up to 9.8k expected pairs
+# per share's block and faster from 16.4k (CHANGES.md, "Survival-kernel
+# blocks sized by their expected window-1 pairs").  A call below it keeps
 # one share and uses a spare CPU only to prepare its next block
 # (``_read_ahead``), which holds the interpreter lock far less.
 _PAIR_FLOOR = 1 << 14
@@ -111,18 +107,14 @@ _PAIR_FLOOR = 1 << 14
 # a one-share call of _path_counts reads ahead only when its samples
 # fill at least this many draws.  Preparing the next block on a second
 # thread costs the thread's start and some contention for the
-# interpreter lock; one-center rotation decays at radius 0.05 over 20
-# windows, the first draw prepared on the caller's thread, took 4.5 ms
-# against 4.6 ms serially at 2 draws, 6.2 against 6.9 ms at 3 and 7.4
-# against 8.7 ms at 4 (medians of 57 calls, 2-vCPU Xeon VM, numpy 2.4),
-# measured when each draw was a kernel block of its own and was sorted
-# whole.  With draws merged and cut to the center's strip, reading ahead
-# took 5.8 against 5.3 ms at 3 draws, 6.9 against 6.6 ms at 4, 12.0
-# against 12.7 ms at 8 and 109 against 118 ms at 77 (medians of 7-71
-# interleaved calls in one process), so from 3 to about 7 such draws
-# reading ahead now costs more than it saves.  The threshold is kept as
-# it was, with the plan it sets; moving it is a change of its own.  A
-# default decay's 100k samples fill 2 draws.
+# interpreter lock, which 2 draws did not repay and 3 did when each
+# draw was a kernel block of its own and was sorted whole (CHANGES.md,
+# "Read-ahead on the spare CPU").  With draws merged and cut to the
+# center's strip, reading ahead costs more than it saves from 3 to about
+# 7 draws and pays from about 8 (the FOUND line on ``_AHEAD_BLOCKS`` in
+# CHANGES.md).  The threshold is kept as it was, with the plan it sets;
+# moving it is a change of its own.  A default decay's 100k samples fill
+# 2 draws.
 _AHEAD_BLOCKS = 3
 
 # the open record of recording_kernel, per thread and context
@@ -233,9 +225,10 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
     (``_near_pairs``) references (``_compact``).  With one center only the
     rows in its axis-0 strip (``_strip``) can pair, about 2 dmax of the
     draw, so the draw is cut to them, by comparison on the unsorted rows,
-    before it is sorted.  Only the ranges that reach [0, 1] are compared,
-    one unless the strip wraps: on a 65,536-row circle draw one range took
-    19 us against 70 us for all three (2-vCPU Xeon VM, numpy 2.4).
+    before it is sorted.  Only the ranges that reach [0, 1], where the
+    rows lie, are compared: one unless the strip wraps, a few times faster
+    than all three (CHANGES.md, "One-center draws cut to the center's
+    strip").
     Consecutive draws are then merged into one block until it holds
     ``_MERGE_PAIRS`` pairs, or ``_PAIR_BLOCK`` if that is lower
     (``_merged``), so a block holds less than that target plus one draw's
@@ -243,8 +236,9 @@ def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
     are, is a block of its own, and a draw with no pair is in no block.
 
     The whole draw and the old yi are let go before the yield, not held
-    while the kernel walks the pairs: the held old yi raised a one-share
-    denjoy verdict's tracemalloc peak from 3.9 to 4.3 MiB.
+    while the kernel walks the pairs, so they add nothing to its peak: a
+    held old yi raised a one-share denjoy verdict's ``tracemalloc`` peak
+    (CHANGES.md, "One determinism table").
     """
     target, parts, held = min(_MERGE_PAIRS, _PAIR_BLOCK), [], 0
     strip = None
@@ -472,39 +466,35 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
     Until then dead rows are stepped with the live ones (with one pair a
     row, at most as many again), which costs less than a rank table and
     two gathers every window when pairs die slowly, as on the gapped
-    circle.  A default denjoy verdict on denjoy-minimal took 129 ms
-    compacting after every drop, 117 ms at 3/4 of the pairs, 112 ms at
-    this 1/2 and 114 ms at 1/4 (medians of 20 interleaved calls in one
-    process, 1/2 faster than every drop in 19 of 20; 2-vCPU Xeon VM,
-    numpy 2.4).
+    circle: on a default denjoy verdict on denjoy-minimal this 1/2 was
+    faster than compacting after every drop, at 3/4 or at 1/4 (CHANGES.md,
+    "One-center kernel calls fill their pair budget").
 
     label must be ascending, as the callers' pairs are (grouped by center,
     or all one label), and filtering keeps it so: a label's count is then
     the length of its run, found by ``searchsorted``.  At the largest
     radius every pair left counts, as the drop has already removed the
-    rest, so no mask is built: on a one-center block's 6.5k pairs that
-    took 2.6 us against 21 us for ``np.bincount(label[m <= delta])``
-    (2-vCPU Xeon VM, numpy 2.4).  Those counts change only when a window
-    drops a pair, so they are found again only then: on the rotation no
-    window after the first drops one.
+    rest, so no mask is built: on a one-center block that is an eighth of
+    the time of ``np.bincount(label[m <= delta])`` (CHANGES.md,
+    "Survival-kernel blocks sized by their expected window-1 pairs").
+    Those counts change only when a window drops a pair, so they are found
+    again only then: on the rotation no window after the first drops one.
 
     The gathered points and their distances go to buffers allocated once
     per call, whose prefixes are reused as pairs die.  Fresh temporaries
     of a megabyte or so per window are each mapped and faulted in anew by
-    glibc's allocator: eleven default rotation verdicts in one process
-    (2-vCPU Xeon VM, glibc 2.36, numpy 2.4) took 689k minor page faults
-    and 0.30 s each that way, against 39k and 0.13 s with the buffers.
+    glibc's allocator, which gave a default rotation verdict many times
+    the minor page faults and over twice the time (CHANGES.md, "Sorted
+    sample blocks").
 
     A gather that would copy its source is skipped.  A path of one point,
     a one-center call's, is broadcast against every pair.  When pair j's
     right point is row j of yf, as in a one-center block or the diagonal
     test's pairs, the rows are read as they are; filtering keeps yi
     ascending and compaction then renumbers it to 0, 1, ..., so that
-    holds again after every compaction.  A 1.31M-sample one-center
-    rotation count over 20 two-sided windows, reading ahead, took 70.1 ms
-    gathering, 56.6 ms broadcasting the center and 48.5 ms also reading
-    the rows as they are (medians of 30 interleaved calls in one process,
-    2-vCPU Xeon VM, numpy 2.4).
+    holds again after every compaction.  Each skip made a one-center
+    rotation count faster (CHANGES.md, "One-center kernel calls fill their
+    pair budget").
     """
     dmax = deltas.max(initial=0.0)
     edges = np.arange(counts.shape[1] + 1)  # label p's run is [edges[p], edges[p+1])
@@ -555,16 +545,15 @@ def _compact(idx: np.ndarray, *rows):
     """Keep only the rows idx references; return idx renumbered to them:
     the one row cut, of each draw (``_pair_blocks``) and of the kernel's
     rows (``_advance_pairs``).  Rows are gathered with ``np.take``:
-    indexing a (count, 2) array with an index array is 8-10x slower
-    (65,536 rows, numpy 2.4).  idx is renumbered through a rank table
-    written at the live rows only.  ``np.cumsum(mark)`` writes all of a
-    65,536-row draw's 512 KiB table, which glibc maps and faults afresh
-    (a 5M-sample one-center decay read 0.386 against 0.360 s and 39.2
-    against 38.7 MiB peak RSS, measured before one-center draws were cut
-    to their strip), and binary search made a default entropy, which cuts
-    175 times,
-    slower (55.6 against 52.1 ms; medians of 20 and 12 fresh processes,
-    2-vCPU Xeon VM)."""
+    indexing a (count, 2) array with an index array is several times
+    slower (CHANGES.md, "Follow-up to the sorted-block change").  idx is
+    renumbered through a rank table written at the live rows only.
+    ``np.cumsum(mark)`` writes all of a 65,536-row draw's 512 KiB table,
+    which glibc maps and faults afresh, and binary search costs more on a
+    default entropy, which cuts 175 times a call: a one-center decay and
+    that entropy were each slower than with the rank table (CHANGES.md,
+    "Lane-dense Philox draws" and "One row cut for the survival
+    kernel")."""
     mark = np.zeros(len(rows[0]), dtype=bool)
     mark[idx] = True
     live = np.flatnonzero(mark)  # np.unique(idx) sorts and is far slower

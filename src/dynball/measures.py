@@ -32,7 +32,7 @@ class MeasureSpec:
     # maps uniform draws (count, dim) on [0,1)^dim to sample coordinates;
     # must act per-row so parallel generation stays order-independent, and
     # may overwrite u (sample_coords hands it a fresh draw); its result is
-    # the caller's to modify (survival_counts sorts it in place)
+    # the caller's to modify (expansiveness._pair_blocks sorts it in place)
     transform: Callable[[np.ndarray], np.ndarray]
     ball_oracle: Optional[Callable[[geo.Ball], float]] = None
 

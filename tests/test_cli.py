@@ -44,19 +44,35 @@ def test_decay_writes_three_files(tmp_path, capsys):
         assert 0.08 <= est <= 0.12
 
 
-def test_decay_golden_bytes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    args = ["decay", "--system", "doubling", "--delta", "0.02", "--nmax", "10",
-            "--samples", "20000", "--seed", "3"]
-    assert run(args + ["--out", str(a)]) == 0
-    assert run(args + ["--out", str(b)]) == 0
-    assert (a / "decay.csv").read_bytes() == (b / "decay.csv").read_bytes()
-    assert (a / "decay.json").read_bytes() == (b / "decay.json").read_bytes()
+def _one_center_ahead(meta, rows):
+    # one share, a second thread reading ahead when there is a spare CPU,
+    # and draws merged into kernel blocks of at least 2^13 pairs
+    return ((meta["kernel_shares"], meta["kernel_threads"]) == (1, min(2, meta["nproc"]))
+            and meta["kernel_block_pairs"] >= 2 ** 13)
 
 
+def _share_per_cpu(meta, rows):
+    return min(2, meta["nproc"]) <= meta["kernel_shares"] <= meta["nproc"]
+
+
+def _width(rows, delta):
+    row = next(r for r in rows if float(r["delta"]) == delta)
+    return float(row["ci_high"]) - float(row["ci_low"])
+
+
+# The determinism table: each row is a command, the sha256 of the csv and
+# json it writes at seed 7, and an optional expectation on its meta and csv
+# rows.  Meta expectations are written against the run's own "nproc", so
+# a row holds on any CPU count; CI runs the table again under
+# `taskset -c 0` and with numpy's SIMD kernels switched off, so every
+# digest is checked on all CPUs, on one CPU and on baseline kernels.  To
+# add a row, append (argv, csv digest, json digest, expectation or None)
+# and an id for it below.
+#
 # Each case keeps the id it was first collected under, made of the digests
-# recorded before sample rows became lane-dense: a deliberate byte move
-# re-pins the digests below without renaming the case.
+# recorded when it was added (before sample rows became lane-dense, for
+# the first sixteen): a deliberate byte move re-pins the digests below
+# without renaming the case.
 _PINNED_IDS = [
     "argv0-"
     "612d318bf119a0b940e2c03eeca556c28f0ab2fe4e3d833b19ef2da9231da5e6-98f7f82bb34508454bbc81e59e3ada01a69842a9c29d35eeb363127dfc890277",
@@ -90,73 +106,141 @@ _PINNED_IDS = [
     "93e54485bc57ef4d2ba2b652d8a15d5c053036bc0aa7f7c4c3860bee7c3b90a1-2220194494d6eaa916d92bd821c72713382437123b1520130b8c1fb94cc3ec91",
     "argv15-"
     "36eeb97ad7fc7d529dcad0d372d281a6e3f8a4a07862a86a564615dcffe3a4f4-ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72",
+    "argv16-"
+    "9ab2c9eee8bc9e276192cc36c35be0ee54914b2e7c9768bbf1c9675a1dd9f4cd-41296c7b709dce43c83e3786182c24a3f4f570096b0cc821619f5e59f82c7700",
+    "argv17-"
+    "bddc23b57e313fe88835158050fea46098f7216ee9817093eb582ebd74402e21-42cfa404784e306acd6e8cad8258202b1533d947e724e1e8e330505ed768046d",
+    "argv18-"
+    "e84449e07225e14cd1a07ff4657fb90086350522c14cc0daa6277417b95d02f4-480fe1f9b429ab79f9f5e7b6eef441f54cde7687ddab9b4f2ac0dda51b9918dd",
+    "argv19-"
+    "3c56bd6eee01bbf2402be4442845b0bcc0af05d9eca040c6588d2bcc44974629-354bed0e9b3d9999a1629ab3be7010cf44dc5ee32a8f75248c3654fe3a1458ee",
+    "argv20-"
+    "089d6926ad2649f507797fce977c29a5852b4aa93747046c4abaddca57017b5a-1072e9cbc8a06df6e83a6bb9a9e6a6ce690c0497fab6ff936de769b1b0a7ae2b",
+    "argv21-"
+    "3da8ad5e32d6efe398724393e0b27344f9214828431c26fef8d97a5d37a3241b-ae5264fb6b6f0429fb482738541b70f6b98f6a6136b5b05c53ba0d502d63e031",
+    "argv22-"
+    "e332a5882e36de7579dacc4076a96661c7053efef67fd716888828ddd2e63412-cb45ba2dd8c4a1e5fec313a62994ee1c72b7cd8b58f01c8b4e13e95189c57b1c",
+    "argv23-"
+    "8607adf2d0a9e5b3617e6b25506579d72d4bac6814ddaf6c77e5693a42476aa6-32d8eaaa269c486d40e198ea30b8d9eec7b0b55bdd636f21dcd7df8a2ad17ce5",
+    "argv24-"
+    "c0fe535fdb85e5d329b9b4a36daf1cfa4fdee67476805e9f30945309e1fefd3e-51b1ed97d2ec837f9a144872a35fb406dfa25015723064dc33725f357172623d",
 ]
 
 
-@pytest.mark.parametrize("argv, csv_sha, json_sha", [
+@pytest.mark.parametrize("argv, csv_sha, json_sha, expect", [
     (["decay", "--samples", "20000"],
      "d8a9a18ebb3d9f2990b59e002ff6d66b6f426ba33afa2ce67d6e072fa420d409",
-     "b8254e4238b4ab9a5bc1a80c358a9e9b938fbaaefcda24ccb7748703eba650bb"),
+     "b8254e4238b4ab9a5bc1a80c358a9e9b938fbaaefcda24ccb7748703eba650bb", None),
     (["decay", "--system", "cat", "--samples", "20000"],
      "4ef3fc4258067ec247e16a60970b8ce5fd5f94251216916431ab74403595661c",
-     "ea918077a45ca370d41a448ddce9c1f5339c34c6e50ee65fe2d4a2f7e8f611ab"),
+     "ea918077a45ca370d41a448ddce9c1f5339c34c6e50ee65fe2d4a2f7e8f611ab", None),
     (["verdict", "--samples", "20000"],
      "0fced341c856684bf46e259602524b1fa061d7aeaf68fd5a75323a053b441cd7",
-     "b1d83f996517e33aae267d349930fb5ba1c570266c48747baa8ae1ce43fc4bea"),
+     "b1d83f996517e33aae267d349930fb5ba1c570266c48747baa8ae1ce43fc4bea", None),
     (["entropy", "--samples", "20000"],
      "e3b96039083390f4535c8106094a9dc1a3533bcb18dda8d692569d3686ec2791",
-     "bfd3a686b9d35db8b8e0ac48052caa1048d9b634ae69c8514a99dedb0c380c37"),
+     "bfd3a686b9d35db8b8e0ac48052caa1048d9b634ae69c8514a99dedb0c380c37", None),
     (["generator", "--mc-samples", "20000"],
      "a43954b6d1072fe64ba8d79dabd5c544b90ceb66b41da120baeac25d628a84f0",
-     "fe947c91c159f395e0ae5a9bf56012aa2a27deb34411032a3fb3bf5713984390"),
+     "fe947c91c159f395e0ae5a9bf56012aa2a27deb34411032a3fb3bf5713984390", None),
     # two-sided: the window is iterates -(nmax+1)..nmax, the survival
     # kernel's window nmax + 1
     (["generator", "--system", "rotation", "--mc-samples", "20000"],
      "664df8d49c08806affafd9a39700b5eb08f980529aee0e4b6ef514f464d4ec19",
-     "fc5a818b1895ea03d49f03000dde6af16ba137e25fa04ca7ae7b84866791fd9f"),
+     "fc5a818b1895ea03d49f03000dde6af16ba137e25fa04ca7ae7b84866791fd9f", None),
     (["decay", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
      "1bb85f853f128270477cc30e8b4850d51db2d892dda0681afe461e7d3f1cd5be",
-     "1ca8cbb33188d6a8b63c26de7f395dc16158dc165c7c2f2d31d312e4a2aab5bb"),
+     "1ca8cbb33188d6a8b63c26de7f395dc16158dc165c7c2f2d31d312e4a2aab5bb", None),
     (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--samples", "20000"],
      "177da7a2736088c78f51e8af4430b25faaf1177ede60ced5f8f7fd5c08465ece",
-     "76d812c5936b137e4c3057975832ecf3dabf17353e4fc7e3ca167ec25d13bc11"),
+     "76d812c5936b137e4c3057975832ecf3dabf17353e4fc7e3ca167ec25d13bc11", None),
     # the battery writes no csv
     (["battery", "--cases", "circle1,reddy", "--workers", "1"],
      None,
-     "9de14184b57f394c3e5a48ba1a93c859b029521224dbb0f4f88b4d841dc79406"),
+     "9de14184b57f394c3e5a48ba1a93c859b029521224dbb0f4f88b4d841dc79406", None),
     # the power, diagonal, generator, fraction, entropy-expansive and volume
     # records: a field's name is its json key
     (["battery", "--cases", "pp2,diagonal,pp0,thA,emu-positive,exxx1", "--workers", "1"],
      None,
-     "822f914e66b79692324644abef6c27656153aec45b7bbb6d5c45fa01b883d887"),
+     "822f914e66b79692324644abef6c27656153aec45b7bbb6d5c45fa01b883d887", None),
     # interval spaces
     (["decay", "--system", "tent", "--samples", "20000"],
      "3abd71c5849d616445cde990472da245d33a4f081c41055ac743b16bd3100cdf",
-     "a5da25b3104e11611892d13c1ad6c1367eb33cf5c537af9ea0884e13b0a7f33a"),
+     "a5da25b3104e11611892d13c1ad6c1367eb33cf5c537af9ea0884e13b0a7f33a", None),
     (["verdict", "--system", "interval-square", "--measure", "pushforward:sqrt",
       "--samples", "20000"],
      "7fd04651fdad58cdc4618979cec42ccb49e2952d21011eaf606bb44031f8223b",
-     "f827192cea3a043b4440278a3356287191a0ffb665f80d001feaee678979bcaf"),
+     "f827192cea3a043b4440278a3356287191a0ffb665f80d001feaee678979bcaf", None),
     (["battery", "--cases", "isometry,thD", "--workers", "1"],
      None,
-     "194c552f78f085008565e78c5ce2687bbded6ef8621703f724de66f211c73c67"),
+     "194c552f78f085008565e78c5ce2687bbded6ef8621703f724de66f211c73c67", None),
     # --param with the gapped circle: the minimal measure is built
     # with the system's alpha, and with its N when the system is denjoy
     (["decay", "--system", "rotation", "--param", "alpha=0.4142135623730951",
       "--measure", "denjoy-minimal", "--samples", "20000"],
      "a1eef212cd6d9b696affa3c8d1e36a29fabc5b711833168a92279f24fff9b4b2",
-     "dc568753c102d91faa20da51ee2486e79103a613752cf095681b5ad0dd3fc45d"),
+     "dc568753c102d91faa20da51ee2486e79103a613752cf095681b5ad0dd3fc45d", None),
     (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal", "--param", "N=16",
       "--param", "alpha=0.7182818284590451", "--samples", "20000"],
      "56048ce87d2e2c72c9c365ba6619bb1bd43b52aa04ef325c9e36bdd0eb74aa92",
-     "0feb1f5c5d546afe90ceded6db5fef9df4ab3e4bc2648db0e82cf24a6f7a9b1a"),
+     "0feb1f5c5d546afe90ceded6db5fef9df4ab3e4bc2648db0e82cf24a6f7a9b1a", None),
     # a center 0.001 below the end of the circle: its strip wraps, so a
     # one-center draw keeps rows from both ends of axis 0
     (["decay", "--x", "0.999", "--samples", "20000"],
      "36eeb97ad7fc7d529dcad0d372d281a6e3f8a4a07862a86a564615dcffe3a4f4",
-     "ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72"),
+     "ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72", None),
+    # budgets that fill many draws or several threads: each one-center
+    # decay below reads its next block ahead on a second CPU when there is
+    # one, in one share, and its draws merge into kernel blocks of at least
+    # 2^13 pairs
+    (["decay", "--samples", "2000000"],
+     "9ab2c9eee8bc9e276192cc36c35be0ee54914b2e7c9768bbf1c9675a1dd9f4cd",
+     "41296c7b709dce43c83e3786182c24a3f4f570096b0cc821619f5e59f82c7700",
+     _one_center_ahead),
+    # its strip wraps, so the draws are cut by two ranges
+    (["decay", "--x", "0.999", "--samples", "2000000"],
+     "bddc23b57e313fe88835158050fea46098f7216ee9817093eb582ebd74402e21",
+     "42cfa404784e306acd6e8cad8258202b1533d947e724e1e8e330505ed768046d",
+     _one_center_ahead),
+    # on the torus the strip's rows are cut again in the full metric
+    (["decay", "--system", "cat", "--samples", "500000"],
+     "e84449e07225e14cd1a07ff4657fb90086350522c14cc0daa6277417b95d02f4",
+     "480fe1f9b429ab79f9f5e7b6eef441f54cde7687ddab9b4f2ac0dda51b9918dd",
+     None),
+    # a default generator and a cat-map verdict split their samples into a
+    # share per CPU, two at least when there are two
+    (["generator"],
+     "3c56bd6eee01bbf2402be4442845b0bcc0af05d9eca040c6588d2bcc44974629",
+     "354bed0e9b3d9999a1629ab3be7010cf44dc5ee32a8f75248c3654fe3a1458ee",
+     _share_per_cpu),
+    (["verdict", "--system", "cat"],
+     "089d6926ad2649f507797fce977c29a5852b4aa93747046c4abaddca57017b5a",
+     "1072e9cbc8a06df6e83a6bb9a9e6a6ce690c0497fab6ff936de769b1b0a7ae2b",
+     _share_per_cpu),
+    (["entropy", "--system", "cat", "--delta-grid", "0.2,0.1,0.05"],
+     "3da8ad5e32d6efe398724393e0b27344f9214828431c26fef8d97a5d37a3241b",
+     "ae5264fb6b6f0429fb482738541b70f6b98f6a6136b5b05c53ba0d502d63e031",
+     None),
+    # a default entropy's blocks are sized for about _PAIR_BLOCK window-1
+    # pairs each, whatever the CPU count
+    (["entropy"],
+     "e332a5882e36de7579dacc4076a96661c7053efef67fd716888828ddd2e63412",
+     "cb45ba2dd8c4a1e5fec313a62994ee1c72b7cd8b58f01c8b4e13e95189c57b1c",
+     lambda meta, rows: 0 < meta["kernel_block_pairs"] <= 2 * _PAIR_BLOCK),
+    # the cat map at the default grid: its delta 0.02 probes starve after a
+    # window or two, and the slope fit must then stay wide rather than fit
+    # the starved tail's equal counts to a 4e-6 band
+    (["entropy", "--system", "cat"],
+     "8607adf2d0a9e5b3617e6b25506579d72d4bac6814ddaf6c77e5693a42476aa6",
+     "32d8eaaa269c486d40e198ea30b8d9eec7b0b55bdd636f21dcd7df8a2ad17ce5",
+     lambda meta, rows: _width(rows, 0.02) > 0.05),
+    # a one-sided decay whose counts halve each window
+    (["decay", "--system", "doubling", "--delta", "0.02", "--nmax", "10", "--samples", "20000"],
+     "c0fe535fdb85e5d329b9b4a36daf1cfa4fdee67476805e9f30945309e1fefd3e",
+     "51b1ed97d2ec837f9a144872a35fb406dfa25015723064dc33725f357172623d",
+     None),
 ], ids=_PINNED_IDS)
-def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
+def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha, expect):
     # digests re-recorded when a sample row became `dims` consecutive
     # doubles of the keyed stream and every estimator's batch took a
     # derived key, and the generator rows and the battery row holding pp0
@@ -167,6 +251,11 @@ def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha):
     if csv_sha is not None:
         assert hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((tmp_path / f"{cmd}.json").read_bytes()).hexdigest() == json_sha
+    if expect is not None:
+        meta = json.loads((tmp_path / f"{cmd}.meta.json").read_text())
+        lines = (tmp_path / f"{cmd}.csv").read_text().splitlines()
+        header, *body = (line.split(",") for line in lines if not line.startswith("#"))
+        assert expect(meta, [dict(zip(header, row)) for row in body]), meta
 
 
 def test_capability_exit_code(tmp_path, capsys):
