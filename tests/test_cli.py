@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 
 import pytest
@@ -253,6 +254,10 @@ def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha, expect):
     assert hashlib.sha256((tmp_path / f"{cmd}.json").read_bytes()).hexdigest() == json_sha
     if expect is not None:
         meta = json.loads((tmp_path / f"{cmd}.meta.json").read_text())
+        # the expectations read "nproc", so it must be the affinity mask's
+        # count: under `taskset -c 0` it is 1
+        if hasattr(os, "sched_getaffinity"):
+            assert meta["nproc"] == len(os.sched_getaffinity(0)), meta
         lines = (tmp_path / f"{cmd}.csv").read_text().splitlines()
         header, *body = (line.split(",") for line in lines if not line.startswith("#"))
         assert expect(meta, [dict(zip(header, row)) for row in body]), meta
@@ -400,6 +405,15 @@ def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert {"decay": 50 <= pairs <= 150, "generator": 4000 <= pairs <= 9000,
             "entropy": _PAIR_BLOCK / 2 <= pairs <= 2 * _PAIR_BLOCK,
             }.get(argv[0], pairs > 0), pairs
+
+
+def test_usable_cpus_reads_affinity_mask(monkeypatch):
+    # the affinity mask, not the machine's count, where the platform has one
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 64
 
 
 def test_meta_records_read_ahead(tmp_path, monkeypatch):
