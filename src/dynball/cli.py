@@ -4,8 +4,10 @@ Every data command writes three files into ``--out``: ``<cmd>.csv`` with
 a commented metadata header (version, config echo, seed) and a plain
 header row, ``<cmd>.json`` with the structured result and the same
 config echo, and ``<cmd>.meta.json`` carrying the wall-clock runtime,
-the process's peak RSS and its minor page-fault count, the usable CPUs
-(``nproc``) and the kernel keys of ``expansiveness.recording_kernel``.
+the process's peak RSS and its minor page-fault count, the largest peak
+RSS of its reaped children (the kernel's forked sample shares), the
+usable CPUs (``nproc``) and the kernel keys of
+``expansiveness.recording_kernel``.
 The csv and json files are byte-stable for a fixed config and seed; the
 meta sidecar is the only file whose bytes vary run to run.
 
@@ -223,11 +225,14 @@ _HELP = {"x": "comma-separated center coordinates",
 
 def _usage(kernel: dict) -> dict:
     """Peak RSS (Linux reports ru_maxrss in KiB) and minor page faults of
-    this process so far, the usable CPUs and the record of
+    this process so far, the largest peak RSS of the children it reaped
+    (the kernel's forked shares, and any a launcher reaped before it
+    exec'd this interpreter), the usable CPUs and the record of
     ``recording_kernel``, for the meta sidecar."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return {"peak_rss_mb": ru.ru_maxrss / 1024, "minor_faults": ru.ru_minflt,
-            "nproc": usable_cpus(), **kernel}
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return {"peak_rss_mb": ru.ru_maxrss / 1024, "peak_rss_children_mb": children,
+            "minor_faults": ru.ru_minflt, "nproc": usable_cpus(), **kernel}
 
 
 def _run(command: str, args: argparse.Namespace) -> int:

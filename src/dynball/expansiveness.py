@@ -29,11 +29,11 @@ from window 1 on.
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
 memory does not grow with the budget and the counts equal a whole-batch
-draw's exactly.  How ``_path_counts`` spreads a call over threads
-(sample shares, or reading its next block ahead) and how many rows its
-draws hold is decided in one place, ``_plan``, from the axis-0 strip
-``_near_pairs`` searches, never from a measure's oracle; no count
-depends on it.
+draw's exactly.  How many sample shares ``_path_counts`` splits a call
+into, each after the first in a forked process (``_forked``), and how
+many rows its draws hold is decided in one place, ``_plan``, from the
+axis-0 strip ``_near_pairs`` searches, never from a measure's oracle; no
+count depends on it.
 A kernel block is consecutive draws merged until it holds
 ``_MERGE_PAIRS`` window-1 pairs (``_pair_blocks``), so a narrow call,
 such as a one-center decay, pays the kernel's per-window cost once per
@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -61,7 +62,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import geometry as geo
-from .errors import CapabilityError, SpaceMismatchError
+from .errors import CapabilityError, DynballError, SpaceMismatchError
 from .measures import MeasureSpec, block_rows, sample_blocks
 from .rng import derive_seed
 from .stats import (MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells, check_count, check_grid,
@@ -93,29 +94,16 @@ _PAIR_BLOCK = 1 << 15
 # BENCH_27.json).
 _MERGE_PAIRS = 1 << 13
 
-# a share of _path_counts gets its own thread only when its sample
-# block should hold at least this many window-1 candidate pairs.  Below
-# it the pair kernel is bound by the interpreter, not by numpy, and the
-# threads only contend for the interpreter lock: on rotation counts at
-# radius 0.05 two shares were slower than one up to 9.8k expected pairs
-# per share's block and faster from 16.4k (CHANGES.md, "Survival-kernel
-# blocks sized by their expected window-1 pairs").  A call below it keeps
-# one share and uses a spare CPU only to prepare its next block
-# (``_read_ahead``), which holds the interpreter lock far less.
-_PAIR_FLOOR = 1 << 14
-
-# a one-share call of _path_counts reads ahead only when its samples
-# fill at least this many draws.  Preparing the next block on a second
-# thread costs the thread's start and some contention for the
-# interpreter lock, which 2 draws did not repay and 3 did when each
-# draw was a kernel block of its own and was sorted whole (CHANGES.md,
-# "Read-ahead on the spare CPU").  With draws merged and cut to the
-# center's strip, reading ahead costs more than it saves from 3 to about
-# 7 draws and pays from about 8 (the FOUND line on ``_AHEAD_BLOCKS`` in
-# CHANGES.md).  The threshold is kept as it was, with the plan it sets;
-# moving it is a change of its own.  A default decay's 100k samples fill
-# 2 draws.
-_AHEAD_BLOCKS = 3
+# _path_counts forks a process for each sample share after the first
+# only when every share's samples should hold at least this many window-1
+# candidate pairs in all, expected over the share's whole sample range,
+# not per block.  On one-center decays two shares did not repay the fork
+# and the wait for the child reliably below this, and did above it
+# (CHANGES.md, "Sample shares in forked processes").  A share forks
+# rather than runs on a thread because the kernel's many short numpy
+# calls hand the interpreter lock back and forth: a second thread gained
+# nothing, and a forked share holds a lock of its own (BENCH_32.json).
+_PAIR_FLOOR = 1 << 16
 
 # the open record of recording_kernel, per thread and context
 _record: ContextVar[Optional[dict]] = ContextVar("kernel_record", default=None)
@@ -179,46 +167,120 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     gapped circle's ``np.interp``) finds each point's knot next to the
     last one's.
 
-    ``_plan`` picks the shares, the rows per draw and the read-ahead.
-    Each share's sample indices are walked block by block into its own
-    count array, shares 1.. on pool threads and share 0 on the caller's,
-    and the arrays are summed; a one-share call that reads ahead prepares
-    each next block on the pool (``_read_ahead``).  An exception raised
-    in any share or preparation reaches the caller as it was raised.  The
-    shares, threads and the most pairs any block held go to
-    ``recording_kernel``.
+    ``_plan`` picks the shares and the rows per draw.  Each share's
+    sample indices are walked block by block into its own count array,
+    share 0 in the caller and shares 1.. each in a child process forked
+    for it (``_forked``), and the arrays are summed.  An exception raised
+    in any share reaches the caller with its type and message.  The
+    shares and the most pairs any block held go to ``recording_kernel``.
     """
     fwd, bwd = path
     shape = (len(deltas), fwd.shape[1], len(fwd))
     dmax = deltas.max(initial=0.0)
-    shares, rows, ahead = _plan(samples, shape[1], dmax, math.prod(shape))
+    shares, rows = _plan(samples, shape[1], dmax, math.prod(shape))
 
-    def share(w, pool=None):  # (counts, most pairs in a block) of share w's samples
+    def share(w):  # (counts, most pairs in a block) of share w's samples
         counts, most = np.zeros(shape, dtype=np.int64), 0
-        blocks = _pair_blocks(mu, key, samples * w // shares, samples * (w + 1) // shares,
-                              rows, fwd[0], dmax)
-        for yf, xi, yi in blocks if pool is None else _read_ahead(blocks, pool):
+        for yf, xi, yi in _pair_blocks(mu, key, samples * w // shares,
+                                       samples * (w + 1) // shares, rows, fwd[0], dmax):
             most = max(most, len(xi))
             _advance_pairs(f, deltas, counts, path, yf, xi, yi, xi)
         return counts, most
 
-    threads = shares + ahead
-    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
-        rest = [pool.submit(share, w) for w in range(1, shares)]
-        counts, most = share(0, pool if ahead else None)
-        for done in rest:
-            c, m = done.result()  # re-raises a share's exception as it was
+    with _forked(share, range(1, shares)) as rest:
+        counts, most = share(0)
+        for c, m in rest:
             counts += c
             most = max(most, m)
-    # pool threads do not see this thread's record
-    _note(kernel_shares=shares, kernel_threads=threads, kernel_block_pairs=most)
+    _note(kernel_shares=shares, kernel_block_pairs=most)
     return counts
+
+
+@contextmanager
+def _forked(work, args):
+    """Run work(a) for each a in args, each in a child process forked for
+    it, and yield a generator of their values in the order of args
+    (``_reap``).  A child not yet reaped when the block ends, because
+    the block or a child raised, is killed and reaped then: no child
+    outlives the block.  Forking is the caller's decision (``_plan``)."""
+    live = []  # (pid, read end of its pipe) of the children not yet reaped
+
+    def values():
+        while live:
+            yield _reap(*live.pop(0))
+
+    try:
+        for a in args:
+            live.append(_fork(work, a))
+        yield values()
+    finally:
+        if live:
+            import signal  # only on this failure path: the package never loads it otherwise
+            for pid, fd in live:
+                os.kill(pid, signal.SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
+
+
+def _fork(work, arg):
+    """(pid, fd): a child forked to run work(arg), and the read end of the
+    pipe to which it writes the pickled (True, value) or, if work raised,
+    (False, exception).  The child leaves only by ``os._exit``, so it never
+    returns into the caller's frames, runs no exit handler and flushes no
+    buffer it shares with the parent."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        try:
+            out = True, work(arg)
+        except BaseException as exc:
+            out = False, exc
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception pickle cannot carry: keep its type's name and message
+            data = pickle.dumps((False, DynballError(f"{type(out[1]).__name__}: {out[1]}")))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, fd: int):
+    """The value a child of ``_fork`` sent, read from fd to its end once the
+    child has been reaped.  The exception it sent is raised again, with its
+    type and message, and a child that sent nothing, as one killed by a
+    signal, raises a DynballError."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise DynballError(f"the sample share in process {pid} {how} before it sent its counts")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _pair_blocks(mu: MeasureSpec, key: int, start: int, stop: int, rows: int,
                  centers: np.ndarray, dmax: float):
     """Yield kernel blocks (ys, xi, yi) for rows start..stop of mu's batch
-    under key: yi indexes ys, and xi, ascending, the centers.
+    under key, one share's range (``_path_counts``): yi indexes ys, and
+    xi, ascending, the centers.
 
     The rows are drawn ``rows`` at a time.  Each draw is sorted on axis 0
     and cut to the rows a candidate pair within dmax of the centers
@@ -287,18 +349,6 @@ def _merged(parts):
     return ys, xi, yi
 
 
-def _read_ahead(items, pool):
-    """Yield the items, the first computed on the caller's thread and each
-    next one on ``pool`` while the caller works on the one before.  An
-    exception raised while preparing reaches the caller as it was raised;
-    the pool's owner waits for the item in preparation, if any."""
-    item = next(items, None)
-    while item is not None:
-        nxt = pool.submit(next, items, None)
-        yield item
-        item = nxt.result()
-
-
 def _orbit(f: SystemSpec, x: np.ndarray, n_max: int, two: bool):
     """(fwd, bwd) with fwd[n-1] = f^(n-1)(x) and, two-sided, bwd[n-1] =
     f^-n(x) for n = 1..n_max; bwd is None one-sided."""
@@ -324,53 +374,48 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _plan(samples: int, width: int, dmax: float, cells: int) -> tuple[int, int, bool]:
-    """(shares, rows, ahead): how ``_path_counts`` spends threads and
-    memory on ``samples`` samples, ``width`` paths, largest radius dmax
-    and a count array of ``cells`` cells.  The one statement of its
-    thread policy:
+def _may_fork() -> bool:
+    """Whether ``_path_counts`` may fork its shares: only on Linux, from the
+    main thread, with no other Python thread alive.  A forked child holds
+    only the thread that forked it, so a lock another thread held at the
+    fork, such as a battery worker's, would stay held in the child."""
+    return (sys.platform.startswith("linux") and threading.active_count() == 1
+            and threading.current_thread() is threading.main_thread())
+
+
+def _plan(samples: int, width: int, dmax: float, cells: int) -> tuple[int, int]:
+    """(shares, rows): how ``_path_counts`` spends processes and memory on
+    ``samples`` samples, ``width`` paths, largest radius dmax and a count
+    array of ``cells`` cells.  The one statement of its share policy:
 
     - rows: a draw holds about ``_PAIR_BLOCK`` window-1 pairs, estimated
       before drawing as rows x width x min(1, 2 dmax), the axis-0 strip
       ``_near_pairs`` searches on every space (no oracle is read), and
-      never more than 1/shares of ``measures.block_rows(width)``, the
-      bound when the measure is concentrated near the centers.  A kernel
-      block is consecutive draws merged until it holds ``_MERGE_PAIRS``
-      pairs (``_pair_blocks``), so it holds less than ``_MERGE_PAIRS``
-      more than its largest draw.  The pairs in flight across all
-      threads are then about shares x ``_PAIR_BLOCK`` whatever the
-      centers and radius;
+      never more than ``measures.block_rows(width)``, the bound when the
+      measure is concentrated near the centers.  A kernel block is
+      consecutive draws merged until it holds ``_MERGE_PAIRS`` pairs
+      (``_pair_blocks``), so it holds less than ``_MERGE_PAIRS`` more
+      than its largest draw.  The pairs in flight in each share's process
+      are then about ``_PAIR_BLOCK`` whatever the centers and radius;
     - shares: the samples split into up to ``usable_cpus()`` contiguous
-      shares, each on its own thread (the caller's runs share 0), as long
-      as each share's block should hold ``_PAIR_FLOOR`` pairs and the
-      shares' count arrays together stay within ``stats.MAX_CELLS``.
-      Below that floor the kernel is bound by the interpreter, so a
-      one-center decay keeps one share;
-    - a call from any thread but the main one, such as a battery worker,
-      takes one share and no read-ahead, so pools never nest;
-    - ahead: a one-share call with a spare CPU whose samples fill
-      ``_AHEAD_BLOCKS`` draws or more prepares kernel block k+1 (draws,
-      sorts, pairs and merges it) on one pool thread while the caller's
-      thread counts block k.  That preparation is a few long numpy calls
-      that release the interpreter lock, so it does not contend with the
-      kernel's many short ones as a second share would.  At most one
-      block is prepared ahead.
+      shares, share 0 in the caller and each other in a forked process,
+      as long as every share's samples should hold ``_PAIR_FLOOR``
+      window-1 pairs in all and the shares' count arrays together stay
+      within ``stats.MAX_CELLS``.  Below that floor a fork costs more
+      than it saves, so a default one-center decay keeps one share;
+    - where ``_may_fork`` says no (off Linux, off the main thread, or
+      with another thread alive, as in a battery worker), one share.
 
-    Integer sums do not depend on the split, and the blocks and their
-    order are the serial ones, so no count depends on the plan."""
-    cpus = usable_cpus() if threading.current_thread() is threading.main_thread() else 1
-    cap = block_rows(width)
+    Integer sums do not depend on the split, and each share's blocks and
+    their order are the serial ones, so no count depends on the plan."""
     per_row = width * min(1.0, 2.0 * dmax)  # the axis-0 strip of _near_pairs
-
-    def rows(w):
-        r = max(1, cap // w)
-        return r if r * per_row <= _PAIR_BLOCK else max(1, math.ceil(_PAIR_BLOCK / per_row))
-
-    w = cpus if dmax > 0 else 1
-    while w > 1 and (w * cells > MAX_CELLS
-                     or min(rows(w), -(-samples // w)) * per_row < _PAIR_FLOOR):
+    rows = block_rows(width)
+    if rows * per_row > _PAIR_BLOCK:
+        rows = max(1, math.ceil(_PAIR_BLOCK / per_row))
+    w = usable_cpus() if dmax > 0 and _may_fork() else 1
+    while w > 1 and (w * cells > MAX_CELLS or samples // w * per_row < _PAIR_FLOOR):
         w -= 1
-    return w, rows(w), w == 1 and cpus > 1 and samples > (_AHEAD_BLOCKS - 1) * rows(1)
+    return w, rows
 
 
 def _note(**values: int) -> None:
@@ -386,12 +431,11 @@ def recording_kernel():
     """Yield a dict that ends holding, over the ``_path_counts`` calls
     (``survival_counts`` and ``generator_check``) made on this thread
     inside the block used, the most shares one call used
-    (``kernel_shares``), the most threads (``kernel_threads``: its
-    shares, plus one when it read ahead) and the most window-1 candidate
-    pairs one block handed to the pair kernel (``kernel_block_pairs``,
-    each share's blocks and ``product_diagonal_test``'s included); each 0
-    when there was none."""
-    seen = dict.fromkeys(("kernel_shares", "kernel_threads", "kernel_block_pairs"), 0)
+    (``kernel_shares``: processes, the caller's and the forked ones) and
+    the most window-1 candidate pairs one block handed to the pair kernel
+    (``kernel_block_pairs``, each share's blocks and
+    ``product_diagonal_test``'s included); each 0 when there was none."""
+    seen = dict.fromkeys(("kernel_shares", "kernel_block_pairs"), 0)
     token = _record.set(seen)
     try:
         yield seen
@@ -532,7 +576,9 @@ def _advance_pairs(f: SystemSpec, deltas: np.ndarray, counts: np.ndarray, orbit,
             widen(bwd[n - 1], yb)
         keep = m <= dmax
         if not keep.all():
-            xi, yi, label, m = xi[keep], yi[keep], label[keep], m[keep]
+            same = label is xi  # as _path_counts passes them: compress once
+            xi, yi, m = xi[keep], yi[keep], m[keep]
+            label = xi if same else label[keep]
             alive = None
         if alive is None:
             alive = np.diff(np.searchsorted(label, edges))

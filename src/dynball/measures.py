@@ -49,8 +49,8 @@ _BLOCK = 1 << 16
 
 def block_rows(width: int = 1) -> int:
     """The most rows a block may hold: min(_BLOCK, 32 * _BLOCK // width),
-    at least one.  ``expansiveness._plan`` splits it among threads and
-    narrows it to the survival kernel's pair budget."""
+    at least one.  ``expansiveness._plan`` narrows it to the survival
+    kernel's pair budget."""
     return max(1, min(_BLOCK, 32 * _BLOCK // max(width, 1)))
 
 

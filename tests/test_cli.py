@@ -45,10 +45,10 @@ def test_decay_writes_three_files(tmp_path, capsys):
         assert 0.08 <= est <= 0.12
 
 
-def _one_center_ahead(meta, rows):
-    # one share, a second thread reading ahead when there is a spare CPU,
-    # and draws merged into kernel blocks of at least 2^13 pairs
-    return ((meta["kernel_shares"], meta["kernel_threads"]) == (1, min(2, meta["nproc"]))
+def _one_center_split(meta, rows):
+    # two shares, the second forked, when there is a second CPU, and draws
+    # merged into kernel blocks of at least 2^13 pairs
+    return (meta["kernel_shares"] == min(2, meta["nproc"])
             and meta["kernel_block_pairs"] >= 2 ** 13)
 
 
@@ -190,19 +190,18 @@ _PINNED_IDS = [
     (["decay", "--x", "0.999", "--samples", "20000"],
      "36eeb97ad7fc7d529dcad0d372d281a6e3f8a4a07862a86a564615dcffe3a4f4",
      "ebda4a3bada4a72b9a32b025d7f5f7152a62440f1096358bd56fee1f173f1c72", None),
-    # budgets that fill many draws or several threads: each one-center
-    # decay below reads its next block ahead on a second CPU when there is
-    # one, in one share, and its draws merge into kernel blocks of at least
-    # 2^13 pairs
+    # budgets that fill many draws or several shares: each one-center
+    # decay below forks a second share when there is a second CPU, and its
+    # draws merge into kernel blocks of at least 2^13 pairs
     (["decay", "--samples", "2000000"],
      "9ab2c9eee8bc9e276192cc36c35be0ee54914b2e7c9768bbf1c9675a1dd9f4cd",
      "41296c7b709dce43c83e3786182c24a3f4f570096b0cc821619f5e59f82c7700",
-     _one_center_ahead),
+     _one_center_split),
     # its strip wraps, so the draws are cut by two ranges
     (["decay", "--x", "0.999", "--samples", "2000000"],
      "bddc23b57e313fe88835158050fea46098f7216ee9817093eb582ebd74402e21",
      "42cfa404784e306acd6e8cad8258202b1533d947e724e1e8e330505ed768046d",
-     _one_center_ahead),
+     _one_center_split),
     # on the torus the strip's rows are cut again in the full metric
     (["decay", "--system", "cat", "--samples", "500000"],
      "e84449e07225e14cd1a07ff4657fb90086350522c14cc0daa6277417b95d02f4",
@@ -390,13 +389,9 @@ def test_meta_records_peak_rss_and_faults(tmp_path, argv):
     assert meta["nproc"] == usable_cpus() >= 1
     shares = {"decay": {1}, "generator": {1}}.get(argv[0], range(1, meta["nproc"] + 1))
     assert meta["kernel_shares"] in shares
-    # a call's threads are its shares, or two when it reads ahead; the
-    # decay's 1000 samples fill one block, so it does not
-    threads = meta["kernel_threads"]
-    assert isinstance(threads, int)
-    assert meta["kernel_shares"] <= threads <= max(meta["kernel_shares"], min(2, meta["nproc"]))
-    if argv[0] in ("decay", "generator"):
-        assert threads == meta["kernel_shares"]
+    assert "kernel_threads" not in meta
+    # forked shares are children, whose peak is read apart
+    assert meta["peak_rss_children_mb"] >= 0
     # 1000 samples near one center are ~100 pairs, and near 32 sequences'
     # first cover balls of radius 0.1 ~6400; an entropy block is sized for
     # about _PAIR_BLOCK of them whatever the CPU count
@@ -416,20 +411,20 @@ def test_usable_cpus_reads_affinity_mask(monkeypatch):
     assert usable_cpus() == 64
 
 
-def test_meta_records_read_ahead(tmp_path, monkeypatch):
-    # a one-center decay over several blocks takes one share and, with a
-    # spare CPU, reads ahead on a second thread; the bytes are the same
-    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 2)
-    argv = ["decay", "--samples", "200000", "--nmax", "5"]
-    assert run(argv + ["--out", str(tmp_path / "two")]) == 0
-    meta = json.loads((tmp_path / "two" / "decay.meta.json").read_text())
-    assert (meta["kernel_shares"], meta["kernel_threads"]) == (1, 2)
-    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 1)
-    assert run(argv + ["--out", str(tmp_path / "one")]) == 0
-    meta = json.loads((tmp_path / "one" / "decay.meta.json").read_text())
-    assert (meta["kernel_shares"], meta["kernel_threads"]) == (1, 1)
-    for name in ("decay.csv", "decay.json"):
-        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+def test_meta_records_children_peak_rss(tmp_path, monkeypatch):
+    # a verdict on two CPUs forks its second share, whose peak RSS is its
+    # own and is read from the reaped children: a forked child's resident
+    # set starts with the pages it shares with the caller, over 10 MiB with
+    # numpy loaded; the bytes are the one share's
+    argv = ["verdict", "--samples", "100000", "--nmax", "5"]
+    for cpus in (2, 1):
+        monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
+        assert run(argv + ["--out", str(tmp_path / str(cpus))]) == 0
+        meta = json.loads((tmp_path / str(cpus) / "verdict.meta.json").read_text())
+        assert meta["kernel_shares"] == cpus
+        assert meta["peak_rss_children_mb"] > 10
+    for name in ("verdict.csv", "verdict.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_battery_json_stable_across_runs(tmp_path):

@@ -1,14 +1,18 @@
+import os
 import re
+import shutil
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from dynball import (Ball, CapabilityError, Point, SpaceMismatchError, bk_entropy,
-                     build_denjoy, circle,
+from dynball import (Ball, CapabilityError, DynballError, Point, SpaceMismatchError,
+                     bk_entropy, build_denjoy, circle,
                      converging_semiorbit_fraction, decay_series, distance,
                      expansiveness_verdict, generator_check, interval, make_ball_cover,
                      make_cat, make_denjoy, make_denjoy_minimal, make_dirac, make_doubling,
@@ -269,8 +273,8 @@ def test_rows_compacted_once_half_the_pairs_died(make_f, make_mu, sided, most, m
 
 
 def _force_shares(monkeypatch, cpus):
-    """Make survival_counts split its samples over ``cpus`` threads on the
-    main thread, however few pairs its blocks hold."""
+    """Make survival_counts split its samples into ``cpus`` shares, each
+    after the first in a forked process, however few pairs they hold."""
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 0)
 
@@ -282,7 +286,7 @@ def _force_shares(monkeypatch, cpus):
     (make_cat, None, "two_sided", [0.1]),
     (make_doubling, None, "one_sided", [0.1, 0.05, 0.02]),
 ], ids=["rotation", "denjoy", "tent", "cat", "radius-grid"])
-def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch):
+def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch, tmp_path):
     # 100,003 is no multiple of a block, and splits unevenly in two and
     # three; some share starts inside a counter block: 33,334 is 2 mod 4
     # rows on one axis, 50,001 is odd with two rows a counter on the torus
@@ -293,11 +297,11 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
     assert any(samples * w // cpus % per for cpus in (2, 3) for w in range(1, cpus))
     stream = Generator(Philox(key=62)).random(samples * dims).reshape(samples, dims)
     centers = mu.sample_coords(seed=61, count=5)
-    drawn = []
+    drawn = tmp_path / "drawn"  # a forked share's draws are read back from files
 
     def spy(key, start, count, width):
         u = uniform_block(key, start, count, width)
-        drawn.append((start, u.copy()))  # the kernel sorts its block in place
+        np.save(drawn / f"{start}.npy", u)  # before the kernel sorts its block in place
         return u
 
     monkeypatch.setattr(measures, "uniform_block", spy)
@@ -310,7 +314,8 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
         monkeypatch.setattr(expansiveness, "_PAIR_BLOCK", budget)
         for cpus in (1, 2, 3):
             _force_shares(monkeypatch, cpus)
-            drawn.clear()
+            shutil.rmtree(drawn, ignore_errors=True)
+            drawn.mkdir()
             with expansiveness.recording_kernel() as seen:
                 got[budget, cpus] = survival_counts(f, mu, 62, samples, centers, deltas,
                                                     sided, 12)
@@ -318,8 +323,9 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
             pairs = seen["kernel_block_pairs"]
             assert 0 < pairs <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
             # every share's rows, in index order, are the keyed stream's rows
+            starts = sorted(int(p.stem) for p in drawn.iterdir())
             assert np.array_equal(
-                np.concatenate([u for _, u in sorted(drawn, key=lambda d: d[0])]), stream)
+                np.concatenate([np.load(drawn / f"{s}.npy") for s in starts]), stream)
     want = got[default, 1]
     assert want[:, :, 0].any()
     for key, counts in got.items():
@@ -327,23 +333,128 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
 
 
 def test_share_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
-    # a share on a pool thread raises; its exception is the caller's, with
-    # its type, and the CLI exits 3 for a capability error as it always has
-    rot = make_rotation()
+    # a forked share raises; its exception is the caller's, with its type
+    # and message, and the CLI exits 3 for a capability error as it always has
+    rot, caller = make_rotation(), os.getpid()
 
     def forward(x):
-        if threading.current_thread() is not threading.main_thread():
-            raise CapabilityError("no forward map off the main thread")
+        if os.getpid() != caller:
+            raise CapabilityError("no forward map in a forked share")
         return rot.forward(x)
 
     spy = SystemSpec(rot.name, rot.space, forward, rot.inverse)
     _force_shares(monkeypatch, 2)
     mu = make_lebesgue(circle())
-    with pytest.raises(CapabilityError, match="off the main thread"):
+    with pytest.raises(CapabilityError, match="^no forward map in a forked share$"):
         survival_counts(spy, mu, 1, 10_000, mu.sample_coords(2, 5), [0.05], "two_sided", 3)
+    _assert_no_child()
+
+    class LocalError(Exception):  # a local class: pickle cannot carry it
+        pass
+
+    def local_forward(x):
+        if os.getpid() != caller:
+            raise LocalError("raised in a share")
+        return rot.forward(x)
+
+    local = SystemSpec(rot.name, rot.space, local_forward, rot.inverse)
+    with pytest.raises(DynballError, match="^LocalError: raised in a share$"):
+        survival_counts(local, mu, 1, 10_000, mu.sample_coords(2, 5), [0.05], "two_sided", 3)
+    _assert_no_child()
     monkeypatch.setattr(cli, "get_system", lambda name, params: spy)
     assert cli.main(["verdict", "--samples", "10000", "--out", str(tmp_path)]) == 3
-    assert "capability error: no forward map off the main thread" in capsys.readouterr().err
+    assert "capability error: no forward map in a forked share" in capsys.readouterr().err
+    _assert_no_child()
+
+
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_call_kills_and_reaps_its_shares(monkeypatch):
+    # the caller's own share raises while a forked share is still running:
+    # that share is killed and reaped before the error reaches the caller,
+    # not waited for; so is the last of three shares when share 1 raises
+    rot, mu, caller = make_rotation(), make_lebesgue(circle()), os.getpid()
+    forked, fork = [], os.fork  # in share k's process: k - 1 pids, then 0
+
+    def spy_fork():
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    centers = mu.sample_coords(2, 5)
+    for cpus, failing in ((2, "caller"), (3, "share 1")):
+        def forward(x):
+            share = "caller" if os.getpid() == caller else f"share {len(forked)}"
+            if len(x) > len(centers):  # a sample step, not the centers' orbit
+                if share == failing:
+                    raise RuntimeError(f"{share} failed")
+                if share != "caller":
+                    time.sleep(60)  # still running when the call fails
+            return rot.forward(x)
+
+        spy = SystemSpec(rot.name, rot.space, forward, rot.inverse)
+        _force_shares(monkeypatch, cpus)
+        forked.clear()
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            survival_counts(spy, mu, 1, 10_000, centers, [0.05], "two_sided", 3)
+        assert time.perf_counter() - t0 < 30 and len(forked) == cpus - 1
+        _assert_no_child()
+
+
+def test_share_leaves_by_os_exit(monkeypatch, tmp_path):
+    # a forked share leaves by os._exit once it has sent its counts or its
+    # exception, even SystemExit, which would otherwise unwind into the
+    # caller's frames in the child
+    rot, mu, caller = make_rotation(), make_lebesgue(circle()), os.getpid()
+    centers = mu.sample_coords(2, 5)
+    exits, leave = tmp_path / "exits", os._exit
+
+    def spy_exit(status):
+        with open(exits, "a") as out:
+            out.write(f"{os.getpid()} {status}\n")
+        leave(status)
+
+    def forward(x):
+        if os.getpid() != caller and len(x) > len(centers):
+            raise SystemExit(5)
+        return rot.forward(x)
+
+    monkeypatch.setattr(os, "_exit", spy_exit)
+    _force_shares(monkeypatch, 2)
+    want = survival_counts(rot, mu, 1, 10_000, centers, [0.05], "two_sided", 3)
+    spy = SystemSpec(rot.name, rot.space, forward, rot.inverse)
+    with pytest.raises(SystemExit) as raised:
+        survival_counts(spy, mu, 1, 10_000, centers, [0.05], "two_sided", 3)
+    assert raised.value.code == 5
+    lines = exits.read_text().splitlines()
+    assert len(lines) == 2 and all(line.endswith(" 0") for line in lines)
+    assert str(caller) not in {line.split()[0] for line in lines}
+    assert want[0, :, -1].any()
+    _assert_no_child()
+
+
+def test_share_killed_by_a_signal(monkeypatch):
+    # a share that dies without sending its counts is a package error
+    # naming the signal, and leaves no child behind
+    rot, caller = make_rotation(), os.getpid()
+
+    def forward(x):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rot.forward(x)
+
+    spy = SystemSpec(rot.name, rot.space, forward, rot.inverse)
+    _force_shares(monkeypatch, 2)
+    mu = make_lebesgue(circle())
+    with pytest.raises(DynballError, match=r"^the sample share in process \d+ was killed by "
+                                           rf"signal {int(signal.SIGKILL)} before"):
+        survival_counts(spy, mu, 1, 10_000, mu.sample_coords(2, 5), [0.05], "two_sided", 3)
+    _assert_no_child()
 
 
 def test_shares_chosen_from_the_input(monkeypatch):
@@ -361,21 +472,23 @@ def test_shares_chosen_from_the_input(monkeypatch):
 
 # (samples, centers, largest radius, count-array cells) of the kernel
 # calls the benchmark makes, and the plan _plan gives them, (shares, rows
-# per block, read-ahead), on 1, 2 and 4 usable CPUs.  W count arrays must
-# fit under MAX_CELLS: a verdict with that many cells reads ahead instead
+# per draw), on 1, 2 and 4 usable CPUs.  Every share must hold
+# _PAIR_FLOOR expected window-1 pairs (a default verdict's 100k samples
+# make three shares of 66.7k, not four of 50k), and W count arrays must fit
+# under MAX_CELLS: a verdict with that many cells takes one share
 _PLANS = [
     ("decay", (100_000, 1, 0.05, 20),
-     {1: (1, 65536, False), 2: (1, 65536, False), 4: (1, 65536, False)}),
+     {1: (1, 65536), 2: (1, 65536), 4: (1, 65536)}),
     ("decay-5m", (5_000_000, 1, 0.05, 20),
-     {1: (1, 65536, False), 2: (1, 65536, True), 4: (1, 65536, True)}),
+     {1: (1, 65536), 2: (2, 65536), 4: (4, 65536)}),
     ("verdict", (100_000, 20, 0.05, 20 * 30),
-     {1: (1, 16384, False), 2: (2, 16384, False), 4: (4, 16384, False)}),
+     {1: (1, 16384), 2: (2, 16384), 4: (3, 16384)}),
     ("verdict-halfgap", (100_000, 20, build_denjoy().smallest_gap / 2, 20 * 30),
-     {1: (1, 65536, False), 2: (1, 65536, False), 4: (1, 65536, False)}),
+     {1: (1, 65536), 2: (1, 65536), 4: (1, 65536)}),
     ("entropy", (100_000, 30, 0.1, 3 * 30 * 14),
-     {1: (1, 5462, False), 2: (2, 5462, False), 4: (4, 5462, False)}),
+     {1: (1, 5462), 2: (2, 5462), 4: (4, 5462)}),
     ("verdict-max-cells", (100_000, 20, 0.05, MAX_CELLS),
-     {1: (1, 16384, False), 2: (1, 16384, True), 4: (1, 16384, True)}),
+     {1: (1, 16384), 2: (1, 16384), 4: (1, 16384)}),
 ]
 
 
@@ -384,17 +497,17 @@ def test_plan_on_the_benchmark_shapes(cpus, monkeypatch):
     monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
     for name, shape, plans in _PLANS:
         assert expansiveness._plan(*shape) == plans[cpus], name
-    # off the main thread: one share and no read-ahead, so pools never nest
+    # off the main thread: one share, so no thread forks
     out = []
     worker = threading.Thread(
         target=lambda: out.append(expansiveness._plan(5_000_000, 1, 0.05, 20)))
     worker.start()
     worker.join(timeout=60)
-    assert out == [(1, 65536, False)]
+    assert out == [(1, 65536)]
 
 
 def test_thread_caller_takes_one_share(monkeypatch):
-    # no pool inside a pool: the battery's workers run their kernels serially
+    # no fork from a thread: the battery's workers run their kernels serially
     _force_shares(monkeypatch, 2)
     f, mu = make_rotation(), make_lebesgue(circle())
     out = {}
@@ -415,12 +528,11 @@ def test_thread_caller_takes_one_share(monkeypatch):
                                                          [0.05], "two_sided", 3))
 
 
-def _one_share(monkeypatch, cpus, blocks, samples):
-    """Make survival_counts take one share on ``cpus`` usable CPUs and walk
-    its ``samples`` in ``blocks`` blocks: the row cap ``measures.block_rows``
-    is set to a ``blocks``-th of the samples, no pair budget narrows it,
-    and the merge target of one pair makes every draw its own block."""
-    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: cpus)
+def _one_share(monkeypatch, blocks, samples):
+    """Make survival_counts take one share and walk its ``samples`` in
+    ``blocks`` blocks: the row cap ``measures.block_rows`` is set to a
+    ``blocks``-th of the samples, no pair budget narrows it, and the merge
+    target of one pair makes every draw its own block."""
     monkeypatch.setattr(expansiveness, "_PAIR_FLOOR", 1 << 62)
     monkeypatch.setattr(expansiveness, "_PAIR_BLOCK", 1 << 62)
     monkeypatch.setattr(expansiveness, "_MERGE_PAIRS", 1)
@@ -428,104 +540,60 @@ def _one_share(monkeypatch, cpus, blocks, samples):
 
 
 @pytest.mark.parametrize("case", _SPACE_CASES)
-def test_read_ahead_gives_the_serial_counts(case, monkeypatch):
-    # with a spare CPU, one share over enough blocks prepares each next
-    # block on a pool thread
+def test_two_shares_give_the_serial_counts(case, monkeypatch):
+    # on every space and side, a count split between the caller and a
+    # forked share equals the one-share count, over one block or several
     make_f, sided = _SPACE_CASES[case]
     f = make_f()
     mu = make_lebesgue(f.space)
     centers = mu.sample_coords(seed=71, count=3)
     samples = 5003
-    prepared_on = []
-    near_pairs = expansiveness._near_pairs
-
-    def spy(*args):
-        prepared_on.append(threading.current_thread() is threading.main_thread())
-        return near_pairs(*args)
-
-    monkeypatch.setattr(expansiveness, "_near_pairs", spy)
     for blocks in (1, 2, 3, 5):
-        _one_share(monkeypatch, 1, blocks, samples)
+        _one_share(monkeypatch, blocks, samples)
         want = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
         assert want[:, :, 0].any()
-        _one_share(monkeypatch, 2, blocks, samples)
-        prepared_on.clear()
+        _force_shares(monkeypatch, 2)
         with expansiveness.recording_kernel() as seen:
             got = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
+        assert seen["kernel_shares"] == 2
         assert np.array_equal(got, want), blocks
-        # the first block is prepared on the caller's thread, and two
-        # blocks are too few to read ahead
-        ahead = blocks >= expansiveness._AHEAD_BLOCKS
-        assert seen["kernel_shares"] == 1 and seen["kernel_threads"] == (2 if ahead else 1)
-        assert prepared_on == [True] + [not ahead] * (blocks - 1)
 
 
-def test_read_ahead_error_reaches_the_caller(monkeypatch):
-    # block 2 fails while it is drawn on the pool thread: the caller gets
-    # that exception object, and the pool's thread is gone after
-    f, lebesgue = make_rotation(), make_lebesgue(circle())
-    _one_share(monkeypatch, 2, 5, 10_000)
-    calls = []
-    error = RuntimeError("block 2 cannot be prepared")
-
-    def transform(u):
-        calls.append(threading.current_thread() is threading.main_thread())
-        if len(calls) == 2:
-            raise error
-        return lebesgue.transform(u)
-
-    mu = measures.MeasureSpec(lebesgue.name, lebesgue.space, transform)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as raised:
-        survival_counts(f, mu, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided", 4)
-    assert raised.value is error and calls == [True, False]
-    assert threading.active_count() == before
-
-    # so is the thread when the caller's kernel fails on block 1 while
-    # block 2 is prepared; the one-row forward steps are the center's orbit
-    def forward(x):
-        if len(x) > 1:
-            raise CapabilityError("no forward map")
-        return f.forward(x)
-
-    spy_f = SystemSpec(f.name, f.space, forward, f.inverse)
-    with pytest.raises(CapabilityError, match="no forward map"):
-        survival_counts(spy_f, lebesgue, 73, 10_000, np.array([[0.3]]), [0.05], "two_sided",
-                        4)
-    assert threading.active_count() == before
-
-
-def test_read_ahead_only_on_the_main_thread_over_blocks(monkeypatch):
-    # a call from a worker thread, or with one block or two, starts no thread
+def test_fork_only_from_a_lone_main_thread(monkeypatch):
+    # with another thread alive, or off Linux, a call takes one share and
+    # forks nothing; alone on the main thread it forks its second share
     f, mu = make_rotation(), make_lebesgue(circle())
-    centers = np.array([[0.3]])
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
+    centers = mu.sample_coords(4, 5)
     want = survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6)
-    monkeypatch.setattr(expansiveness, "ThreadPoolExecutor", no_pool)
-    for blocks in (1, 2):
-        _one_share(monkeypatch, 2, blocks, 10_000)
+    fork, forked = os.fork, []
+
+    def spy_fork():
+        forked.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    _force_shares(monkeypatch, 2)
+
+    def shares():
         with expansiveness.recording_kernel() as seen:
-            assert np.array_equal(
-                survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6), want)
-        assert seen["kernel_threads"] == 1
+            got = survival_counts(f, mu, 74, 10_000, centers, [0.05], "two_sided", 6)
+        assert np.array_equal(got, want)
+        return seen["kernel_shares"]
 
-    _one_share(monkeypatch, 2, 5, 10_000)
-    out = {}
-
-    def call():
-        with expansiveness.recording_kernel() as seen:
-            out["counts"] = survival_counts(f, mu, 74, 10_000, centers, [0.05],
-                                            "two_sided", 6)
-        out["seen"] = seen["kernel_threads"]
-
-    worker = threading.Thread(target=call)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert out["seen"] == 1 and np.array_equal(out["counts"], want)
+    waiting = threading.Event()
+    other = threading.Thread(target=waiting.wait, args=(60,))
+    other.start()
+    try:
+        assert shares() == 1
+    finally:
+        waiting.set()
+        other.join(timeout=60)
+    assert not other.is_alive() and forked == []
+    platform = sys.platform
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert shares() == 1 and forked == []
+    monkeypatch.setattr(sys, "platform", platform)
+    assert shares() == 2 and forked == [1]
 
 
 @pytest.mark.parametrize("blocks", [1, 5])
@@ -553,7 +621,7 @@ def test_centers_stepped_once_per_call(blocks, monkeypatch):
 
     spy = SystemSpec(rot.name, rot.space, counting("forward", rot.forward, fwd[:-1]),
                      counting("inverse", rot.inverse, [centers] + bwd[:-1]))
-    _one_share(monkeypatch, 1, blocks, 20_000)
+    _one_share(monkeypatch, blocks, 20_000)
     got = survival_counts(spy, mu, 75, 20_000, centers, [0.05], "two_sided", n_max)
     assert got[0, :, -1].all()  # the sample side is stepped to the last window
     assert seen == {"forward": 2 * (n_max - 1), "inverse": 2 * n_max}
