@@ -19,7 +19,8 @@ summary.  The parser is generated from the table, and its types parse each
 setting once, whatever the source: a flag, a config-file line (made a flag
 placed before the command line's own, which win) or ``DYNBALL_SEED`` (the
 text default of ``--seed``); every rule on a value is the library's.
-``_run`` does the shared steps once.
+``main`` builds the parser once per process and reads ``DYNBALL_SEED``
+again on every call.  ``_run`` does the shared steps once.
 ``runtime_seconds`` times the row's function: the estimator plus decay's
 center draw and generator's cover build, not the system and measure
 construction or the file writes.  ``battery`` takes its flags from the
@@ -31,6 +32,7 @@ requested computation is outside the system's capabilities.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -302,6 +304,12 @@ def _print_listing() -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parser()[0]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
+    """The parser and its ``--seed`` actions, whose default is the text of
+    ``DYNBALL_SEED`` (else "7") when it is built."""
     parser = _Parser(
         prog="dynball",
         description="Monte-Carlo expansiveness and entropy estimates for "
@@ -309,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true",
                         help="list systems, measures, and battery case ids")
     sub = parser.add_subparsers(dest="command")
+    seeds = []
     for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         for key, default in spec.flags.items():
@@ -319,18 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--param", action="append", metavar="KEY=VALUE",
                            type=_converter("param"))
         # a text default goes through the type too: a bad DYNBALL_SEED is refused
-        p.add_argument("--seed", type=_converter("seed"),
-                       default=os.environ.get("DYNBALL_SEED", "7"))
+        seeds.append(p.add_argument("--seed", type=_converter("seed"),
+                                    default=os.environ.get("DYNBALL_SEED", "7")))
         p.add_argument("--config")
         p.add_argument("--out", default=".")
     p = sub.add_parser("explain", help="describe one battery case")
     p.add_argument("case_id")
-    return parser
+    return parser, seeds
+
+
+# main builds one parser per process and reads DYNBALL_SEED on every call
+_main_parser = functools.cache(_build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, seeds = _main_parser()
+    for action in seeds:
+        action.default = os.environ.get("DYNBALL_SEED", "7")
     try:
         args = parser.parse_args(argv)
         if args.list:

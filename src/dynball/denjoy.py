@@ -25,6 +25,14 @@ Truncation details that keep the map an honest homeomorphism:
   width ``2**-21`` cells on either side, so the map is stored as
   ``2 * (2N + 1) + 4`` knots plus a wrap knot (263 for ``N = 64``) and the
   rotation-number drift of the interpolation is bounded by one such cell.
+
+psi's sum of gap lengths below theta is ``gap_cumsum`` at the index
+``np.searchsorted(orbit_sorted, theta)``, read bit for bit from a table
+built with the construction: the circle is cut into ``2**k >= 4(2N + 1)``
+equal cells, the table counts the orbit points below each cell's left
+edge, and a branchless bisection over at most the most points any cell
+holds counts the rest (one step at the golden default).  A binary search
+over the whole orbit costs several times as much per unsorted sample.
 """
 from __future__ import annotations
 
@@ -45,11 +53,37 @@ _CELLS = 1 << 21
 SQUEEZE = 2.5e-10
 
 
-def _insertion(orbit_sorted: np.ndarray, gap_cumsum: np.ndarray, t) -> np.ndarray:
-    """psi: old circle -> new circle (left endpoint on orbit points)."""
-    t = geo.wrap01(np.array(t, dtype=float))
-    idx = np.searchsorted(orbit_sorted, t, side="left")
-    return t / 2.0 + gap_cumsum[idx]
+def _insertion(orbit_padded: np.ndarray, cell_start: np.ndarray,
+               gap_cumsum: np.ndarray, t) -> np.ndarray:
+    """psi: old circle -> new circle (left endpoint on orbit points).
+
+    The index into ``gap_cumsum`` is ``np.searchsorted(orbit_sorted, t)``
+    bit for bit, read from the cell table: ``t * cells`` is exact, so its
+    floor is t's cell, ``cell_start`` counts the orbit points below that
+    cell's left edge, and a branchless bisection counts the cell's own
+    points below t.  A NaN (the fold of +-inf) takes the last entry,
+    ``len(orbit_sorted)``, where every candidate is a +inf sentinel.
+    """
+    with np.errstate(invalid="ignore"):  # +-inf fold to NaN
+        t = geo.wrap01(np.array(t, dtype=float))
+    flat = t.reshape(-1)  # a view, so a 0-d t is written in place too
+    cells = len(cell_start) - 1
+    x = flat * cells
+    np.fmin(x, cells, out=x)  # t = 1.0 and NaN take entry `cells`
+    idx = cell_start[x.astype(np.intp)]
+    # count the cell's points below t in jumps of 2**(s-1), ..., 1: a cell
+    # holds fewer than 2**s points, and orbit_padded ends in 2**s - 1
+    # sentinels (len(gap_cumsum) is one more than the orbit's)
+    step = (len(orbit_padded) - len(gap_cumsum) + 2) // 2
+    while step:
+        # mode="clip" lets take write into x unbuffered; no index is out of range
+        orbit_padded[step - 1:].take(idx, out=x, mode="clip")
+        np.add(idx, step, out=idx, where=x < flat)
+        step //= 2
+    gap_cumsum.take(idx, out=x, mode="clip")
+    flat *= 0.5
+    flat += x
+    return t if t.ndim else t[()]
 
 
 @dataclass(eq=False)
@@ -65,6 +99,13 @@ class DenjoyConstruction:
     staircase_y: np.ndarray        # h values (old coordinates), nondecreasing
     orbit_sorted: np.ndarray       # theta_k sorted by position
     gap_cumsum: np.ndarray         # prefix sums of lengths in sorted order
+    # psi's lookup table: cell j = [j, j + 1) / cells for 2**k = cells >=
+    # 4 * len(orbit_sorted); cell_start[j] counts the orbit points below
+    # j / cells (j = 0..cells), and orbit_padded is orbit_sorted followed
+    # by 2**s - 1 +inf sentinels, where 2**s exceeds the most points a
+    # cell holds (s = 1 at the golden default)
+    cell_start: np.ndarray
+    orbit_padded: np.ndarray
 
     @property
     def smallest_gap(self) -> float:
@@ -72,7 +113,7 @@ class DenjoyConstruction:
 
     def insertion(self, t: np.ndarray) -> np.ndarray:
         """psi: old circle -> new circle (left endpoint on orbit points)."""
-        return _insertion(self.orbit_sorted, self.gap_cumsum, t)
+        return _insertion(self.orbit_padded, self.cell_start, self.gap_cumsum, t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = geo.wrap01(np.array(x, dtype=float))
@@ -125,7 +166,12 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> DenjoyConstruc
     orbit_sorted = theta[order]
     gap_cumsum = np.concatenate([[0.0], np.cumsum(lengths[order])])
 
-    psi = partial(_insertion, orbit_sorted, gap_cumsum)
+    cells = 1 << (4 * len(orbit_sorted) - 1).bit_length()
+    cell_start = np.searchsorted(orbit_sorted, np.arange(cells + 1) / cells)
+    most = int(np.diff(cell_start).max())
+    orbit_padded = np.concatenate([orbit_sorted,
+                                   np.full((1 << most.bit_length()) - 1, np.inf)])
+    psi = partial(_insertion, orbit_padded, cell_start, gap_cumsum)
     a = psi(theta)
     b = a + lengths
     p_next = float(psi(theta_next))
@@ -184,5 +230,6 @@ def build_denjoy(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> DenjoyConstruc
         left_endpoints=a, right_endpoints=b,
         map_x=map_x, map_y=map_y,
         staircase_x=hx, staircase_y=hy,
-        orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum)
+        orbit_sorted=orbit_sorted, gap_cumsum=gap_cumsum,
+        cell_start=cell_start, orbit_padded=orbit_padded)
 

@@ -100,7 +100,9 @@ def make_dirac(point: geo.Point) -> MeasureSpec:
 def make_denjoy_minimal(alpha: float = GOLDEN_CONJUGATE, N: int = 64) -> MeasureSpec:
     """The unique minimal measure of the gapped circle map with these
     parameters: push the uniform variable through the insertion map, which
-    never lands inside a gap."""
+    never lands inside a gap.  The map reads each sample's orbit index from
+    the construction's cell table, so a draw costs a few array passes, not
+    a binary search per sample."""
     space = geo.circle()
     d = build_denjoy(alpha, N)
 

@@ -125,6 +125,10 @@ _PINNED_IDS = [
     "8607adf2d0a9e5b3617e6b25506579d72d4bac6814ddaf6c77e5693a42476aa6-32d8eaaa269c486d40e198ea30b8d9eec7b0b55bdd636f21dcd7df8a2ad17ce5",
     "argv24-"
     "c0fe535fdb85e5d329b9b4a36daf1cfa4fdee67476805e9f30945309e1fefd3e-51b1ed97d2ec837f9a144872a35fb406dfa25015723064dc33725f357172623d",
+    "argv25-"
+    "755dea10367f5f085f8d7cb286d5c94409138451f18cd67084b9a249447a5b7a-2f3a289e19b4f32fd60365f202f5cde9e4557fa0f80d2799b2ce1f34e4a883fa",
+    "argv26-"
+    "ae45a799710263f9816d00f84f64a593ac05502133b06d2600f33dace954dc91-4f35fa9b27d8cf25592805853bd6eb1e0861aac4c81603ade96058af550bfa05",
 ]
 
 
@@ -239,6 +243,18 @@ _PINNED_IDS = [
      "c0fe535fdb85e5d329b9b4a36daf1cfa4fdee67476805e9f30945309e1fefd3e",
      "51b1ed97d2ec837f9a144872a35fb406dfa25015723064dc33725f357172623d",
      None),
+    # gapped circles off the default alpha and N: their minimal-measure
+    # draws go through the insertion map's cell table, 128 and 2048 cells
+    (["decay", "--system", "denjoy", "--measure", "denjoy-minimal",
+      "--param", "alpha=0.7182818284590451", "--param", "N=8"],
+     "755dea10367f5f085f8d7cb286d5c94409138451f18cd67084b9a249447a5b7a",
+     "2f3a289e19b4f32fd60365f202f5cde9e4557fa0f80d2799b2ce1f34e4a883fa",
+     None),
+    (["verdict", "--system", "denjoy", "--measure", "denjoy-minimal",
+      "--param", "alpha=0.41421356237309515", "--param", "N=200"],
+     "ae45a799710263f9816d00f84f64a593ac05502133b06d2600f33dace954dc91",
+     "4f35fa9b27d8cf25592805853bd6eb1e0861aac4c81603ade96058af550bfa05",
+     None),
 ], ids=_PINNED_IDS)
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha, expect):
     # digests re-recorded when a sample row became `dims` consecutive
@@ -350,6 +366,20 @@ def test_param_flag(tmp_path):
                     "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "decay.json").read_text())
         assert json.dumps(payload["config"]["system"]["params"]) == params
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    # main reuses one parser: a --param list from one call must not reach
+    # the next, which builds the default N = 64 construction (the pinned
+    # default denjoy decay row)
+    argv = ["decay", "--system", "denjoy", "--measure", "denjoy-minimal",
+            "--samples", "20000", "--seed", "7", "--out", str(tmp_path)]
+    assert run(argv[:1] + ["--param", "N=16"] + argv[1:]) == 0
+    assert run(argv) == 0
+    data = (tmp_path / "decay.json").read_bytes()
+    assert json.loads(data)["config"]["system"]["params"] == {}
+    assert hashlib.sha256(data).hexdigest() == (
+        "1ca8cbb33188d6a8b63c26de7f395dc16158dc165c7c2f2d31d312e4a2aab5bb")
 
 
 def test_explain(capsys):

@@ -6,7 +6,7 @@ from dynball import (CapabilityError, ConstructionError, Point, SpaceMismatchErr
                      expansiveness_verdict, get_system, make_cat, make_denjoy,
                      make_doubling, make_identity, make_interval_square, make_lebesgue,
                      make_rotation, make_tent, make_zoo, torus2, zoo_names)
-from dynball.denjoy import SQUEEZE
+from dynball.denjoy import GOLDEN_CONJUGATE, SQUEEZE
 from dynball.expansiveness import ONE_SIDED, TWO_SIDED, resolve_sided
 from dynball.systems import CAT_INVERSE, CAT_MATRIX, compose_power, iterate
 
@@ -290,6 +290,32 @@ def test_circle_and_torus_maps_match_remainder_formulas_bit_for_bit(denjoy_c):
         assert np.array_equal(x, before)  # the caller's array is not folded
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_LOOKUP_CASES = [(a, n) for a in (GOLDEN_CONJUGATE, np.sqrt(2.0) - 1.0, np.e - 2.0)
+                 for n in (8, 64, 200, 10_000)]
+# orbit clusters of 43 and 21 points in one cell: the bisection's most steps
+_LOOKUP_CASES += [(1.0 / 3.0 + 1e-6, 64), (1.0 / 3.0 + 1e-6, 2000)]
+
+
+@pytest.mark.parametrize("alpha, N", _LOOKUP_CASES)
+def test_insertion_lookup_matches_searchsorted(alpha, N):
+    # psi reads its index from the cell table; it must be the searchsorted
+    # index bit for bit, on every orbit point and its two neighbours, every
+    # cell edge and the fold's edge cases, t = 1.0 (from -1e-20) and NaN
+    # (from NaN and +-inf) included, and raise no warning
+    c = build_denjoy(alpha=alpha, N=N)
+    o = c.orbit_sorted
+    edges = np.arange(len(c.cell_start)) / (len(c.cell_start) - 1)
+    t = np.concatenate([o, np.nextafter(o, -1.0), np.nextafter(o, 2.0), edges,
+                        [0.0, -0.0, 1.0 - 2.0 ** -53, -1e-20, np.nan, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        w = t % 1.0
+    want = w / 2.0 + c.gap_cumsum[np.searchsorted(o, w)]
+    for x, y in ((t, want), (t.reshape(-1, 1), want.reshape(-1, 1))):
+        got = c.insertion(x)
+        assert got.shape == y.shape
+        assert np.array_equal(got.view(np.int64), y.view(np.int64))
 
 
 def test_iterate_reads_coords():
