@@ -7,6 +7,9 @@ from the same curves, and bundles qualitative claims about the system
 zoo into a seeded theorem battery.  Everything is deterministic given a
 seed: samples come from counter-based streams indexed by sample number,
 so results are independent of batch splits and worker counts.
+
+The battery's names are served on first use (``__getattr__``): a data
+command never loads ``dynball.battery`` or the thread pool it runs on.
 """
 __version__ = "0.1.0"
 
@@ -27,8 +30,6 @@ from .measures import (MeasureSpec, make_dirac, make_denjoy_minimal,
 from .systems import (SystemSpec, get_system, make_cat, make_denjoy,
                       make_doubling, make_identity, make_interval_square,
                       make_rotation, make_tent, make_zoo, zoo_names)
-from .battery import (BatteryReport, TheoremCase, case_info,
-                      consistency_matrix, run_battery, CASE_IDS)
 
 __all__ = [
     "__version__",
@@ -50,3 +51,14 @@ __all__ = [
     "DynballError", "CapabilityError", "ConstructionError",
     "InsufficientSamplesError", "NotACoverError", "SpaceMismatchError",
 ]
+
+# the names dynball.battery serves, imported from it on first use
+_BATTERY_NAMES = frozenset(("BatteryReport", "TheoremCase", "CASE_IDS", "case_info",
+                            "consistency_matrix", "run_battery"))
+
+
+def __getattr__(name: str):
+    if name in _BATTERY_NAMES:
+        from . import battery
+        return getattr(battery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

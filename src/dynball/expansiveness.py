@@ -26,6 +26,25 @@ sorted.  For a measure-expansive map the alive set shrinks
 geometrically, and even for an isometry it is about 2*delta of the pairs
 from window 1 on.
 
+``_path_counts`` walks a call's blocks one of two ways, with equal
+counts.  A map that keeps the order of a 1-D space, as a circle or
+interval homeomorphism does, keeps the rows within a radius of a point
+one cyclic run of a block's sorted rows, so the arc walk
+(``arcs.advance``) holds each (radius, path) survivor set as a run's
+start and length and pays O(rows + radii x paths x log rows) a window,
+not O(pairs).  It is chosen per call from what the code can observe: a
+1-D space, two or more paths, ``_plan``'s estimate of a share's
+window-1 pairs at or above ``_ARC_FLOOR``, and a map that keeps the
+order of a fixed sorted grid (``arcs.keeps_order``).  A one-path call
+keeps the pair walk, which broadcasts its one center and reads its rows
+in pair order with no gather.  The runs are exact: along images in
+cyclic order fl(a - b), its absolute value and 1 - d are each monotone,
+so the rows within a radius form one run, whose ends are moved with
+``geometry.distance`` until they are the pair walk's.  Every side of
+every window checks that its images lie in cyclic order and that two
+runs meet in one piece; a block that fails is walked again with pairs,
+and so is the rest of its share.
+
 Every estimator here draws its sample budget through the block generator
 ``measures.sample_blocks`` and sums its counts block by block, so working
 memory does not grow with the budget and the counts equal a whole-batch
@@ -61,6 +80,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import arcs
 from . import geometry as geo
 from .errors import CapabilityError, DynballError, SpaceMismatchError
 from .measures import MeasureSpec, block_rows, sample_blocks
@@ -104,6 +124,17 @@ _MERGE_PAIRS = 1 << 13
 # calls hand the interpreter lock back and forth: a second thread gained
 # nothing, and a forked share holds a lock of its own (BENCH_32.json).
 _PAIR_FLOOR = 1 << 16
+
+# _path_counts walks a call's blocks as arcs of sorted rows
+# (arcs.advance) only when each share's samples should hold at least
+# this many window-1 candidate pairs, _plan's estimate.  The arc walk
+# pays a fixed cost a window whatever the block, the pair walk a cost per
+# pair.  On one-share, 20-center, two-sided 30-window counts the arc walk
+# took 0.47 (rotation) and 0.82 (gapped circle) of the pair walk's time
+# at 32k expected pairs, but 0.79 and 1.14 at 16k, and twice it on a
+# half-gap gapped-circle verdict, about 280 pairs (CHANGES.md, "Arcs of
+# sorted rows").
+_ARC_FLOOR = 1 << 15
 
 # the open record of recording_kernel, per thread and context
 _record: ContextVar[Optional[dict]] = ContextVar("kernel_record", default=None)
@@ -172,27 +203,50 @@ def _path_counts(f: SystemSpec, mu: MeasureSpec, key: int, samples: int, path,
     share 0 in the caller and shares 1.. each in a child process forked
     for it (``_forked``), and the arrays are summed.  An exception raised
     in any share reaches the caller with its type and message.  The
-    shares and the most pairs any block held go to ``recording_kernel``.
+    shares, the most pairs any block held and the most rows any arc block
+    held go to ``recording_kernel``.
+
+    A call on a 1-D space with two or more paths, whose shares each
+    expect ``_ARC_FLOOR`` window-1 pairs and whose map keeps order
+    (``arcs.keeps_order``), walks arcs instead: each share's draws are
+    merged into sorted blocks of up to ``measures.block_rows()`` rows
+    (``arcs.blocks``) and ``arcs.advance`` counts each block's survivors
+    as cyclic runs of its rows.  A block it cannot walk exactly (its
+    images leave cyclic order, or two runs meet in two pieces) is walked
+    again from window 1 with pairs, from a fresh draw of its rows, and so
+    is the rest of the share; the counts are the pair walk's either way.
     """
     fwd, bwd = path
     shape = (len(deltas), fwd.shape[1], len(fwd))
     dmax = deltas.max(initial=0.0)
     shares, rows = _plan(samples, shape[1], dmax, math.prod(shape))
+    by_arcs = (f.space.dim == 1 and shape[1] > 1
+               and samples // shares * _strip_pairs(shape[1], dmax) >= _ARC_FLOOR
+               and arcs.keeps_order(f))
 
-    def share(w):  # (counts, most pairs in a block) of share w's samples
-        counts, most = np.zeros(shape, dtype=np.int64), 0
-        for yf, xi, yi in _pair_blocks(mu, key, samples * w // shares,
-                                       samples * (w + 1) // shares, rows, fwd[0], dmax):
+    def share(w):  # (counts, most pairs in a block, most rows in an arc block) of share w
+        counts, most, held = np.zeros(shape, dtype=np.int64), 0, 0
+        lo, hi = samples * w // shares, samples * (w + 1) // shares
+        if by_arcs:
+            for lo, ys in arcs.blocks(mu, key, lo, hi, rows):
+                got = arcs.advance(f, deltas, path, ys)
+                if got is None:  # this block and the rest of the share walk pairs
+                    break
+                counts += got
+                held = max(held, len(ys))
+            else:
+                lo = hi
+        for yf, xi, yi in _pair_blocks(mu, key, lo, hi, rows, fwd[0], dmax):
             most = max(most, len(xi))
             _advance_pairs(f, deltas, counts, path, yf, xi, yi, xi)
-        return counts, most
+        return counts, most, held
 
     with _forked(share, range(1, shares)) as rest:
-        counts, most = share(0)
-        for c, m in rest:
+        counts, most, held = share(0)
+        for c, m, h in rest:
             counts += c
-            most = max(most, m)
-    _note(kernel_shares=shares, kernel_block_pairs=most)
+            most, held = max(most, m), max(held, h)
+    _note(kernel_shares=shares, kernel_block_pairs=most, kernel_arc_rows=held)
     return counts
 
 
@@ -408,7 +462,7 @@ def _plan(samples: int, width: int, dmax: float, cells: int) -> tuple[int, int]:
 
     Integer sums do not depend on the split, and each share's blocks and
     their order are the serial ones, so no count depends on the plan."""
-    per_row = width * min(1.0, 2.0 * dmax)  # the axis-0 strip of _near_pairs
+    per_row = _strip_pairs(width, dmax)
     rows = block_rows(width)
     if rows * per_row > _PAIR_BLOCK:
         rows = max(1, math.ceil(_PAIR_BLOCK / per_row))
@@ -416,6 +470,13 @@ def _plan(samples: int, width: int, dmax: float, cells: int) -> tuple[int, int]:
     while w > 1 and (w * cells > MAX_CELLS or samples // w * per_row < _PAIR_FLOOR):
         w -= 1
     return w, rows
+
+
+def _strip_pairs(width: int, dmax: float) -> float:
+    """The window-1 candidate pairs a sample row is expected to hold with
+    ``width`` paths at largest radius dmax: the axis-0 strip of
+    ``_near_pairs``, on every space and whatever the measure."""
+    return width * min(1.0, 2.0 * dmax)
 
 
 def _note(**values: int) -> None:
@@ -434,8 +495,10 @@ def recording_kernel():
     (``kernel_shares``: processes, the caller's and the forked ones) and
     the most window-1 candidate pairs one block handed to the pair kernel
     (``kernel_block_pairs``, each share's blocks and
-    ``product_diagonal_test``'s included); each 0 when there was none."""
-    seen = dict.fromkeys(("kernel_shares", "kernel_block_pairs"), 0)
+    ``product_diagonal_test``'s included) and the most rows one block of
+    the arc walk held (``kernel_arc_rows``, ``arcs.advance``); each 0
+    when there was none."""
+    seen = dict.fromkeys(("kernel_shares", "kernel_block_pairs", "kernel_arc_rows"), 0)
     token = _record.set(seen)
     try:
         yield seen

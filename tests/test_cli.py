@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import dynball
 from dynball import circle, decay_series, expansiveness, make_lebesgue, make_rotation
 from dynball.cli import main
 from dynball.expansiveness import _PAIR_BLOCK, usable_cpus
@@ -54,6 +57,11 @@ def _one_center_split(meta, rows):
 
 def _share_per_cpu(meta, rows):
     return min(2, meta["nproc"]) <= meta["kernel_shares"] <= meta["nproc"]
+
+
+def _pairs_walked(meta, rows):
+    # no arc block: the kernel walked only pairs
+    return meta["kernel_arc_rows"] == 0 and meta["kernel_block_pairs"] > 0
 
 
 def _width(rows, delta):
@@ -129,6 +137,8 @@ _PINNED_IDS = [
     "755dea10367f5f085f8d7cb286d5c94409138451f18cd67084b9a249447a5b7a-2f3a289e19b4f32fd60365f202f5cde9e4557fa0f80d2799b2ce1f34e4a883fa",
     "argv26-"
     "ae45a799710263f9816d00f84f64a593ac05502133b06d2600f33dace954dc91-4f35fa9b27d8cf25592805853bd6eb1e0861aac4c81603ade96058af550bfa05",
+    "argv27-"
+    "4c9407f7ef42a892ef59b1cae1b8c69dfb4dd2b1a02edb17318914391083f445-571409fce7b7f9a093293b70be40af343cd6044f416ac6811c6a44856d15d97d",
 ]
 
 
@@ -213,10 +223,11 @@ _PINNED_IDS = [
      None),
     # a default generator and a cat-map verdict split their samples into a
     # share per CPU, two at least when there are two
+    # the doubling map folds the circle, so it walks pairs
     (["generator"],
      "3c56bd6eee01bbf2402be4442845b0bcc0af05d9eca040c6588d2bcc44974629",
      "354bed0e9b3d9999a1629ab3be7010cf44dc5ee32a8f75248c3654fe3a1458ee",
-     _share_per_cpu),
+     lambda meta, rows: _share_per_cpu(meta, rows) and _pairs_walked(meta, rows)),
     (["verdict", "--system", "cat"],
      "089d6926ad2649f507797fce977c29a5852b4aa93747046c4abaddca57017b5a",
      "1072e9cbc8a06df6e83a6bb9a9e6a6ce690c0497fab6ff936de769b1b0a7ae2b",
@@ -226,11 +237,12 @@ _PINNED_IDS = [
      "ae5264fb6b6f0429fb482738541b70f6b98f6a6136b5b05c53ba0d502d63e031",
      None),
     # a default entropy's blocks are sized for about _PAIR_BLOCK window-1
-    # pairs each, whatever the CPU count
+    # pairs each, whatever the CPU count; the doubling map walks pairs
     (["entropy"],
      "e332a5882e36de7579dacc4076a96661c7053efef67fd716888828ddd2e63412",
      "cb45ba2dd8c4a1e5fec313a62994ee1c72b7cd8b58f01c8b4e13e95189c57b1c",
-     lambda meta, rows: 0 < meta["kernel_block_pairs"] <= 2 * _PAIR_BLOCK),
+     lambda meta, rows: (0 < meta["kernel_block_pairs"] <= 2 * _PAIR_BLOCK
+                         and _pairs_walked(meta, rows))),
     # the cat map at the default grid: its delta 0.02 probes starve after a
     # window or two, and the slope fit must then stay wide rather than fit
     # the starved tail's equal counts to a 4e-6 band
@@ -255,6 +267,13 @@ _PINNED_IDS = [
      "ae45a799710263f9816d00f84f64a593ac05502133b06d2600f33dace954dc91",
      "4f35fa9b27d8cf25592805853bd6eb1e0861aac4c81603ade96058af550bfa05",
      None),
+    # a default verdict: the rotation keeps the circle's order and each
+    # share holds far more than _ARC_FLOOR window-1 pairs, so every block
+    # walks arcs and none falls back to pairs
+    (["verdict"],
+     "4c9407f7ef42a892ef59b1cae1b8c69dfb4dd2b1a02edb17318914391083f445",
+     "571409fce7b7f9a093293b70be40af343cd6044f416ac6811c6a44856d15d97d",
+     lambda meta, rows: meta["kernel_block_pairs"] == 0 and meta["kernel_arc_rows"] > 0),
 ], ids=_PINNED_IDS)
 def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha, expect):
     # digests re-recorded when a sample row became `dims` consecutive
@@ -276,6 +295,39 @@ def test_artifact_bytes_pinned(tmp_path, argv, csv_sha, json_sha, expect):
         lines = (tmp_path / f"{cmd}.csv").read_text().splitlines()
         header, *body = (line.split(",") for line in lines if not line.startswith("#"))
         assert expect(meta, [dict(zip(header, row)) for row in body]), meta
+
+
+def test_rerun_into_the_same_out_leaves_only_its_files(tmp_path):
+    # a second run into an --out that holds the first one's files replaces
+    # them: the directory ends with exactly the new run's three files, its
+    # csv and json bytes those of a run into a fresh directory
+    argv = ["decay", "--samples", "2000", "--nmax", "3"]
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    assert run(argv + ["--seed", "2", "--out", str(fresh)]) == 0
+    for seed in ("1", "2"):
+        assert run(argv + ["--seed", seed, "--out", str(again)]) == 0
+    assert sorted(p.name for p in again.iterdir()) == [
+        "decay.csv", "decay.json", "decay.meta.json"]
+    for name in ("decay.csv", "decay.json"):
+        assert (again / name).read_bytes() == (fresh / name).read_bytes()
+    assert json.loads((again / "decay.meta.json").read_text())["seed"] == 2
+
+
+def test_data_commands_do_not_load_the_battery(tmp_path):
+    # the battery, and the thread pool it runs on, load on first use: not
+    # with the CLI, but with a battery name, --list or explain
+    code = (
+        "import sys, dynball.cli\n"
+        "print(sorted(m for m in ('dynball.battery', 'concurrent.futures') if m in sys.modules))\n"
+        "import dynball\n"
+        "print(dynball.CASE_IDS[0], dynball.run_battery.__module__)\n")
+    src = os.path.dirname(os.path.dirname(dynball.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.splitlines() == ["[]", "isometry dynball.battery"]
+    assert "thA" in dynball.CASE_IDS and callable(dynball.run_battery)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dynball.no_such_name
 
 
 def test_capability_exit_code(tmp_path, capsys):

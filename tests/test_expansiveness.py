@@ -20,7 +20,8 @@ from dynball import (Ball, CapabilityError, DynballError, Point, SpaceMismatchEr
                      make_rotation, make_tent, periodic_fraction,
                      power_consistency_check, product_diagonal_test, SystemSpec,
                      torus2, volume_expanding_check)
-from dynball import cli, expansiveness, measures
+from dynball import arcs, cli, expansiveness, make_measure, measures
+from dynball.denjoy import GOLDEN_CONJUGATE
 from dynball.expansiveness import _near_pairs, resolve_sided, survival_counts
 from dynball.rng import BLOCK_DOUBLES, derive_seed, uniform_block
 from dynball.stats import MAX_CELLS, MAX_PROBES, MAX_WINDOW, check_cells, wilson_interval
@@ -320,8 +321,13 @@ def test_shares_give_the_same_counts(make_f, make_mu, sided, deltas, monkeypatch
                 got[budget, cpus] = survival_counts(f, mu, 62, samples, centers, deltas,
                                                     sided, 12)
             assert seen["kernel_shares"] == cpus
-            pairs = seen["kernel_block_pairs"]
-            assert 0 < pairs <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
+            # a one-share rotation or gapped-circle call walks arcs, the rest
+            # pairs: each walk's blocks keep within that walk's own bound
+            pairs, held = seen["kernel_block_pairs"], seen["kernel_arc_rows"]
+            if held:
+                assert pairs == 0 and held <= measures.block_rows(), (budget, held)
+            else:
+                assert 0 < pairs <= min(3 * budget, 5 * measures._BLOCK), (budget, pairs)
             # every share's rows, in index order, are the keyed stream's rows
             starts = sorted(int(p.stem) for p in drawn.iterdir())
             assert np.array_equal(
@@ -557,6 +563,177 @@ def test_two_shares_give_the_serial_counts(case, monkeypatch):
             got = survival_counts(f, mu, 72, samples, centers, [0.1, 0.03], sided, 12)
         assert seen["kernel_shares"] == 2
         assert np.array_equal(got, want), blocks
+
+
+def _arc_cases():
+    """(system, measure) pairs whose maps keep order: the rotation and the
+    identity, the gapped circle at three (alpha, N) under Lebesgue measure
+    and its own minimal measure, and the interval square under Lebesgue
+    measure and both pushforwards."""
+    cases = [(make_rotation(), make_lebesgue(circle())),
+             (make_identity(), make_lebesgue(circle()))]
+    for alpha, n in ((GOLDEN_CONJUGATE, 64), (0.7182818284590451, 8),
+                     (0.41421356237309515, 200)):
+        cases += [(make_denjoy(alpha, n), make_lebesgue(circle())),
+                  (make_denjoy(alpha, n), make_denjoy_minimal(alpha, n))]
+    square = make_interval_square()
+    return cases + [(square, make_measure(name, interval()))
+                    for name in ("lebesgue", "pushforward:square", "pushforward:sqrt")]
+
+
+def _walk(monkeypatch, arcs, *args):
+    """(counts, kernel record) of survival_counts(*args), every block walked
+    as arcs or, with the arc floor out of reach, as pairs."""
+    monkeypatch.setattr(expansiveness, "_ARC_FLOOR", 0 if arcs else 1 << 62)
+    with expansiveness.recording_kernel() as seen:
+        return survival_counts(*args), seen
+
+
+def test_arc_walk_counts_equal_the_pair_walk(monkeypatch):
+    # seeded calls on every case: two centers at the ends of the unit axis,
+    # a hair inside them or its middle, the rest measure-drawn; one to three
+    # radii from 1e-3 to 0.45; windows 1 to 60, one- and two-sided.  Each
+    # walks arcs through every block, with no fallback to pairs, and counts
+    # what the pair walk counts
+    rng = np.random.default_rng(35)
+    cases = _arc_cases()
+    for i in range(18 * len(cases)):
+        f, mu = cases[i % len(cases)]
+        centers = mu.sample_coords(int(rng.integers(1 << 32)), int(rng.integers(2, 6)))
+        centers[:2, 0] = rng.choice([0.0, 1e-12, 0.9999999, 0.5], 2)
+        deltas = np.unique(np.exp(rng.uniform(np.log(1e-3), np.log(0.45),
+                                              int(rng.integers(1, 4)))))
+        sided = "two_sided" if i % 3 else "one_sided"
+        args = (f, mu, int(rng.integers(1 << 32)), int(rng.integers(500, 4000)), centers,
+                deltas, sided, int(rng.integers(1, 61)))
+        want, pairs = _walk(monkeypatch, False, *args)
+        got, arcs = _walk(monkeypatch, True, *args)
+        assert pairs["kernel_arc_rows"] == 0 < pairs["kernel_block_pairs"]
+        assert arcs["kernel_block_pairs"] == 0 < arcs["kernel_arc_rows"], (i, f.name, mu.name)
+        assert np.array_equal(got, want), (i, f.name, mu.name, centers[:, 0], deltas, sided)
+    # a radius no sample reaches at window 1: every run is empty at once
+    for f, mu in cases:
+        got, seen = _walk(monkeypatch, True, f, mu, 3, 500, mu.sample_coords(4, 3), [1e-7],
+                          "two_sided", 5)
+        assert seen["kernel_arc_rows"] == 500 and not got.any()
+
+
+def test_arc_walk_exact_at_the_radius(monkeypatch):
+    # every row lies within a few ulps of some center's radius bound, where
+    # the rounded bounds c +- delta and the rounded distance disagree about
+    # rows on either side: moving each run's ends by the distance keeps its
+    # rows exactly those the pair walk counts
+    centers = np.array([[0.3], [0.03], [0.97], [0.5]])
+    deltas = np.array([0.1, 0.05, 0.2])
+    edges = (centers[:, 0, None] + np.concatenate([-deltas, deltas])).ravel() % 1.0
+
+    def transform(u):  # edge j, nudged by -8..8 ulps
+        j = (u[:, 0] * 1e6).astype(int)
+        return (edges[j % len(edges)] + np.spacing(0.5) * (j % 17 - 8))[:, None]
+
+    mu = measures.MeasureSpec("edges", circle(), transform)
+    for f in (make_identity(), make_rotation()):
+        args = (f, mu, 9, 20_000, centers, deltas, "two_sided", 6)
+        want, _ = _walk(monkeypatch, False, *args)
+        got, seen = _walk(monkeypatch, True, *args)
+        assert seen["kernel_block_pairs"] == 0 < seen["kernel_arc_rows"], f.name
+        assert np.array_equal(got, want), f.name
+        assert 0 < want[:, :, -1].sum() < 20_000 * want.shape[1]
+
+
+def test_arc_walk_refuses_a_row_at_one(monkeypatch):
+    # a circle row of 1.0, as geometry.wrap01 gives for a tiny negative
+    # input, is the point 0.0 but lies at computed distance 0 from a
+    # center at 1e-20, nearer than 0.0 itself: the rows within 6e-21 are
+    # then 1.0 and 5e-21 but not 0.0 between them, no one run.  Such a
+    # block walks pairs
+    values = np.array([0.0, 5e-21, 0.5, 1.0])
+    mu = measures.MeasureSpec("ends", circle(), lambda u: values[(u * 4).astype(int)])
+    args = (make_identity(), mu, 11, 2000, np.array([[1e-20], [0.3]]), [6e-21], "one_sided", 2)
+    want, _ = _walk(monkeypatch, False, *args)
+    got, seen = _walk(monkeypatch, True, *args)
+    assert seen["kernel_arc_rows"] == 0 < seen["kernel_block_pairs"]
+    assert np.array_equal(got, want) and 0 < want[0, 0, 0] < 2000
+
+
+def test_arc_walk_only_for_order_keeping_maps_and_many_paths(monkeypatch):
+    # maps that fold or are not on a 1-D space never walk arcs, nor does a
+    # one-center call, whatever the floor
+    assert all(arcs.keeps_order(f) for f, _ in _arc_cases())
+    assert not any(arcs.keeps_order(f) for f in (make_doubling(), make_tent()))
+    for f, count in ((make_doubling(), 5), (make_tent(), 5), (make_cat(), 5),
+                     (make_rotation(), 1)):
+        mu = make_lebesgue(f.space)
+        _, seen = _walk(monkeypatch, True, f, mu, 3, 5000, mu.sample_coords(4, count),
+                        [0.1], "one_sided", 8)
+        assert seen["kernel_arc_rows"] == 0 < seen["kernel_block_pairs"], f.name
+
+
+def test_arc_walk_refuses_runs_that_meet_in_two_pieces(monkeypatch):
+    # a path that jumps half the circle between windows: at radius 0.45 its
+    # two runs of the identity's rows each cover nine tenths of the circle
+    # and meet in two pieces, which no one run holds, so the block walks
+    # pairs
+    f, mu = make_identity(), make_lebesgue(circle())
+    fwd = np.array([[0.1, 0.3], [0.6, 0.3]])[:, :, None]
+    args = (f, mu, 13, 4000, (fwd, None), np.array([0.45, 0.2]))
+    for arc in (False, True):
+        monkeypatch.setattr(expansiveness, "_ARC_FLOOR", 0 if arc else 1 << 62)
+        with expansiveness.recording_kernel() as seen:
+            got = expansiveness._path_counts(*args)
+        if arc:
+            assert seen["kernel_arc_rows"] == 0 < seen["kernel_block_pairs"]
+            assert np.array_equal(got, want)
+        want = got
+    assert 0 < want[0, 0, 1] < want[0, 0, 0]
+
+
+def test_arc_walk_inverts_only_window_1_survivors(monkeypatch):
+    # as with pairs, only the rows near some center at window 1 reach the
+    # first inverse: three centers at radius 0.02 hold about 12% of them
+    rot, seen = make_rotation(), []
+
+    def counted_inverse(c):
+        seen.append(len(c))
+        return rot.inverse(c)
+
+    spy = SystemSpec(rot.name, rot.space, rot.forward, counted_inverse)
+    mu = make_lebesgue(circle())
+    _, kernel = _walk(monkeypatch, True, spy, mu, 14, 20_000, mu.sample_coords(15, 3), [0.02],
+                      "two_sided", 2)
+    rows = [n for n in seen if n > 3]  # not the centers' orbit
+    assert kernel["kernel_arc_rows"] == 20_000 and 0 < rows[0] <= 0.2 * 20_000, rows
+
+
+def test_arc_walk_falls_back_to_pairs(monkeypatch):
+    # doubling and the tent, let through as if they kept order, fail the
+    # order check of their first window past the first: their blocks walk
+    # pairs.  A block that fails after others walked arcs is walked again
+    # with pairs, and so is the rest of its share
+    monkeypatch.setattr(arcs, "keeps_order", lambda f: True)
+    for f in (make_doubling(), make_tent()):
+        mu = make_lebesgue(f.space)
+        args = (f, mu, 5, 20_000, mu.sample_coords(6, 5), [0.1, 0.02], "one_sided", 10)
+        want, _ = _walk(monkeypatch, False, *args)
+        got, seen = _walk(monkeypatch, True, *args)
+        assert seen["kernel_arc_rows"] == 0 < seen["kernel_block_pairs"], f.name
+        assert np.array_equal(got, want), f.name
+    advance, calls = arcs.advance, []
+
+    def second_fails(f, deltas, path, ys):
+        calls.append(len(ys))
+        return None if len(calls) == 2 else advance(f, deltas, path, ys)
+
+    monkeypatch.setattr(arcs, "advance", second_fails)
+    monkeypatch.setattr(expansiveness, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(measures, "_BLOCK", 1000)
+    f, mu = make_rotation(), make_lebesgue(circle())
+    args = (f, mu, 7, 5000, mu.sample_coords(8, 5), [0.1, 0.02], "two_sided", 10)
+    want, _ = _walk(monkeypatch, False, *args)
+    calls.clear()
+    got, seen = _walk(monkeypatch, True, *args)
+    assert calls == [1000, 1000] and seen["kernel_arc_rows"] == 1000
+    assert seen["kernel_block_pairs"] > 0 and np.array_equal(got, want)
 
 
 def test_fork_only_from_a_lone_main_thread(monkeypatch):
@@ -1000,7 +1177,9 @@ def test_generator_shares_give_the_same_report(make_f, sided, monkeypatch):
         with expansiveness.recording_kernel() as seen:
             reports.append(generator_check(f, mu, cover, n_max=4, sequence_samples=6,
                                            mc_samples=20_001, seed=50, sided=sided))
-        assert seen["kernel_shares"] == cpus and seen["kernel_block_pairs"] > 0
+        # the rotation's sequences walk arcs, the others' pairs
+        walked = seen["kernel_arc_rows"] if f.name == "rotation" else seen["kernel_block_pairs"]
+        assert seen["kernel_shares"] == cpus and walked > 0
     assert max(reports[0].per_sequence) > 0
     assert reports[1] == reports[0]
 
